@@ -223,47 +223,13 @@ def intersection(G, H, node_budget=None):
     return result.group
 
 
-def centralizer(G, x, node_budget=None):
-    """The centralizer in G of the permutation x."""
-    xi = x.images
+def _forcing_search(x, y):
+    """Hooks, leaf test and base hint for elements g with x^g == y.
 
-    def extend(level, base_point, image, state):
-        forced = {} if state is None else state
-        new = dict(forced)
-        used = set(new.values())
-        stack = [(base_point, image)]
-        while stack:
-            a, c = stack.pop()
-            have = new.get(a)
-            if have is not None:
-                if have != c:
-                    return PRUNE
-                continue
-            if c in used:
-                return PRUNE
-            new[a] = c
-            used.add(c)
-            stack.append((xi[a], xi[c]))
-        return new
-
-    def leaf(g):
-        gi = g.images
-        return all(gi[xi[a]] == xi[gi[a]] for a in range(G.degree))
-
-    base_hint = [a for cycle in sorted(x.cycles(), key=len, reverse=True)
-                 for a in cycle]
-    result = subgroup_search(G, leaf, base_hint=base_hint,
-                             hooks=(None, extend), node_budget=node_budget)
-    if not result.complete:
-        raise BudgetExceededError(
-            f"centralizer search exceeded {node_budget} nodes")
-    return result.group
-
-
-def conjugating_element(G, x, y, node_budget=None):
-    """Some g in G with g^-1 x g == y, or None.  Raises on budget."""
-    if x.cycle_type() != y.cycle_type():
-        return None
+    Mapping a point a to c forces x(a) to y(c), so each choice propagates
+    along the cycles of x and y; base points taken cycle by cycle, longest
+    first, fix the rest of a cycle after its first point.
+    """
     xi, yi = x.images, y.images
 
     def extend(level, base_point, image, state):
@@ -287,11 +253,30 @@ def conjugating_element(G, x, y, node_budget=None):
 
     def leaf(g):
         gi = g.images
-        return all(gi[xi[a]] == yi[gi[a]] for a in range(G.degree))
+        return all(gi[xi[a]] == yi[gi[a]] for a in range(len(xi)))
 
     base_hint = [a for cycle in sorted(x.cycles(), key=len, reverse=True)
                  for a in cycle]
-    return find_element(G, leaf, base_hint=base_hint, hooks=(None, extend),
+    return (None, extend), leaf, base_hint
+
+
+def centralizer(G, x, node_budget=None):
+    """The centralizer in G of the permutation x."""
+    hooks, leaf, base_hint = _forcing_search(x, x)
+    result = subgroup_search(G, leaf, base_hint=base_hint, hooks=hooks,
+                             node_budget=node_budget)
+    if not result.complete:
+        raise BudgetExceededError(
+            f"centralizer search exceeded {node_budget} nodes")
+    return result.group
+
+
+def conjugating_element(G, x, y, node_budget=None):
+    """Some g in G with g^-1 x g == y, or None.  Raises on budget."""
+    if x.cycle_type() != y.cycle_type():
+        return None
+    hooks, leaf, base_hint = _forcing_search(x, y)
+    return find_element(G, leaf, base_hint=base_hint, hooks=hooks,
                         node_budget=node_budget)
 
 

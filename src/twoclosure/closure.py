@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .backtrack import orbit_minima
+from .constructions import symmetric
 from .errors import BudgetExceededError, DegreeMismatchError, GroupError
 from .group import PermGroup
 from .orbital import OrbitalPartition
@@ -22,14 +23,14 @@ from .perm import Permutation
 class ClosureResult:
     """A 2-closure computation outcome.
 
-    method is one of "backtrack" (partition search ran), "oracle"
-    (brute-force filter), or "certified-equal" (the answer follows from a
-    closure identity with no search: regular actions are their own
-    closure, 2-transitive groups close to the full symmetric group, and
-    an intransitive group whose per-orbit closure product passes the
-    membership test generator-wise closes to that product).  certified is
-    False only when a node budget stopped the search, in which case
-    closure is a lower bound containing the input.
+    method is either "backtrack" (partition search ran) or
+    "certified-equal" (the answer follows from a closure identity with no
+    search: regular actions are their own closure, 2-transitive groups
+    close to the full symmetric group, and an intransitive group whose
+    per-orbit closure product passes the membership test generator-wise
+    closes to that product).  certified is False only when a node budget
+    stopped the search, in which case closure is a lower bound containing
+    the input.
     """
 
     def __init__(self, input_group, closure, method, certified=True,
@@ -48,14 +49,6 @@ class ClosureResult:
         tag = "certified" if self.certified else "partial"
         return (f"ClosureResult(order={self.closure.order()}, "
                 f"index={self.index}, method={self.method!r}, {tag})")
-
-
-def _symmetric(n, seed=0):
-    if n <= 1:
-        return PermGroup(n, [], seed=seed)
-    gens = [Permutation.from_cycles(n, [tuple(range(n))]),
-            Permutation.from_cycles(n, [(0, 1)])]
-    return PermGroup(n, gens, seed=seed)
 
 
 def closure_membership(G, x, partition=None):
@@ -200,7 +193,7 @@ def two_closure(G, node_budget=None, partition=None):
     transitive = G.is_transitive()
     if transitive:
         if part.rank == 2:
-            return ClosureResult(G, _symmetric(n, seed=G.seed),
+            return ClosureResult(G, symmetric(n, seed=G.seed),
                                  "certified-equal")
         if G.order() == n:
             return ClosureResult(G, G, "certified-equal")

@@ -30,6 +30,7 @@ from math import gcd
 
 from .actions import BlockSystem, induce_on_blocks
 from .closure import closure_membership, two_closure
+from .constructions import symmetric
 from .errors import (BudgetExceededError, GroupError, NotCoreFreeError,
                      NotTransitiveError)
 from .group import PermGroup, is_prime
@@ -262,10 +263,7 @@ def imprimitive_context(G, system, node_budget=None):
         Y = res.closure
         exact = True
     else:
-        b = system.b
-        gens = [Permutation.from_cycles(b, [tuple(range(b))]),
-                Permutation.from_cycles(b, [(0, 1)])]
-        Y = PermGroup(b, gens, seed=G.seed)
+        Y = symmetric(system.b, seed=G.seed)
         exact = False
     block_maps = [[system.block_of[g.images[block[0]]]
                    for block in system.blocks] for g in G.generators]

@@ -9,7 +9,8 @@ enumerate, running cheap disproofs before full sweeps:
 1.  A factorization G = HK with both factors proper, the cores of H and K
     meeting trivially, and G not the direct product of the two cores gives
     a faithful two-orbit action (cosets of H next to cosets of K) whose
-    2-closure is strictly larger.  Verdict No.
+    2-closure is strictly larger.  Verdict No, or Inconclusive when the
+    node budget stops the closure search of that action.
 2.  A faithful 2-transitive action on n points with |G| < n! closes to the
     full symmetric group.  Verdict No.
 3.  For a direct product of nonabelian simple groups, none a section of
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .actions import coset_action
 from .basesize import exact_base_size
@@ -126,7 +127,10 @@ class TotalityVerdict:
     verdicts carry a frontier dict with "completed", "unresolved", and
     "pending" class subsets so a later run can resume.  tested enumerates
     every representation the sweep accounted for, each entry a dict with
-    the classes involved, the degree, and how it was settled.
+    the classes involved, the degree, and how it was settled.  A
+    factorization whose witness action the node budget stops is
+    Inconclusive, with frontier stage "factorization witness" and
+    stopped_by "nodes".
     """
 
     status: str
@@ -462,96 +466,120 @@ def representation_sweep(G, budget=None, table=None, prune=True,
         table = subgroup_classes(G, budget.subgroup_order_bound)
     if not table.complete:
         raise GroupError("the sweep needs a complete subgroup class table")
-    done = {tuple(subset) for subset in completed}
+    return _sweep(G, table, _faithful_subsets(G, table), budget,
+                  "multi-orbit sweep", prune,
+                  frozenset(tuple(subset) for subset in completed))
+
+
+def _sweep(G, table, items, budget, stage, prune=True, done=frozenset()):
+    """Test the action of each (degree, class-subset) item in order.
+
+    Items must come in nondecreasing degree; the first one above
+    max_degree stops the sweep, as does reaching max_actions closure
+    runs.  Subsets in done count as resumed, and with prune on, the
+    base-size shortcut settles single classes below a core-free 2-closed
+    base-2 stabilizer.  The verdict is No at the first action whose
+    closure exceeds its image, Inconclusive on a stop or an uncertified
+    search, and Yes otherwise.
+    """
     spent = _new_spent()
     tested = []
     unresolved = []
     pruned = {}
     cache = {}
-    witness = None
-    stopped_by = None
-    pending = []
-
-    for degree, subset in _faithful_subsets(G, table):
+    for degree, subset in items:
         spent["actions_enumerated"] += 1
         entry = {"classes": list(subset), "degree": degree}
         if degree > budget.max_degree:
-            stopped_by = "degree"
-            pending.append(entry)
-            break
+            return _inconclusive(stage, "degree", tested, unresolved,
+                                 [entry], spent)
         if subset in done:
             entry["result"] = "resumed"
             spent["resumed_subsets"] += 1
-            tested.append(entry)
-            continue
-        if len(subset) == 1 and subset[0] in pruned:
+        elif len(subset) == 1 and subset[0] in pruned:
             entry["result"] = "pruned"
             entry["via"] = pruned[subset[0]]
             spent["pruned_subsets"] += 1
-            tested.append(entry)
-            continue
-        if spent["closure_runs"] >= budget.max_actions:
-            stopped_by = "actions"
-            pending.append(entry)
-            break
-        assembled = assemble_action(G, table, subset, cache)
-        res = _run_closure(assembled.group, budget, spent)
-        if res is None:
-            entry["result"] = "unresolved"
-            tested.append(entry)
-            unresolved.append(entry)
-            continue
-        image_order = assembled.group.order()
-        if res.closure.order() > image_order:
-            entry["result"] = "witness"
-            tested.append(entry)
-            witness = ActionWitness(
-                "multi-orbit" if len(subset) > 1 else "transitive",
-                f"faithful action on stabilizer classes {list(subset)} "
-                f"of degree {degree}",
-                subset, degree, assembled.group, res.closure.order(),
-                res.certified)
-            break
-        if not res.certified:
-            entry["result"] = "unresolved"
-            tested.append(entry)
-            unresolved.append(entry)
-            continue
-        entry["result"] = "closed"
+        elif spent["closure_runs"] >= budget.max_actions:
+            return _inconclusive(stage, "actions", tested, unresolved,
+                                 [entry], spent)
+        else:
+            assembled = assemble_action(G, table, subset, cache)
+            res = _run_closure(assembled.group, budget, spent)
+            if res is not None and \
+                    res.closure.order() > assembled.group.order():
+                entry["result"] = "witness"
+                tested.append(entry)
+                witness = ActionWitness(
+                    "multi-orbit" if len(subset) > 1 else "transitive",
+                    f"the action on stabilizer classes {list(subset)} of "
+                    f"degree {degree} is not 2-closed",
+                    subset, degree, assembled.group, res.closure.order(),
+                    res.certified)
+                return _no(witness, spent, tested)
+            if res is None or not res.certified:
+                entry["result"] = "unresolved"
+                unresolved.append(entry)
+            else:
+                entry["result"] = "closed"
+                if prune and len(subset) == 1:
+                    _maybe_prune(table, subset[0], assembled, budget, spent,
+                                 pruned)
         tested.append(entry)
-        if prune and len(subset) == 1:
-            _maybe_prune(table, subset[0], assembled, budget, spent, pruned)
-
-    if witness is not None:
-        return TotalityVerdict(
-            NO, reason=witness.description, witness=witness,
-            budget_spent=spent, tested=tuple(tested))
-    if stopped_by is not None or unresolved:
-        frontier = _build_frontier("multi-orbit sweep", stopped_by, tested,
-                                   unresolved, pending)
-        reason = ("a closure search could not be certified"
-                  if stopped_by is None else
-                  f"sweep stopped by the {stopped_by} budget")
-        return TotalityVerdict(
-            INCONCLUSIVE, reason=reason, frontier=frontier,
-            budget_spent=spent, tested=tuple(tested))
+    if unresolved:
+        return _inconclusive(stage, None, tested, unresolved, [], spent)
     return TotalityVerdict(
-        YES,
-        reason="every faithful pairwise-non-equivalent action is 2-closed",
+        YES, reason=f"every action in the {stage} is 2-closed",
         budget_spent=spent, tested=tuple(tested))
 
 
-def _build_frontier(stage, stopped_by, tested, unresolved, pending):
-    completed = [entry["classes"] for entry in tested
-                 if entry.get("result") in ("closed", "resumed", "pruned")]
-    return {
+def _no(witness, spent, tested=None):
+    """A No verdict; tested defaults to the witness action alone."""
+    if tested is None:
+        tested = [{"classes": list(witness.classes),
+                   "degree": witness.degree, "result": "witness"}]
+    return TotalityVerdict(NO, reason=witness.description, witness=witness,
+                           budget_spent=spent, tested=tuple(tested))
+
+
+def _inconclusive(stage, stopped_by, tested, unresolved, pending, spent,
+                  note="enumeration continues in nondecreasing total "
+                       "degree"):
+    """An Inconclusive verdict whose frontier lets a later run resume.
+
+    stopped_by names the exhausted budget, or is None when the stage ran
+    to its end but some closure searches could not be certified.
+    """
+    frontier = {
         "stage": stage,
         "stopped_by": stopped_by,
-        "completed": completed,
+        "completed": [entry["classes"] for entry in tested
+                      if entry["result"] in ("closed", "resumed", "pruned")],
         "unresolved": [entry["classes"] for entry in unresolved],
         "pending": [entry["classes"] for entry in pending],
-        "note": "enumeration continues in nondecreasing total degree",
+        "note": note,
     }
+    reason = ("a closure search could not be certified"
+              if stopped_by is None else
+              f"{stage} stopped by the {stopped_by} budget")
+    return TotalityVerdict(INCONCLUSIVE, reason=reason, frontier=frontier,
+                           budget_spent=spent, tested=tuple(tested))
+
+
+def _certified_witness(kind, description, classes, group, budget, spent):
+    """The witness for an action known not to be 2-closed, or None when
+    the node budget stops its closure search before the closure grows
+    past the image."""
+    res = _run_closure(group, budget, spent)
+    if res is None or (not res.certified
+                       and res.closure.order() == group.order()):
+        return None
+    if res.closure.order() == group.order():
+        raise GroupError(
+            f"internal inconsistency: a {kind} witness action computed as "
+            "2-closed")
+    return ActionWitness(kind, description, classes, group.degree, group,
+                         res.closure.order(), res.certified)
 
 
 def _factor_witness(G, factors, idx, fact, budget, spent):
@@ -562,39 +590,30 @@ def _factor_witness(G, factors, idx, fact, budget, spent):
     projection onto that factor; one regular orbit per remaining factor
     restores faithfulness.  An element acting as the extra closure of the
     projected part and trivially elsewhere preserves every pair orbit, so
-    the closure is strictly larger than G.
+    the closure is strictly larger than G.  Raises BudgetExceededError
+    when the node budget stops the closure search.
     """
-    others = [g for k, other in enumerate(factors) if k != idx
-              for g in other.generators]
-    stabilizers = [
-        PermGroup(G.degree, list(fact.H.generators) + others, seed=G.seed),
-        PermGroup(G.degree, list(fact.K.generators) + others, seed=G.seed),
-    ]
-    for j in range(len(factors)):
-        if j == idx:
-            continue
-        gens = [g for k, other in enumerate(factors) if k != j
-                for g in other.generators]
-        stabilizers.append(PermGroup(G.degree, gens, seed=G.seed))
+    def with_all_but(j, gens=()):
+        return PermGroup(G.degree, list(gens) + [
+            g for k, other in enumerate(factors) if k != j
+            for g in other.generators], seed=G.seed)
+
+    stabilizers = [with_all_but(idx, fact.H.generators),
+                   with_all_but(idx, fact.K.generators)]
+    stabilizers += [with_all_but(j) for j in range(len(factors)) if j != idx]
     actions = [coset_action(G, stab) for stab in stabilizers]
-    group = _direct_sum(G, actions)
-    res = _run_closure(group, budget, spent)
-    if res is None:
+    witness = _certified_witness(
+        "factorization",
+        f"a direct factor of order {factors[idx].order()} factorizes as a "
+        f"product of subgroups of orders {fact.H.order()} and "
+        f"{fact.K.order()}; the paired coset action, made faithful with "
+        "regular orbits of the remaining factors, is not 2-closed",
+        (), _direct_sum(G, actions), budget, spent)
+    if witness is None:
         raise BudgetExceededError(
             "could not certify the factorization witness action within "
             "the node budget")
-    if res.closure.order() == group.order():
-        raise GroupError(
-            "internal inconsistency: a factorization witness action "
-            "computed as 2-closed")
-    factor_order = factors[idx].order()
-    return ActionWitness(
-        "factorization",
-        f"a direct factor of order {factor_order} factorizes as a product "
-        f"of subgroups of orders {fact.H.order()} and {fact.K.order()}; "
-        "the paired coset action, made faithful with regular orbits of "
-        "the remaining factors, is not 2-closed",
-        (), group.degree, group, res.closure.order(), res.certified)
+    return witness
 
 
 def transitive_reduction_check(G, budget=None, assume_no_sections=False,
@@ -654,102 +673,22 @@ def transitive_reduction_check(G, budget=None, assume_no_sections=False,
             ftable = subgroup_classes(factor, budget.subgroup_order_bound)
         fact = factorization_disproof(factor, budget, table=ftable)
         if fact is not None:
-            witness = _factor_witness(G, factors, idx, fact, budget, spent)
-            return TotalityVerdict(
-                NO,
-                reason=f"factor {idx} admits a nontrivial factorization",
-                witness=witness, budget_spent=spent,
-                tested=({"classes": [], "degree": witness.degree,
-                         "result": "witness"},))
+            return _no(_factor_witness(G, factors, idx, fact, budget, spent),
+                       spent)
 
-    # condition (b): every transitive action of G is 2-closed
+    # condition (b): every transitive action of G is 2-closed; no closure
+    # has run yet, so the sweep's own ledger is the whole spend
     if table is None:
         table = subgroup_classes(G, budget.subgroup_order_bound)
     if not table.complete:
-        frontier = {
-            "stage": "transitive sweep",
-            "stopped_by": "subgroup enumeration",
-            "completed": [], "unresolved": [], "pending": [],
-            "note": f"group order {G.order()} exceeds the enumeration "
-                    f"bound {budget.subgroup_order_bound}",
-        }
-        return TotalityVerdict(
-            INCONCLUSIVE,
-            reason="no factor factorizes, but the subgroup classes of the "
-                   "product are unavailable within budget",
-            frontier=frontier, budget_spent=spent)
-
+        return _inconclusive(
+            "transitive sweep", "subgroup enumeration", [], [], [], spent,
+            note=f"group order {G.order()} exceeds the enumeration bound "
+                 f"{budget.subgroup_order_bound}")
     order = G.order()
-    scan = sorted((order // table.orders[i], i)
-                  for i in table.proper_classes())
-    tested = []
-    unresolved = []
-    pending = []
-    pruned = {}
-    cache = {}
-    witness = None
-    stopped_by = None
-    for degree, i in scan:
-        spent["actions_enumerated"] += 1
-        entry = {"classes": [i], "degree": degree}
-        if degree > budget.max_degree:
-            stopped_by = "degree"
-            pending.append(entry)
-            break
-        if i in pruned:
-            entry["result"] = "pruned"
-            entry["via"] = pruned[i]
-            spent["pruned_subsets"] += 1
-            tested.append(entry)
-            continue
-        if spent["closure_runs"] >= budget.max_actions:
-            stopped_by = "actions"
-            pending.append(entry)
-            break
-        assembled = assemble_action(G, table, (i,), cache)
-        res = _run_closure(assembled.group, budget, spent)
-        if res is None:
-            entry["result"] = "unresolved"
-            tested.append(entry)
-            unresolved.append(entry)
-            continue
-        if res.closure.order() > assembled.group.order():
-            entry["result"] = "witness"
-            tested.append(entry)
-            witness = ActionWitness(
-                "transitive",
-                f"transitive action of degree {degree} for stabilizer "
-                f"class {i} is not 2-closed",
-                (i,), degree, assembled.group, res.closure.order(),
-                res.certified)
-            break
-        if not res.certified:
-            entry["result"] = "unresolved"
-            tested.append(entry)
-            unresolved.append(entry)
-            continue
-        entry["result"] = "closed"
-        tested.append(entry)
-        _maybe_prune(table, i, assembled, budget, spent, pruned)
-
-    if witness is not None:
-        return TotalityVerdict(
-            NO, reason=witness.description, witness=witness,
-            budget_spent=spent, tested=tuple(tested))
-    if stopped_by is not None or unresolved:
-        frontier = _build_frontier("transitive sweep", stopped_by, tested,
-                                   unresolved, pending)
-        reason = ("a closure search could not be certified"
-                  if stopped_by is None else
-                  f"transitive sweep stopped by the {stopped_by} budget")
-        return TotalityVerdict(
-            INCONCLUSIVE, reason=reason, frontier=frontier,
-            budget_spent=spent, tested=tuple(tested))
-    return TotalityVerdict(
-        YES,
-        reason="no factor factorizes and every transitive action is "
-               "2-closed",
-        budget_spent=spent, tested=tuple(tested))
+    return _sweep(G, table, sorted((order // table.orders[i], (i,))
+                                   for i in table.proper_classes()),
+                  budget, "transitive sweep")
 
 
 def is_totally_two_closed(G, budget=None, completed=(), table=None):
@@ -760,8 +699,10 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
     nonabelian simple groups, and finally the general sweep over faithful
     actions with pairwise non-equivalent orbits.  Stops at the first No
     witness; answers Yes only when a sweep completes; otherwise returns
-    Inconclusive with a frontier.  completed feeds a previous frontier's
-    "completed" list back into the general sweep.
+    Inconclusive with a frontier.  A factorization whose witness action
+    the node budget cannot certify also gives Inconclusive.  completed
+    feeds a previous frontier's "completed" list back into the general
+    sweep.
     """
     budget = budget if budget is not None else TotalityBudget()
     if G.order() == 1:
@@ -776,75 +717,48 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
         # itself faithful, so its failure to be 2-closed already decides.
         res = _run_closure(G, budget, spent)
         if res is not None and res.closure.order() > G.order():
-            witness = ActionWitness(
+            return _no(ActionWitness(
                 "input-action",
                 "the defining action of the group is not 2-closed",
-                (), G.degree, G, res.closure.order(), res.certified)
-            return TotalityVerdict(
-                NO, reason=witness.description, witness=witness,
-                budget_spent=spent,
-                tested=({"classes": [], "degree": G.degree,
-                         "result": "witness"},))
-        frontier = {
-            "stage": "subgroup enumeration",
-            "stopped_by": "subgroup enumeration",
-            "completed": [], "unresolved": [], "pending": [],
-            "note": f"group order {G.order()} exceeds the enumeration "
-                    f"bound {budget.subgroup_order_bound}",
-        }
-        return TotalityVerdict(
-            INCONCLUSIVE,
-            reason="subgroup classes unavailable within budget",
-            frontier=frontier, budget_spent=spent)
+                (), G.degree, G, res.closure.order(), res.certified), spent)
+        return _inconclusive(
+            "subgroup enumeration", "subgroup enumeration", [], [], [],
+            spent,
+            note=f"group order {G.order()} exceeds the enumeration bound "
+                 f"{budget.subgroup_order_bound}")
 
     fact = factorization_disproof(G, budget, table=table)
     if fact is not None:
-        assembled = assemble_action(G, table, (fact.h_class, fact.k_class))
-        res = _run_closure(assembled.group, budget, spent)
-        if res is None:
-            raise BudgetExceededError(
-                "could not certify the factorization witness action "
-                "within the node budget")
-        if res.closure.order() == assembled.group.order():
-            raise GroupError(
-                "internal inconsistency: a factorization witness action "
-                "computed as 2-closed")
-        witness = ActionWitness(
+        classes = (fact.h_class, fact.k_class)
+        assembled = assemble_action(G, table, classes)
+        witness = _certified_witness(
             "factorization",
-            f"the group is the product of subgroup classes "
-            f"{fact.h_class} and {fact.k_class} with trivially meeting "
-            "cores; the paired coset action is not 2-closed",
-            (fact.h_class, fact.k_class), assembled.degree,
-            assembled.group, res.closure.order(), res.certified)
-        return TotalityVerdict(
-            NO, reason=witness.description, witness=witness,
-            budget_spent=spent,
-            tested=({"classes": list(witness.classes),
-                     "degree": witness.degree, "result": "witness"},))
+            f"the group is the product of subgroup classes {fact.h_class} "
+            f"and {fact.k_class} with trivially meeting cores; the paired "
+            "coset action is not 2-closed",
+            classes, assembled.group, budget, spent)
+        if witness is None:
+            entry = {"classes": list(classes), "degree": assembled.degree,
+                     "result": "unresolved"}
+            return _inconclusive(
+                "factorization witness", "nodes", [entry], [entry], [],
+                spent,
+                note="the paired coset action of the factorization needs "
+                     "a larger node budget")
+        return _no(witness, spent)
 
     wit = two_transitive_disproof(G, budget, table=table, _spent=spent)
     if wit is not None:
-        return TotalityVerdict(
-            NO, reason=wit.description, witness=wit, budget_spent=spent,
-            tested=({"classes": list(wit.classes), "degree": wit.degree,
-                     "result": "witness"},))
+        return _no(wit, spent)
 
+    verdict = None
     if G.is_semisimple_product():
         try:
             verdict = transitive_reduction_check(G, budget, table=table)
         except (SectionObstructionError, BudgetExceededError):
-            verdict = None
-        if verdict is not None:
-            return _with_merged_spent(verdict, spent)
-
-    verdict = representation_sweep(G, budget, table=table, prune=True,
-                                   completed=completed)
-    return _with_merged_spent(verdict, spent)
-
-
-def _with_merged_spent(verdict, earlier):
-    merged = _merge_spent(earlier, verdict.budget_spent)
-    return TotalityVerdict(
-        verdict.status, reason=verdict.reason, witness=verdict.witness,
-        frontier=verdict.frontier, budget_spent=merged,
-        tested=verdict.tested)
+            pass  # the reduction does not apply; the general sweep decides
+    if verdict is None:
+        verdict = representation_sweep(G, budget, table=table, prune=True,
+                                       completed=completed)
+    return replace(verdict,
+                   budget_spent=_merge_spent(spent, verdict.budget_spent))

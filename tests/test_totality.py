@@ -296,6 +296,20 @@ def test_reduction_psl2_13_fails_transitive_sweep(psl213):
     assert v.witness.degree == 14
 
 
+def test_reduction_degree_stop_is_inconclusive(psl213):
+    # the smallest transitive action has degree 14, so a degree cap of 13
+    # stops the sweep before any closure runs
+    G, table = psl213
+    v = transitive_reduction_check(G, TotalityBudget(max_degree=13),
+                                   table=table)
+    assert v.status == INCONCLUSIVE
+    assert v.frontier == {
+        "stage": "transitive sweep", "stopped_by": "degree",
+        "completed": [], "unresolved": [], "pending": [[14]],
+        "note": "enumeration continues in nondecreasing total degree"}
+    assert v.tested == ()
+
+
 @pytest.mark.parametrize("build", [
     lambda: direct_product(alternating(5), alternating(6)),
     lambda: direct_product(alternating(5), alternating(5)),
@@ -411,6 +425,22 @@ def test_totality_inconclusive_then_resume():
     second = is_totally_two_closed(C30, completed=done)
     assert second.status == YES
     assert second.budget_spent["resumed_subsets"] == len(done)
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(4), alternating(5)],
+                         ids=["S4", "D4", "A5"])
+@pytest.mark.parametrize("node_budget", [1, 2, 4])
+@pytest.mark.parametrize("max_actions", [1, 3])
+def test_tiny_node_budget_gives_a_verdict(G, node_budget, max_actions):
+    # budgets this small can stop the closure search of the factorization
+    # witness action; running out must not escape as an exception
+    v = is_totally_two_closed(G, TotalityBudget(
+        node_budget=node_budget, max_actions=max_actions))
+    assert isinstance(v, TotalityVerdict)
+    assert v.status in (NO, INCONCLUSIVE)
+    if v.status == INCONCLUSIVE and \
+            v.frontier["stage"] == "factorization witness":
+        assert v.frontier["stopped_by"] == "nodes"
 
 
 @pytest.mark.parametrize("G", [
