@@ -1,22 +1,28 @@
-"""Backtrack searches over stabilizer chains.
+"""Backtrack searches: one depth-first walk and its callers.
 
-Two modes share the walk: ``subgroup_search`` collects the subgroup of all
-ambient elements satisfying a property (the property must be closed under
-products and inverses), and ``find_element`` returns one element passing
-the property, or None.
+``_walk`` descends one level per base point.  A caller supplies the
+candidate images at a node, the child state of a kept candidate, and the
+permutation and test at a leaf; the walk owns the node budget and the
+leaf step.  It runs in two modes:
 
-The subgroup mode prunes with the growing known subgroup K: while the
-chosen prefix equals the base prefix, a candidate image is skipped unless
-it is the least point of its orbit under the stabilizer in K of the
-earlier base points (or the base point itself).  Skipped branches are
-recovered as products with K elements, so the returned group is the full
-solution subgroup whenever the search completes within budget.
+- collect: every passing leaf outside the known subgroup K joins K.
+  While each image so far equals its base point (the principal branch),
+  a candidate image is kept only when it is the least point of its orbit
+  under the stabilizer in K of the earlier base points.  Pruned branches
+  are recovered as products with K elements, so a completed walk returns
+  the whole solution subgroup, provided the test is closed under
+  products and inverses.
+- first hit: the walk returns the first passing leaf, or None.
+
+``subgroup_search`` (collect) and ``find_element`` (first hit) walk an
+ambient stabilizer chain; the 2-closure search in ``closure`` walks the
+orbital colouring in collect mode with K seeded by the input group.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceededError
-from .group import PermGroup, orbit_of
+from .group import PermGroup, orbits_of
 from .perm import Permutation
 
 PRUNE = object()
@@ -25,30 +31,10 @@ PRUNE = object()
 def orbit_minima(gens, n):
     """For each point, the least point of its orbit under the generators."""
     out = list(range(n))
-    seen = [False] * n
-    for a in range(n):
-        if seen[a]:
-            continue
-        orb = orbit_of(gens, a)
-        least = min(orb)
+    for orb in orbits_of(gens, n):
         for p in orb:
-            seen[p] = True
-            out[p] = least
+            out[p] = orb[0]
     return out
-
-
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceededError(
-                f"search node budget {self.limit} exhausted")
 
 
 class SearchResult:
@@ -58,6 +44,99 @@ class SearchResult:
         self.group = group
         self.nodes = nodes
         self.complete = complete
+
+
+def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
+    """Walk len(base) levels from the root state.
+
+    candidates(level, state) yields (image, token) pairs in search order,
+    descend(level, state, token) gives the child state of a kept
+    candidate, and leaf(state) gives the leaf permutation, or None when
+    the leaf has none; test(g) decides it.  With K a group, the walk
+    collects and returns a SearchResult whose group is the grown K and
+    whose complete flag is False when the node budget ran out.  With K
+    None, it returns the first passing leaf or None, and raises
+    BudgetExceededError when the node budget runs out first.
+    """
+    depth = len(base)
+    nodes = 0
+    minima = {}
+
+    def least(level):
+        got = minima.get(level)
+        if got is None:
+            gens = K.chain_with_base(base).level_generators(level)
+            got = minima[level] = orbit_minima(gens, K.degree)
+        return got
+
+    def dfs(level, state, principal):
+        nonlocal nodes, K
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExceededError(
+                f"search node budget {node_budget} exhausted")
+        if level == depth:
+            g = leaf(state)
+            if g is None or (K is not None and K.contains(g)) \
+                    or not test(g):
+                return None
+            if K is None:
+                return g
+            K = PermGroup(K.degree, K.generators + [g], seed=K.seed)
+            minima.clear()
+            return None
+        b = base[level]
+        for d, token in candidates(level, state):
+            if principal and d != b and least(level)[d] != d:
+                continue
+            got = dfs(level + 1, descend(level, state, token),
+                      principal and d == b)
+            if got is not None:
+                return got
+        return None
+
+    if K is None:
+        return dfs(0, root, False)
+    try:
+        dfs(0, root, True)
+    except BudgetExceededError:
+        return SearchResult(K, nodes, False)
+    return SearchResult(K, nodes, True)
+
+
+def _chain_walk(ambient, leaf_test, base_hint, hooks, node_budget, K):
+    """The walk over ambient's chain, whose base starts with base_hint.
+
+    A state is the pair (t, hook state), t being the product of the chosen
+    coset representatives (None for the identity).
+    """
+    levels = ambient.chain_with_base(base_hint).levels
+    init_state, extend = hooks if hooks is not None else (None, None)
+
+    def candidates(level, state):
+        t, hooked = state
+        lvl = levels[level]
+        for d, delta in sorted((delta if t is None else t.images[delta],
+                                delta) for delta in lvl.orbit):
+            child = hooked if extend is None else \
+                extend(level, lvl.point, d, hooked)
+            if child is not PRUNE:
+                yield d, (delta, child)
+
+    def descend(level, state, token):
+        t = state[0]
+        delta, hooked = token
+        u = levels[level].rep(delta)
+        if u is not None:
+            t = u if t is None else u * t
+        return t, hooked
+
+    def leaf(state):
+        t = state[0]
+        return Permutation.identity(ambient.degree) if t is None else t
+
+    return _walk([lvl.point for lvl in levels], candidates, descend, leaf,
+                 leaf_test, (None, init_state), node_budget, K)
 
 
 def subgroup_search(ambient, leaf_test, base_hint=(), hooks=None, seeds=(),
@@ -70,61 +149,8 @@ def subgroup_search(ambient, leaf_test, base_hint=(), hooks=None, seeds=(),
     solution's prefix.  seeds are
     known solutions used to prune from the start.
     """
-    chain = ambient.chain_with_base(base_hint)
-    levels = chain.levels
-    depth = len(levels)
-    base = [lvl.point for lvl in levels]
-    n = ambient.degree
-    budget = _Budget(node_budget)
-    known = [g for g in seeds if not g.is_identity]
-    current = {"K": PermGroup(n, known, seed=ambient.seed), "minima": {}}
-
-    def minima_at(level):
-        got = current["minima"].get(level)
-        if got is None:
-            kchain = current["K"].chain_with_base(base)
-            gens = kchain.level_generators(level)
-            got = orbit_minima(gens, n)
-            current["minima"][level] = got
-        return got
-
-    init_state, extend = hooks if hooks is not None else (None, None)
-
-    def dfs(level, t, state, principal):
-        budget.tick()
-        if level == depth:
-            g = Permutation.identity(n) if t is None else t
-            if leaf_test(g) and not current["K"].contains(g):
-                known.append(g)
-                current["K"] = PermGroup(n, known, seed=ambient.seed)
-                current["minima"] = {}
-            return
-        lvl = levels[level]
-        cands = sorted((delta if t is None else t.images[delta], delta)
-                       for delta in lvl.orbit)
-        for d, delta in cands:
-            if extend is not None:
-                state2 = extend(level, base[level], d, state)
-                if state2 is PRUNE:
-                    continue
-            else:
-                state2 = state
-            if principal and d != base[level] and minima_at(level)[d] != d:
-                continue
-            u = lvl.rep(delta)
-            if u is None:
-                t2 = t
-            else:
-                t2 = u if t is None else u * t
-            dfs(level + 1, t2, state2, principal and d == base[level])
-
-    complete = True
-    try:
-        dfs(0, None, init_state, True)
-    except BudgetExceededError:
-        complete = False
-    group = PermGroup(n, known, seed=ambient.seed)
-    return SearchResult(group, budget.used, complete)
+    return _chain_walk(ambient, leaf_test, base_hint, hooks, node_budget,
+                       PermGroup(ambient.degree, seeds, seed=ambient.seed))
 
 
 def find_element(ambient, leaf_test, base_hint=(), hooks=None,
@@ -132,40 +158,8 @@ def find_element(ambient, leaf_test, base_hint=(), hooks=None,
     """First ambient element passing leaf_test, in the deterministic
     search order; None when none exists.  Raises BudgetExceededError when
     the node budget runs out first."""
-    chain = ambient.chain_with_base(base_hint)
-    levels = chain.levels
-    depth = len(levels)
-    base = [lvl.point for lvl in levels]
-    n = ambient.degree
-    budget = _Budget(node_budget)
-    init_state, extend = hooks if hooks is not None else (None, None)
-
-    def dfs(level, t, state):
-        budget.tick()
-        if level == depth:
-            g = Permutation.identity(n) if t is None else t
-            return g if leaf_test(g) else None
-        lvl = levels[level]
-        cands = sorted((delta if t is None else t.images[delta], delta)
-                       for delta in lvl.orbit)
-        for d, delta in cands:
-            if extend is not None:
-                state2 = extend(level, base[level], d, state)
-                if state2 is PRUNE:
-                    continue
-            else:
-                state2 = state
-            u = lvl.rep(delta)
-            if u is None:
-                t2 = t
-            else:
-                t2 = u if t is None else u * t
-            got = dfs(level + 1, t2, state2)
-            if got is not None:
-                return got
-        return None
-
-    return dfs(0, None, init_state)
+    return _chain_walk(ambient, leaf_test, base_hint, hooks, node_budget,
+                       None)
 
 
 def setwise_stabilizer(G, points, node_budget=None):

@@ -26,11 +26,10 @@ from math import gcd
 
 from .backtrack import conjugating_element
 from .errors import BudgetExceededError, GroupError, NotTransitiveError
-from .group import is_prime
+from .group import CLASS_BUDGET, is_prime
 
 NODE_BUDGET = 50000
 DEGREE_BUDGET = 10 ** 5
-CLASS_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,20 @@
 """Exact 2-closures by partition backtrack on the orbital coloring.
 
 The closure of G is the group of all permutations preserving every cell
-of G's orbital partition.  The search walks candidate base images much
-like a stabilizer-chain backtrack, except candidates come from color
-signatures instead of an ambient chain; the known subgroup (seeded with G
-itself) prunes along the principal branch, and every accepted leaf is
-verified against the full coloring, so a completed walk is a proof.
+of G's orbital partition.  The search is the collect mode of the walk in
+``backtrack``, with candidate base images taken from color signatures
+instead of an ambient chain; the known subgroup (seeded with G itself)
+prunes along the principal branch, and every accepted leaf is verified
+against the full coloring, so a completed walk is a proof.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .backtrack import orbit_minima
+from .backtrack import _walk
 from .constructions import symmetric
-from .errors import BudgetExceededError, DegreeMismatchError, GroupError
+from .errors import DegreeMismatchError, GroupError
 from .group import PermGroup
 from .orbital import OrbitalPartition
 from .perm import Permutation
@@ -29,8 +29,10 @@ class ClosureResult:
     close to the full symmetric group, and an intransitive group whose
     per-orbit closure product passes the membership test generator-wise
     closes to that product).  certified is False only when a node budget
-    stopped the search, in which case closure is a lower bound containing
-    the input.
+    stopped the search or a per-orbit closure, in which case closure is a
+    lower bound containing the input.  nodes counts the nodes of this call's own search; the
+    per-orbit closures of an intransitive input are separate two_closure
+    calls, and their nodes are not included.
     """
 
     def __init__(self, input_group, closure, method, certified=True,
@@ -107,16 +109,15 @@ def _embed_on_orbit(h, orbit, degree):
     return Permutation(img)
 
 
-def _per_orbit_closure_product(G, node_budget=None):
-    """The product of the per-orbit closures, as a group on G's domain."""
+def _closure_product(G, parts, node_budget=None):
+    """The product of the closures of G restricted to each part, as a
+    group on G's domain; None when a part's closure is not certified."""
     gens = []
-    for orbit in G.orbits():
-        sub = G.restriction(orbit)
-        res = two_closure(sub, node_budget=node_budget)
+    for part in parts:
+        res = two_closure(G.restriction(part), node_budget=node_budget)
         if not res.certified:
-            raise BudgetExceededError(
-                "per-orbit closure not certified within budget")
-        gens.extend(_embed_on_orbit(h, orbit, G.degree)
+            return None
+        gens.extend(_embed_on_orbit(h, part, G.degree)
                     for h in res.closure.generators)
     return PermGroup(G.degree, gens, seed=G.seed)
 
@@ -130,15 +131,7 @@ def intransitive_closure_bound(G, gamma, delta):
     gamma = sorted(gamma)
     delta = sorted(delta)
     _check_invariant_split(G, gamma, delta)
-    gens = []
-    for half in (gamma, delta):
-        if not half:
-            continue
-        sub = G.restriction(half)
-        res = two_closure(sub)
-        gens.extend(_embed_on_orbit(h, half, G.degree)
-                    for h in res.closure.generators)
-    return PermGroup(G.degree, gens, seed=G.seed)
+    return _closure_product(G, [half for half in (gamma, delta) if half])
 
 
 def _check_invariant_split(G, gamma, delta):
@@ -199,7 +192,9 @@ def two_closure(G, node_budget=None, partition=None):
             return ClosureResult(G, G, "certified-equal")
     seeds = list(G.generators)
     if not transitive:
-        product = _per_orbit_closure_product(G, node_budget=node_budget)
+        product = _closure_product(G, G.orbits(), node_budget)
+        if product is None:
+            return ClosureResult(G, G, "backtrack", certified=False)
         passing = [g for g in product.generators
                    if closure_membership(G, g, part)]
         if len(passing) == len(product.generators):
@@ -231,7 +226,6 @@ def _closure_search(G, part, seeds, node_budget):
         row_b = part.row(b)
         base_rows.append(row_b)
         class_of = _canonical_ids(list(zip(class_of, row_b)))
-    depth = len(base)
 
     key_of = [tuple([diag[a]] + [row[a] for row in base_rows])
               for a in range(n)]
@@ -239,54 +233,7 @@ def _closure_search(G, part, seeds, node_budget):
     for a in range(n):
         diag_class.setdefault(diag[a], []).append(a)
 
-    state = {"gens": list(seeds), "K": PermGroup(n, seeds, seed=G.seed),
-             "minima": {}}
-    nodes = [0]
-
-    def minima_at(level):
-        got = state["minima"].get(level)
-        if got is None:
-            kchain = state["K"].chain_with_base(base)
-            gens = kchain.level_generators(level)
-            got = orbit_minima(gens, n)
-            state["minima"][level] = got
-        return got
-
-    def try_leaf(chosen):
-        chosen_rows = [part.row(d) for d in chosen]
-        lookup = {}
-        for c in range(n):
-            key = tuple([diag[c]] + [row[c] for row in chosen_rows])
-            if key in lookup:
-                return
-            lookup[key] = c
-        img = [0] * n
-        for a in range(n):
-            c = lookup.get(key_of[a])
-            if c is None:
-                return
-            img[a] = c
-        g = Permutation(img)
-        if state["K"].contains(g):
-            return
-        for a in range(n):
-            row_a = part.row(a)
-            row_ga = part.row(img[a])
-            for b in range(n):
-                if row_ga[img[b]] != row_a[b]:
-                    return
-        state["gens"].append(g)
-        state["K"] = PermGroup(n, state["gens"], seed=G.seed)
-        state["minima"] = {}
-
-    def dfs(level, chosen, principal):
-        nodes[0] += 1
-        if node_budget is not None and nodes[0] > node_budget:
-            raise BudgetExceededError(
-                f"closure search budget {node_budget} exhausted")
-        if level == depth:
-            try_leaf(chosen)
-            return
+    def candidates(level, chosen):
         b = base[level]
         cands = diag_class[diag[b]]
         for j in range(level):
@@ -294,18 +241,42 @@ def _closure_search(G, part, seeds, node_budget):
             row_d = part.row(chosen[j])
             cands = [c for c in cands if row_d[c] == target]
             if not cands:
-                return
-        for d in cands:
-            if principal and d != b and minima_at(level)[d] != d:
-                continue
-            dfs(level + 1, chosen + [d], principal and d == b)
+                break
+        return zip(cands, cands)
 
-    certified = True
-    try:
-        dfs(0, [], True)
-    except BudgetExceededError:
-        certified = False
-    return ClosureResult(G, state["K"], "backtrack", certified, nodes[0])
+    def descend(level, chosen, d):
+        return chosen + [d]
+
+    def leaf(chosen):
+        chosen_rows = [part.row(d) for d in chosen]
+        lookup = {}
+        for c in range(n):
+            key = tuple([diag[c]] + [row[c] for row in chosen_rows])
+            if key in lookup:
+                return None
+            lookup[key] = c
+        img = [0] * n
+        for a in range(n):
+            c = lookup.get(key_of[a])
+            if c is None:
+                return None
+            img[a] = c
+        return Permutation(img)
+
+    def preserves_coloring(g):
+        img = g.images
+        for a in range(n):
+            row_a = part.row(a)
+            row_ga = part.row(img[a])
+            for b in range(n):
+                if row_ga[img[b]] != row_a[b]:
+                    return False
+        return True
+
+    found = _walk(base, candidates, descend, leaf, preserves_coloring, [],
+                  node_budget, PermGroup(n, seeds, seed=G.seed))
+    return ClosureResult(G, found.group, "backtrack", found.complete,
+                         found.nodes)
 
 
 def _canonical_ids(values):

@@ -13,6 +13,7 @@ from .errors import (BudgetExceededError, DegreeMismatchError, GroupError)
 from .perm import Permutation
 
 ELEMENT_BUDGET = 10 ** 7
+CLASS_BUDGET = 10 ** 5
 
 
 def orbit_of(gens, point):
@@ -438,7 +439,7 @@ class PermGroup:
                 raise GroupError("subset is not invariant") from None
         return PermGroup(len(points), gens, seed=self.seed)
 
-    def conjugacy_classes(self, budget=10 ** 5):
+    def conjugacy_classes(self, budget=CLASS_BUDGET):
         """All conjugacy classes as (representative, size) pairs, ordered by
         element order, then class size, then representative images."""
         order = self.order()
@@ -469,11 +470,11 @@ class PermGroup:
                                        pair[0].images))
         return classes
 
-    def prime_order_class_representatives(self, budget=10 ** 5):
+    def prime_order_class_representatives(self, budget=CLASS_BUDGET):
         return [(rep, size) for rep, size in self.conjugacy_classes(budget)
                 if is_prime(rep.order())]
 
-    def minimal_normal_subgroups(self, budget=10 ** 5):
+    def minimal_normal_subgroups(self, budget=CLASS_BUDGET):
         """Minimal nontrivial normal subgroups, via normal closures of
         class representatives."""
         seen = {}
@@ -492,7 +493,7 @@ class PermGroup:
                 minimal.append(sub)
         return minimal
 
-    def is_simple(self, budget=10 ** 5):
+    def is_simple(self, budget=CLASS_BUDGET):
         if self.order() == 1:
             return False
         for rep, _ in self.conjugacy_classes(budget):
@@ -502,7 +503,7 @@ class PermGroup:
                 return False
         return True
 
-    def is_semisimple_product(self, budget=10 ** 5):
+    def is_semisimple_product(self, budget=CLASS_BUDGET):
         """True when the group is a direct product of nonabelian simple
         groups."""
         if self.order() == 1:

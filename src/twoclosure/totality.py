@@ -378,8 +378,6 @@ def two_transitive_disproof(G, budget=None, table=None, _spent=None):
         if not _is_two_transitive(assembled.group):
             continue
         res = _run_closure(assembled.group, budget, spent)
-        if res is None:
-            continue
         return ActionWitness(
             "two-transitive",
             f"2-transitive coset action of degree {degree} for stabilizer "
@@ -403,13 +401,9 @@ def _merge_spent(first, second):
 
 
 def _run_closure(group, budget, spent):
-    """two_closure under the shared budget; None when the budget stops it
-    before any certification is possible."""
+    """two_closure under the shared budget."""
     spent["closure_runs"] += 1
-    try:
-        res = two_closure(group, node_budget=budget.node_budget)
-    except BudgetExceededError:
-        return None
+    res = two_closure(group, node_budget=budget.node_budget)
     spent["closure_nodes"] += res.nodes
     return res
 
@@ -506,8 +500,7 @@ def _sweep(G, table, items, budget, stage, prune=True, done=frozenset()):
         else:
             assembled = assemble_action(G, table, subset, cache)
             res = _run_closure(assembled.group, budget, spent)
-            if res is not None and \
-                    res.closure.order() > assembled.group.order():
+            if res.closure.order() > assembled.group.order():
                 entry["result"] = "witness"
                 tested.append(entry)
                 witness = ActionWitness(
@@ -517,7 +510,7 @@ def _sweep(G, table, items, budget, stage, prune=True, done=frozenset()):
                     subset, degree, assembled.group, res.closure.order(),
                     res.certified)
                 return _no(witness, spent, tested)
-            if res is None or not res.certified:
+            if not res.certified:
                 entry["result"] = "unresolved"
                 unresolved.append(entry)
             else:
@@ -571,8 +564,7 @@ def _certified_witness(kind, description, classes, group, budget, spent):
     the node budget stops its closure search before the closure grows
     past the image."""
     res = _run_closure(group, budget, spent)
-    if res is None or (not res.certified
-                       and res.closure.order() == group.order()):
+    if not res.certified and res.closure.order() == group.order():
         return None
     if res.closure.order() == group.order():
         raise GroupError(
@@ -716,7 +708,7 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
         # Best effort without a class table: the defining action of G is
         # itself faithful, so its failure to be 2-closed already decides.
         res = _run_closure(G, budget, spent)
-        if res is not None and res.closure.order() > G.order():
+        if res.closure.order() > G.order():
             return _no(ActionWitness(
                 "input-action",
                 "the defining action of the group is not 2-closed",

@@ -5,15 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from twoclosure import PermGroup, Permutation
+from twoclosure.actions import coset_action
+from twoclosure.backtrack import subgroup_search
 from twoclosure.closure import (brute_force_two_closure, closure_membership,
                                 dissection_condition,
                                 intransitive_closure_bound, two_closure)
 from twoclosure.constructions import (alternating, cyclic, diagonal_double,
                                       dihedral, direct_product, frobenius20,
-                                      gamma_l1_16, quaternion,
+                                      gamma_l1_16, psl2, quaternion,
                                       regular_representation, symmetric,
-                                      trivial)
+                                      trivial, wreath_imprimitive)
 from twoclosure.errors import GroupError
+from twoclosure.subgroups import subgroup_classes
 
 
 def sym3_on_5():
@@ -206,3 +209,59 @@ def test_closure_result_repr_and_fields():
     assert res.input.order() == 6
     assert "ClosureResult" in repr(res)
     assert res.nodes >= 0
+
+
+@pytest.mark.parametrize("node_budget, certified", [(1, False), (2, False),
+                                                    (3, True)])
+def test_intransitive_closure_out_of_budget_is_uncertified(node_budget,
+                                                           certified):
+    # The per-orbit closures run out of nodes at budgets 1 and 2; the
+    # result is then the input itself, uncertified, rather than an error.
+    res = two_closure(direct_product(dihedral(5), dihedral(6)),
+                      node_budget=node_budget)
+    assert res.certified == certified
+    assert res.closure.order() == 120
+
+
+def _psl27_on_order_12_cosets():
+    P = psl2(7)
+    table = subgroup_classes(P)
+    i = table.orders.index(12)
+    return coset_action(P, table.representatives[i]).image
+
+
+COUNTED_GROUPS = {
+    "S3 wr S3": lambda: wreath_imprimitive(symmetric(3), symmetric(3)),
+    "D4 wr C3": lambda: wreath_imprimitive(dihedral(4), cyclic(3)),
+    "diagonal A5": lambda: diagonal_double(alternating(5)),
+    "GammaL(1,16)": gamma_l1_16,
+    "PSL(2,7) on 14 points": _psl27_on_order_12_cosets,
+}
+
+
+# Pruning mistakes keep the answers right and only grow the work, so the
+# node counts of the searches are pinned here.
+@pytest.mark.parametrize("case, node_budget, want", [
+    ("S3 wr S3", None, (7, 1296, True)),
+    ("D4 wr C3", None, (7, 1536, True)),
+    ("diagonal A5", None, (6, 120, True)),
+    ("GammaL(1,16)", None, (5, 60, True)),
+    ("PSL(2,7) on 14 points", None, (12, 645120, True)),
+    ("diagonal A5", 1, (2, 60, False)),
+    ("diagonal A5", 2, (3, 60, False)),
+    ("diagonal A5", 3, (4, 60, False)),
+    ("diagonal A5", 4, (5, 60, False)),
+    ("even permutations of S6", None, (264, 360, True)),
+    ("even permutations of S6", 100, (101, 360, False)),
+])
+def test_search_node_counts(case, node_budget, want):
+    if case == "even permutations of S6":
+        res = subgroup_search(
+            symmetric(6),
+            lambda g: sum(len(c) - 1 for c in g.cycles()) % 2 == 0,
+            node_budget=node_budget)
+        got = res.nodes, res.group.order(), res.complete
+    else:
+        res = two_closure(COUNTED_GROUPS[case](), node_budget=node_budget)
+        got = res.nodes, res.closure.order(), res.certified
+    assert got == want

@@ -2,9 +2,13 @@
 """Generate the bundled J1 data file.
 
 Builds J1 inside GL(7, 11) from the classical pair of generator
-matrices, recovers the degree-266 permutation action from the orbit of
-a vector fixed by an L2(11) subgroup, and enumerates the conjugacy
-class data that the test suite and the Q-hat checks consume.  The
+matrices, recovers the degree-266 permutation action on the right cosets
+of an L2(11) subgroup, and enumerates the conjugacy class data that the
+test suite and the Q-hat checks consume.  The cosets are keyed by their
+least member (``coset_action``): the L2(11) found with the fixed seed
+fixes no vector, so the run prints "no fixed vector; falling back to
+coset keys".  The fixed-vector route (``fixed_vector``, ``orbit_action``)
+is tried first and kept for a subgroup that does fix one.  The
 output lands in src/twoclosure/data/j1_degree266.json.
 
 Everything is rederived on every run and checked against structural
