@@ -30,9 +30,9 @@ class ClosureResult:
     per-orbit closure product passes the membership test generator-wise
     closes to that product).  certified is False only when a node budget
     stopped the search or a per-orbit closure, in which case closure is a
-    lower bound containing the input.  nodes counts the nodes of this call's own search; the
-    per-orbit closures of an intransitive input are separate two_closure
-    calls, and their nodes are not included.
+    lower bound containing the input.  nodes counts every search node the
+    call spent, the per-orbit closures of an intransitive input included;
+    node_budget bounds each of those searches separately.
     """
 
     def __init__(self, input_group, closure, method, certified=True,
@@ -111,15 +111,18 @@ def _embed_on_orbit(h, orbit, degree):
 
 def _closure_product(G, parts, node_budget=None):
     """The product of the closures of G restricted to each part, as a
-    group on G's domain; None when a part's closure is not certified."""
+    group on G's domain, and the search nodes spent; the group is None
+    when a part's closure is not certified."""
     gens = []
+    nodes = 0
     for part in parts:
         res = two_closure(G.restriction(part), node_budget=node_budget)
+        nodes += res.nodes
         if not res.certified:
-            return None
+            return None, nodes
         gens.extend(_embed_on_orbit(h, part, G.degree)
                     for h in res.closure.generators)
-    return PermGroup(G.degree, gens, seed=G.seed)
+    return PermGroup(G.degree, gens, seed=G.seed), nodes
 
 
 def intransitive_closure_bound(G, gamma, delta):
@@ -131,7 +134,7 @@ def intransitive_closure_bound(G, gamma, delta):
     gamma = sorted(gamma)
     delta = sorted(delta)
     _check_invariant_split(G, gamma, delta)
-    return _closure_product(G, [half for half in (gamma, delta) if half])
+    return _closure_product(G, [half for half in (gamma, delta) if half])[0]
 
 
 def _check_invariant_split(G, gamma, delta):
@@ -191,19 +194,21 @@ def two_closure(G, node_budget=None, partition=None):
         if G.order() == n:
             return ClosureResult(G, G, "certified-equal")
     seeds = list(G.generators)
+    spent = 0
     if not transitive:
-        product = _closure_product(G, G.orbits(), node_budget)
+        product, spent = _closure_product(G, G.orbits(), node_budget)
         if product is None:
-            return ClosureResult(G, G, "backtrack", certified=False)
+            return ClosureResult(G, G, "backtrack", certified=False,
+                                 nodes=spent)
         passing = [g for g in product.generators
                    if closure_membership(G, g, part)]
         if len(passing) == len(product.generators):
-            return ClosureResult(G, product, "certified-equal")
+            return ClosureResult(G, product, "certified-equal", nodes=spent)
         seeds.extend(passing)
-    return _closure_search(G, part, seeds, node_budget)
+    return _closure_search(G, part, seeds, node_budget, spent)
 
 
-def _closure_search(G, part, seeds, node_budget):
+def _closure_search(G, part, seeds, node_budget, spent):
     n = G.degree
     diag = [part.diagonal_color(a) for a in range(n)]
 
@@ -276,7 +281,7 @@ def _closure_search(G, part, seeds, node_budget):
     found = _walk(base, candidates, descend, leaf, preserves_coloring, [],
                   node_budget, PermGroup(n, seeds, seed=G.seed))
     return ClosureResult(G, found.group, "backtrack", found.complete,
-                         found.nodes)
+                         found.nodes + spent)
 
 
 def _canonical_ids(values):

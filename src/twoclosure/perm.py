@@ -28,6 +28,14 @@ class Permutation:
             seen[v] = True
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images):
+        """A permutation from an image tuple known to be a bijection,
+        skipping the check; for products, inverses and powers only."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -68,18 +76,18 @@ class Permutation:
             raise DegreeMismatchError(
                 f"degree {len(self.images)} != {len(other.images)}")
         oi = other.images
-        return Permutation(oi[v] for v in self.images)
+        return Permutation._trusted(tuple([oi[v] for v in self.images]))
 
     def inverse(self):
         images = [0] * len(self.images)
         for a, v in enumerate(self.images):
             images[v] = a
-        return Permutation(images)
+        return Permutation._trusted(tuple(images))
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Permutation.identity(len(self.images))
+        result = Permutation._trusted(tuple(range(len(self.images))))
         base = self
         while k:
             if k & 1:
@@ -125,7 +133,7 @@ class Permutation:
         return tuple(sorted(lengths))
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def support(self):
         return [a for a, v in enumerate(self.images) if v != a]

@@ -1,18 +1,37 @@
 """Exhaustive subgroup enumeration for groups of modest order.
 
-Subgroups are handled as frozensets of image tuples, which keeps joins,
-intersections, and conjugation cheap at desk scale.  The enumeration
-grows subgroups one adjoined element at a time, which reaches every
-subgroup because any K arises as ⟨M, x⟩ for a maximal subgroup M of K.
+The elements of G are indexed 0..|G|-1 in sorted image-tuple order, and
+a subgroup is an ``int`` bitset over those indices: containment is
+``a & ~b == 0`` and conjugation by a generator is a precomputed index
+map.  Products go through right-multiplication columns, each built the
+first time an element is multiplied by, so the full |G|² table is never
+stored.
+
+The enumeration is Neubüser's cyclic extension (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, §4.6).  Every K > 1
+equals ⟨M, y⟩ for a maximal subgroup M of K and any y in K∖M.  K is
+generated by its elements of prime-power order, which cannot all lie in
+M, so y can be taken of prime-power order, and then any generator of ⟨y⟩
+serves as well.  Each class representative M is therefore extended by
+one generator of each cyclic subgroup of prime-power order, and ⟨M, x⟩
+is closed by a breadth-first search seeded with M.
+
+Results leave this module as frozensets of image tuples, on which the
+section test and the callers outside take joins and intersections.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from .errors import BudgetExceededError, GroupError
 from .group import PermGroup
 from .perm import Permutation
 
 ORDER_BOUND = 2000
+# The least order shared by two nonabelian simple groups (A8 and L3(4)).
+_AMBIGUOUS_SIMPLE_ORDER = 20160
 
 
 def _mul(p, q):
@@ -57,7 +76,7 @@ def small_generating_set(elems, degree):
         return []
     gens = []
     span = {identity}
-    for x in sorted(elems, key=lambda t: (-_tuple_order(t), t)):
+    for x in sorted(elems, key=lambda t: (-_order(t), t)):
         if x in span:
             continue
         gens.append(x)
@@ -67,61 +86,188 @@ def small_generating_set(elems, degree):
     return gens
 
 
-def _tuple_order(p):
+def _order(p):
+    """The order of the image tuple p, as the lcm of its cycle lengths."""
+    seen = [False] * len(p)
     k = 1
-    q = p
-    identity = tuple(range(len(p)))
-    while q != identity:
-        q = _mul(q, p)
-        k += 1
+    for a in range(len(p)):
+        length = 0
+        while not seen[a]:
+            seen[a] = True
+            a = p[a]
+            length += 1
+        if length:
+            k = math.lcm(k, length)
     return k
 
 
-def all_subgroup_sets(G, order_bound=ORDER_BOUND):
-    """Every subgroup of G as a frozenset of image tuples."""
+def _is_prime_power(k):
+    if k < 2:
+        return False
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
+def _members(bits):
+    """The set bit positions of bits, ascending."""
+    flags = bin(bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    return list(itertools.compress(range(len(flags)), flags))
+
+
+def _from_flags(flags):
+    """The bitset whose bit i is set when flags[i] is 1."""
+    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class _Indexed:
+    """The elements of G indexed 0..|G|-1 in sorted image-tuple order."""
+
+    def __init__(self, G, order_bound):
+        self.elements = sorted(
+            x.images for x in G.elements(budget=order_bound + 1))
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self._columns = {}
+        self._limits = {}
+        self.conjugations = [
+            [self.index[_mul(_mul(gi, x), g)] for x in self.elements]
+            for g, gi in ((g.images, g.inverse().images)
+                          for g in G.generators)]
+
+    def column(self, x):
+        """The map i -> index of elements[i] * elements[x]."""
+        col = self._columns.get(x)
+        if col is None:
+            q = self.elements[x]
+            index = self.index
+            col = [index[tuple([q[v] for v in p])] for p in self.elements]
+            self._columns[x] = col
+        return col
+
+    def conjugate(self, bits, conjugation):
+        flags = bytearray(len(self.elements))
+        for i in _members(bits):
+            flags[conjugation[i]] = 1
+        return _from_flags(flags)
+
+    def cyclic_generators(self):
+        """One generator of each cyclic subgroup of prime-power order."""
+        taken = [False] * len(self.elements)
+        out = []
+        for i, p in enumerate(self.elements):
+            if taken[i]:
+                continue
+            k = _order(p)
+            if not _is_prime_power(k):
+                continue
+            out.append(i)
+            q = p
+            for e in range(1, k):
+                if math.gcd(e, k) == 1:
+                    taken[self.index[q]] = True
+                q = _mul(q, p)
+        return out
+
+    def extend(self, members, gens, x):
+        """⟨M, x⟩ as a bitset, where M is given by its members and
+        generators.
+
+        M's own products stay in M, so its members are multiplied by x
+        alone and every new member by all generators.  The search stops
+        once it holds more elements than any proper subgroup of G over M
+        could, since ⟨M, x⟩ is then G.
+        """
+        cols = [self.column(g) for g in gens]
+        cols.append(self.column(x))
+        limit = self._limit(len(members))
+        seen = bytearray(len(self.elements))
+        for y in members:
+            seen[y] = 1
+        count = len(members)
+        frontier, step = members, cols[-1:]
+        while frontier:
+            new = []
+            for y in frontier:
+                for col in step:
+                    z = col[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        new.append(z)
+                        count += 1
+                if count > limit:
+                    return (1 << len(self.elements)) - 1
+            frontier, step = new, cols
+        return _from_flags(seen)
+
+    def _limit(self, m):
+        """The largest order below |G| of a subgroup with one of order m
+        inside, as far as Lagrange's theorem tells."""
+        limit = self._limits.get(m)
+        if limit is None:
+            n = len(self.elements)
+            limit = max(d for d in range(m, n) if n % d == 0 and d % m == 0)
+            self._limits[m] = limit
+        return limit
+
+
+def _lattice(G, order_bound):
+    """The indexed elements of G, every subgroup as a bitset in the
+    order (size, sorted members), and the conjugacy classes of
+    subgroups as lists of bitsets."""
     order = G.order()
     if order > order_bound:
         raise BudgetExceededError(
             f"order {order} exceeds subgroup enumeration bound {order_bound}")
-    n = G.degree
-    elements = sorted(x.images for x in G.elements(budget=order_bound + 1))
-    identity = tuple(range(n))
-    gen_pairs = [(g.images, g.inverse().images) for g in G.generators]
-    start = frozenset([identity])
+    ix = _Indexed(G, order_bound)
+    identity = ix.index[tuple(range(G.degree))]
+    start = 1 << identity
     found = {start}
-    # The frontier keeps one representative per conjugacy class: an
-    # extension of a conjugate is the matching conjugate of an
-    # extension, so growing only representatives still reaches every
-    # class, and each new set is closed under conjugation on arrival.
-    reps = [start]
+    classes = [[start]]
+    cyclic = ix.cyclic_generators()
+    # The frontier keeps one representative per conjugacy class, with its
+    # members and generators: an extension of a conjugate is the matching
+    # conjugate of an extension, so growing only representatives still
+    # reaches every class, and each new set is closed under conjugation
+    # on arrival.
+    reps = [(start, [identity], [])]
     while reps:
         new_reps = []
-        for sub in reps:
-            base_gens = small_generating_set(sub, n)
-            for x in elements:
-                if x in sub:
+        for bits, members, gens in reps:
+            for x in cyclic:
+                if bits >> x & 1:
                     continue
-                grown = generated_set(base_gens + [x], n, seed=sub)
+                grown = ix.extend(members, gens, x)
                 if grown in found:
                     continue
                 found.add(grown)
-                new_reps.append(grown)
+                new_reps.append((grown, _members(grown), gens + [x]))
                 orbit = [grown]
-                while orbit:
-                    next_orbit = []
-                    for s in orbit:
-                        for g, gi in gen_pairs:
-                            t = _conjugate_set(s, g, gi)
-                            if t not in found:
-                                found.add(t)
-                                next_orbit.append(t)
-                    orbit = next_orbit
+                for s in orbit:
+                    for c in ix.conjugations:
+                        t = ix.conjugate(s, c)
+                        if t not in found:
+                            found.add(t)
+                            orbit.append(t)
+                classes.append(orbit)
         reps = new_reps
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    subs = sorted(found, key=lambda b: (b.bit_count(), _members(b)))
+    return ix, subs, classes
 
 
-def _conjugate_set(sub, g, g_inv):
-    return frozenset(_mul(_mul(g_inv, x), g) for x in sub)
+def all_subgroup_sets(G, order_bound=ORDER_BOUND):
+    """Every subgroup of G as a frozenset of image tuples, ordered by
+    size and then by sorted elements."""
+    ix, subs, _ = _lattice(G, order_bound)
+    return [_as_set(ix, b) for b in subs]
+
+
+def _as_set(ix, bits):
+    return frozenset(ix.elements[i] for i in _members(bits))
 
 
 class SubgroupClassTable:
@@ -185,52 +331,28 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
         return SubgroupClassTable(
             G, [trivial, G], [1, 1], [None, 0], [trivial, G],
             [], [identity], {identity: 0}, complete=False)
-    subs = all_subgroup_sets(G, order_bound)
-    index_of = {sub: i for i, sub in enumerate(subs)}
-    gen_pairs = [(g.images, g.inverse().images) for g in G.generators]
+    ix, subs, classes = _lattice(G, order_bound)
+    index_of = {bits: i for i, bits in enumerate(subs)}
 
-    # conjugacy classes of subgroups under generator conjugation
+    # classes are numbered by their first member in the sorted order
+    class_members = sorted(sorted(index_of[b] for b in orbit)
+                           for orbit in classes)
     class_of = [None] * len(subs)
-    class_members = []
-    for i, sub in enumerate(subs):
-        if class_of[i] is not None:
-            continue
-        cls = len(class_members)
-        members = [i]
-        class_of[i] = cls
-        frontier = [sub]
-        while frontier:
-            new = []
-            for s in frontier:
-                for g, gi in gen_pairs:
-                    t = _conjugate_set(s, g, gi)
-                    j = index_of[t]
-                    if class_of[j] is None:
-                        class_of[j] = cls
-                        members.append(j)
-                        new.append(t)
-            frontier = new
-        class_members.append(sorted(members))
+    for cls, members in enumerate(class_members):
+        for i in members:
+            class_of[i] = cls
 
-    # covering relation on subgroups, computed within each overgroup
-    below = [[] for _ in subs]
+    # covering relation: below[j] and above[i] are bitsets of positions
+    # in subs, so i is maximal in j when nothing strictly between meets
+    below = [0] * len(subs)
+    above = [0] * len(subs)
     for j, big in enumerate(subs):
-        for i, small in enumerate(subs):
-            if len(small) < len(big) and len(big) % len(small) == 0 \
-                    and small <= big:
-                below[j].append(i)
-    covers = set()
-    for j, inside in enumerate(below):
-        inside_sets = set(inside)
-        for i in inside:
-            maximal = True
-            for m in inside:
-                if m != i and len(subs[i]) < len(subs[m]) \
-                        and subs[i] <= subs[m]:
-                    maximal = False
-                    break
-            if maximal:
-                covers.add((i, j))
+        for i in range(j):
+            if not subs[i] & ~big:
+                below[j] |= 1 << i
+                above[i] |= 1 << j
+    covers = [(i, j) for j in range(len(subs)) for i in _members(below[j])
+              if not above[i] & below[j]]
 
     # depth: shortest maximal chain down from G
     children = {}
@@ -249,30 +371,23 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
                     new.append(i)
         frontier = new
 
+    sets = [_as_set(ix, bits) for bits in subs]
     normals = [subs[cm[0]] for cm in class_members if len(cm) == 1]
     reps = []
     sizes = []
     depths = []
     cores = []
-    for cls, members in enumerate(class_members):
-        rep_set = subs[members[0]]
-        reps.append(_to_group(rep_set, n, G.seed))
+    for members in class_members:
+        rep = subs[members[0]]
+        core = max((b for b in normals if not b & ~rep), key=int.bit_count)
+        reps.append(_to_group(sets[members[0]], n, G.seed))
         sizes.append(len(members))
         depths.append(depth[members[0]])
-        cores.append(_to_group(_largest_normal_inside(normals, rep_set),
-                               n, G.seed))
+        cores.append(_to_group(sets[index_of[core]], n, G.seed))
     edges = {(class_of[i], class_of[j]) for (i, j) in covers}
-    class_of_set = {subs[i]: class_of[i] for i in range(len(subs))}
+    class_of_set = {sets[i]: class_of[i] for i in range(len(subs))}
     return SubgroupClassTable(G, reps, sizes, depths, cores, sorted(edges),
-                              subs, class_of_set, complete=True)
-
-
-def _largest_normal_inside(normals, sub):
-    best = None
-    for nset in normals:
-        if nset <= sub and (best is None or len(nset) > len(best)):
-            best = nset
-    return best
+                              sets, class_of_set, complete=True)
 
 
 def is_normal_in(inner, outer, degree):
@@ -302,9 +417,15 @@ def has_section(big, small_order, subs_of_big, degree):
     """Whether big has a simple section of the given order.
 
     A maximal normal subgroup N of any K ≤ big gives a simple quotient
-    K/N; at orders within the enumeration bound an order match pins the
-    isomorphism type of a nonabelian simple target.
+    K/N; below order 20160 an order match pins the isomorphism type of a
+    nonabelian simple target.  At 20160 it no longer does (A8 and L3(4)),
+    so from there on the test raises BudgetExceededError instead.
     """
+    if small_order >= _AMBIGUOUS_SIMPLE_ORDER:
+        raise BudgetExceededError(
+            f"simple sections of order {small_order} are not determined "
+            f"by their order; the test stops below "
+            f"{_AMBIGUOUS_SIMPLE_ORDER}")
     for K in subs_of_big:
         if len(K) % small_order != 0:
             continue

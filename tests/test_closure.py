@@ -236,6 +236,7 @@ COUNTED_GROUPS = {
     "diagonal A5": lambda: diagonal_double(alternating(5)),
     "GammaL(1,16)": gamma_l1_16,
     "PSL(2,7) on 14 points": _psl27_on_order_12_cosets,
+    "D5 x D6": lambda: direct_product(dihedral(5), dihedral(6)),
 }
 
 
@@ -251,6 +252,10 @@ COUNTED_GROUPS = {
     ("diagonal A5", 2, (3, 60, False)),
     ("diagonal A5", 3, (4, 60, False)),
     ("diagonal A5", 4, (5, 60, False)),
+    # intransitive: the nodes of the per-orbit closures are counted
+    ("D5 x D6", None, (6, 120, True)),
+    ("D5 x D6", 1, (2, 120, False)),
+    ("D5 x D6", 2, (3, 120, False)),
     ("even permutations of S6", None, (264, 360, True)),
     ("even permutations of S6", 100, (101, 360, False)),
 ])

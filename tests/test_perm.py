@@ -36,6 +36,22 @@ def test_rejects_non_bijection():
         Permutation([0, 3])
 
 
+@given(pairs)
+def test_products_and_inverses_equal_checked_construction(pq):
+    # Products, inverses and powers skip the bijection check; they must
+    # still be indistinguishable from a checked permutation.
+    p, q = pq
+    for got in (p * q, p.inverse(), p ** 3, p ** -2, p ** 0):
+        checked = Permutation(list(got.images))
+        assert type(got) is Permutation
+        assert type(got.images) is tuple
+        assert got == checked and checked == got
+        assert hash(got) == hash(checked)
+        assert {got: 1}[checked] == 1
+    with pytest.raises(MalformedPermutationError):
+        Permutation((0, 0))
+
+
 def test_composition_order():
     # (p * q) applies p first: 0 ->p 1 ->q 2
     p = Permutation.parse(3, "(1 2)")

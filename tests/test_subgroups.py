@@ -6,8 +6,8 @@ import oracles
 from twoclosure import PermGroup, Permutation
 from twoclosure.backtrack import conjugating_element_for_subgroup
 from twoclosure.constructions import (alternating, cyclic, dihedral,
-                                      elementary_abelian, quaternion,
-                                      symmetric)
+                                      direct_product, elementary_abelian,
+                                      psl2, quaternion, symmetric)
 from twoclosure.errors import BudgetExceededError
 from twoclosure.subgroups import (all_subgroup_sets, generated_set,
                                   has_section, is_normal_in,
@@ -23,12 +23,34 @@ from twoclosure.subgroups import (all_subgroup_sets, generated_set,
     (alternating(4), 10),
     (elementary_abelian(2, 3), 16),
     (dihedral(4), 10),
+    # non-prime-power elements, and long prime-power chains whose
+    # intermediate subgroups are reached only through non-generators
+    (cyclic(12), 6),
+    (cyclic(27), 4),
+    (dihedral(6), 16),
+    (direct_product(quaternion(), cyclic(3)), 12),
 ])
 def test_all_subgroup_sets_matches_oracle(G, count):
     mine = set(all_subgroup_sets(G))
     want = oracles.oracle_subgroups([g.images for g in G.generators])
     assert mine == want
     assert len(mine) == count
+
+
+@pytest.mark.parametrize("make, subgroups, classes", [
+    (lambda: alternating(5), 59, 9),
+    (lambda: symmetric(5), 156, 19),
+    (lambda: psl2(7), 179, 15),
+    (lambda: alternating(6), 501, 22),
+    (lambda: psl2(11), 620, 16),
+], ids=["A5", "S5", "PSL(2,7)", "A6", "PSL(2,11)"])
+def test_subgroup_and_class_counts(make, subgroups, classes):
+    G = make()
+    table = subgroup_classes(G)
+    assert len(table.subgroup_sets) == subgroups
+    assert len(table) == classes
+    assert sum(table.class_sizes) == subgroups
+    assert all_subgroup_sets(G) == table.subgroup_sets
 
 
 def test_all_subgroup_sets_budget():
@@ -189,3 +211,11 @@ def test_has_section_alt5_inside_alt6():
 def test_has_section_negative_on_small_group():
     subs = all_subgroup_sets(symmetric(4))
     assert not has_section(subs, 60, subs, 4)
+
+
+def test_has_section_refuses_ambiguous_order():
+    # A8 and L3(4) both have order 20160, so an order match no longer
+    # fixes the section; the test must refuse before enumerating.
+    subs = all_subgroup_sets(symmetric(4))
+    with pytest.raises(BudgetExceededError):
+        has_section(subs, 20160, subs, 4)
