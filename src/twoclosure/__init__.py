@@ -1,25 +1,16 @@
 """Exact 2-closure analysis for finite permutation groups."""
 
 from .errors import (BudgetExceededError, DegreeMismatchError, GroupError,
-                     MalformedPermutationError, NotCoreFreeError,
-                     NotTransitiveError, ParseError, SectionObstructionError)
+                     MalformedPermutationError, NotTransitiveError,
+                     ParseError, SectionObstructionError)
 from .perm import Permutation
 from .group import PermGroup, StabilizerChain, trivial_group
-from .orbital import OrbitalPartition, orbital_partition, higman_primitive
-from .closure import (ClosureResult, brute_force_two_closure,
-                      closure_membership, dissection_condition, two_closure)
+from .orbital import OrbitalPartition, higman_primitive
+from .closure import ClosureResult, closure_membership, two_closure
 from .actions import (BlockSystem, CosetAction, InducedAction,
                       block_systems_above, coset_action, induce_on_blocks,
                       minimal_block_systems, permutationally_equivalent)
 from .subgroups import SubgroupClassTable, subgroup_classes
-from .reduction import (BlockKernel, CoveringReport, DivisorReport,
-                        PairTestVerdict, ReductionContext, Strip,
-                        block_pair_test, classify_block_kernel,
-                        closure_block_kernel, element_moving_blocks,
-                        imprimitive_context, one_dim_submodules,
-                        pair_stabilizer_divisor, prime_covering_test,
-                        product_one_closure_filter, stabilizer_gcd_test,
-                        strip_decomposition, subnormal_intersection)
 from .basesize import BaseSizeReport, exact_base_size, qhat
 from .totality import (ActionWitness, AssembledAction, FactorizationWitness,
                        TotalityBudget, TotalityVerdict, assemble_action,

@@ -162,68 +162,13 @@ def find_element(ambient, leaf_test, base_hint=(), hooks=None,
                        None)
 
 
-def setwise_stabilizer(G, points, node_budget=None):
-    """The stabilizer in G of the given point set (as a set)."""
-    target = frozenset(points)
-    inside = [a in target for a in range(G.degree)]
-
-    def extend(level, base_point, image, state):
-        if inside[base_point] != inside[image]:
-            return PRUNE
-        return state
-
-    def leaf(g):
-        return all(inside[g.images[a]] for a in target)
-
-    result = subgroup_search(G, leaf, base_hint=sorted(target),
-                             hooks=(None, extend), node_budget=node_budget)
-    if not result.complete:
-        raise BudgetExceededError(
-            f"setwise stabilizer search exceeded {node_budget} nodes")
-    return result.group
-
-
-def intersection(G, H, node_budget=None):
-    """The subgroup of elements lying in both G and H (same degree)."""
-    chain = G.chain
-    base = chain.base()
-    hchain = H.chain_with_base(base)
-
-    def extend(level, base_point, image, state):
-        if level >= len(hchain.levels):
-            return state
-        t_b, t_b_inv = state if state is not None else (None, None)
-        p = image if t_b_inv is None else t_b_inv.images[image]
-        lvl = hchain.levels[level]
-        if lvl.point != base_point:
-            return state
-        if p not in lvl.tree:
-            return PRUNE
-        u = lvl.rep(p)
-        if u is None:
-            t_b2 = t_b
-        else:
-            t_b2 = u if t_b is None else u * t_b
-        return (t_b2, None if t_b2 is None else t_b2.inverse())
-
-    def leaf(g):
-        return H.contains(g)
-
-    result = subgroup_search(G, leaf, hooks=((None, None), extend),
-                             node_budget=node_budget)
-    if not result.complete:
-        raise BudgetExceededError(
-            f"intersection search exceeded {node_budget} nodes")
-    return result.group
-
-
-def _forcing_search(x, y):
-    """Hooks, leaf test and base hint for elements g with x^g == y.
-
-    Mapping a point a to c forces x(a) to y(c), so each choice propagates
-    along the cycles of x and y; base points taken cycle by cycle, longest
-    first, fix the rest of a cycle after its first point.
-    """
+def conjugating_element(G, x, y, node_budget=None):
+    """Some g in G with g^-1 x g == y, or None.  Raises on budget."""
+    if x.cycle_type() != y.cycle_type():
+        return None
+    # Mapping a point a to c forces x(a) to y(c), so each choice propagates
+    # along the cycles of x and y; base points taken cycle by cycle,
+    # longest first, fix the rest of a cycle after its first point.
     xi, yi = x.images, y.images
 
     def extend(level, base_point, image, state):
@@ -251,26 +196,7 @@ def _forcing_search(x, y):
 
     base_hint = [a for cycle in sorted(x.cycles(), key=len, reverse=True)
                  for a in cycle]
-    return (None, extend), leaf, base_hint
-
-
-def centralizer(G, x, node_budget=None):
-    """The centralizer in G of the permutation x."""
-    hooks, leaf, base_hint = _forcing_search(x, x)
-    result = subgroup_search(G, leaf, base_hint=base_hint, hooks=hooks,
-                             node_budget=node_budget)
-    if not result.complete:
-        raise BudgetExceededError(
-            f"centralizer search exceeded {node_budget} nodes")
-    return result.group
-
-
-def conjugating_element(G, x, y, node_budget=None):
-    """Some g in G with g^-1 x g == y, or None.  Raises on budget."""
-    if x.cycle_type() != y.cycle_type():
-        return None
-    hooks, leaf, base_hint = _forcing_search(x, y)
-    return find_element(G, leaf, base_hint=base_hint, hooks=hooks,
+    return find_element(G, leaf, base_hint=base_hint, hooks=(None, extend),
                         node_budget=node_budget)
 
 

@@ -20,7 +20,7 @@ table is reference data for cross-checking reports.  Nothing in this
 package consults it to shortcut a computation.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -39,8 +39,6 @@ class BaseSizeReport:
     `exact` is None when the confirmation budget ran out; the true base
     size then lies in [lower_bound, upper_bound].  `witness_base` is a
     base of size `upper_bound` (of size `exact` when that is known).
-    `upper_bound_via_qhat` records a c with Q-hat(G, H, c) < 1 when one
-    was established, together with the exact value.
     """
 
     exact: int | None
@@ -48,14 +46,6 @@ class BaseSizeReport:
     upper_bound: int
     witness_base: tuple
     nodes_used: int = 0
-    upper_bound_via_qhat: int | None = None
-    qhat_value: Fraction | None = None
-
-    def __post_init__(self):
-        if self.exact is not None and self.upper_bound_via_qhat is not None:
-            if self.exact > self.upper_bound_via_qhat:
-                raise GroupError(
-                    "exact base size exceeds a proven Q-hat bound")
 
 
 def _greedy_base(G):
@@ -224,32 +214,6 @@ def qhat(G, H, c, classes=None, class_budget=CLASS_BUDGET, node_budget=None):
                                          h_classes=h_classes)
         total += Fraction(count ** c, size ** (c - 1))
     return total
-
-
-def rational_strings(value):
-    """Numerator and denominator strings plus a short decimal rendering,
-    for report output."""
-    frac = Fraction(value)
-    approx = float(frac.numerator) / float(frac.denominator)
-    return {"numerator": str(frac.numerator),
-            "denominator": str(frac.denominator),
-            "approx": f"{approx:.6g}"}
-
-
-def base_size_with_qhat(G, c=2, classes=None, node_budget=NODE_BUDGET,
-                        class_budget=CLASS_BUDGET):
-    """exact_base_size plus the Q-hat bound for the stabilizer of the
-    first point.  Requires a transitive G so that the point stabilizer
-    determines the action.  The Q-hat value is recorded even when it
-    fails to prove a bound."""
-    if not G.is_transitive():
-        raise NotTransitiveError("Q-hat needs a transitive action")
-    report = exact_base_size(G, node_budget=node_budget)
-    value = qhat(G, G.point_stabilizer(0), c, classes=classes,
-                 class_budget=class_budget)
-    if value < 1:
-        return replace(report, upper_bound_via_qhat=c, qhat_value=value)
-    return replace(report, qhat_value=value)
 
 
 def two_point_stabilizer_orders(G):

@@ -10,11 +10,9 @@ against the full coloring, so a completed walk is a proof.
 
 from __future__ import annotations
 
-import itertools
-
 from .backtrack import _walk
 from .constructions import symmetric
-from .errors import DegreeMismatchError, GroupError
+from .errors import DegreeMismatchError
 from .group import PermGroup
 from .orbital import OrbitalPartition
 from .perm import Permutation
@@ -74,34 +72,6 @@ def closure_membership(G, x, partition=None):
     return True
 
 
-def brute_force_two_closure(G):
-    """The closure by literal filtration of Sym(n); degree 9 at most."""
-    n = G.degree
-    if n > 9:
-        raise GroupError(f"degree {n} too large for the brute-force oracle")
-    part = OrbitalPartition(G)
-    rows = [part.row(a) for a in range(n)]
-    found = []
-    group = PermGroup(n, [], seed=G.seed)
-    for img in itertools.permutations(range(n)):
-        ok = True
-        for a in range(n):
-            row_a = rows[a]
-            row_ia = rows[img[a]]
-            for b in range(n):
-                if row_ia[img[b]] != row_a[b]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            p = Permutation(img)
-            if not group.contains(p):
-                found.append(p)
-                group = PermGroup(n, found, seed=G.seed)
-    return group
-
-
 def _embed_on_orbit(h, orbit, degree):
     img = list(range(degree))
     for i, p in enumerate(orbit):
@@ -123,61 +93,6 @@ def _closure_product(G, parts, node_budget=None):
         gens.extend(_embed_on_orbit(h, part, G.degree)
                     for h in res.closure.generators)
     return PermGroup(G.degree, gens, seed=G.seed), nodes
-
-
-def intransitive_closure_bound(G, gamma, delta):
-    """The product of the closures of G on the two invariant halves.
-
-    The closure of G on the whole domain is contained in this product, so
-    it serves as an ambient certificate for intransitive searches.
-    """
-    gamma = sorted(gamma)
-    delta = sorted(delta)
-    _check_invariant_split(G, gamma, delta)
-    return _closure_product(G, [half for half in (gamma, delta) if half])[0]
-
-
-def _check_invariant_split(G, gamma, delta):
-    gset = set(gamma)
-    dset = set(delta)
-    if gset & dset:
-        raise GroupError("the two halves overlap")
-    if len(gset) + len(dset) != G.degree:
-        raise GroupError("the two halves do not cover the domain")
-    for orbit in G.orbits():
-        inside = orbit[0] in gset
-        if inside and not all(p in gset for p in orbit):
-            raise GroupError("first half is not G-invariant")
-        if not inside and not all(p in dset for p in orbit):
-            raise GroupError("second half is not G-invariant")
-
-
-def dissection_condition(G, gamma, delta, partition=None):
-    """Whether G = G_a G_b for every a in the first half, b in the second.
-
-    Both halves must be unions of G-orbits covering the domain.  The
-    condition is equivalent to the product of the two restricted groups
-    lying inside the 2-closure of G, and it is constant on G-orbits of
-    pairs, so one test per crossing orbital suffices.
-    """
-    gamma = sorted(gamma)
-    delta = sorted(delta)
-    _check_invariant_split(G, gamma, delta)
-    if not gamma or not delta:
-        return True
-    gset = set(gamma)
-    dset = set(delta)
-    part = partition if partition is not None else OrbitalPartition(G)
-    order = G.order()
-    for color in range(part.rank):
-        a, b = part.pair_reps[color]
-        if a in gset and b in dset:
-            stab_a = order // len(G.orbit(a))
-            stab_b = order // len(G.orbit(b))
-            stab_ab = G.tuple_stabilizer_order([a, b])
-            if stab_a * stab_b != order * stab_ab:
-                return False
-    return True
 
 
 def two_closure(G, node_budget=None, partition=None):

@@ -205,11 +205,6 @@ class OrbitalPartition:
         return sorted(u.images[b] for b in sub)
 
 
-def orbital_partition(G):
-    """The partition of ordered pairs into G-orbits."""
-    return OrbitalPartition(G)
-
-
 def higman_primitive(G, partition=None):
     """Whether every nondiagonal orbital digraph of G is connected.
 

@@ -55,26 +55,6 @@ def oracle_contains(gens, p):
     return tuple(p) in mulclose(gens)
 
 
-def oracle_orbit(gens, point):
-    gens = [tuple(g) for g in gens]
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = g[a]
-                if b not in seen:
-                    seen.add(b)
-                    new.append(b)
-        frontier = new
-    return seen
-
-
-def oracle_stabilizer(elements, point):
-    return {x for x in elements if x[point] == point}
-
-
 def oracle_derived(gens):
     elements = mulclose(gens)
     comms = {compose(compose(inverse(x), inverse(y)), compose(x, y))
@@ -87,12 +67,6 @@ def oracle_normal_closure(gens, seeds):
     conj = {compose(compose(inverse(g), tuple(s)), g)
             for s in seeds for g in elements}
     return mulclose(conj)
-
-
-def oracle_center(gens):
-    elements = mulclose(gens)
-    return {x for x in elements
-            if all(compose(x, g) == compose(g, x) for g in gens)}
 
 
 def oracle_conjugacy_classes(gens):
@@ -211,111 +185,3 @@ def _tuple_order(p):
         k += 1
     return k
 
-
-def oracle_block_fixing(elements, blocks):
-    """The elements fixing every block setwise, as image tuples."""
-    out = set()
-    for x in elements:
-        if all({x[p] for p in blk} == set(blk) for blk in blocks):
-            out.add(tuple(x))
-    return out
-
-
-def oracle_pair_filter(k_gens, y_gens, b):
-    """All pairs of Y-elements preserving every K-orbit on the product
-    of two size-b blocks, by direct pair-orbit comparison."""
-    k_gens = [tuple(g) for g in k_gens]
-    color = {}
-    next_color = 0
-    for a in range(b):
-        for c in range(b):
-            if (a, c) in color:
-                continue
-            color[(a, c)] = next_color
-            frontier = [(a, c)]
-            while frontier:
-                new = []
-                for x, y in frontier:
-                    for g in k_gens:
-                        pair = (g[x], g[y + b] - b)
-                        if pair not in color:
-                            color[pair] = next_color
-                            new.append(pair)
-                frontier = new
-            next_color += 1
-    elements = sorted(mulclose(y_gens))
-    out = set()
-    for u in elements:
-        for v in elements:
-            if all(color[(u[a], v[c])] == color[(a, c)]
-                   for a in range(b) for c in range(b)):
-                out.add((u, v))
-    return out
-
-
-def oracle_is_normal(inner, outer):
-    for h in outer:
-        hi = inverse(h)
-        for x in inner:
-            if compose(compose(hi, x), h) not in inner:
-                return False
-    return True
-
-
-def oracle_subnormal_meet(gens):
-    """Intersection of all nontrivial subnormal subgroups, by fixpoint
-    over the normal-in-some-member relation."""
-    subs = oracle_subgroups(gens)
-    full = max(subs, key=len)
-    subnormal = {full}
-    changed = True
-    while changed:
-        changed = False
-        for sub in subs:
-            if sub in subnormal:
-                continue
-            if any(sub < big and oracle_is_normal(sub, big)
-                   for big in list(subnormal)):
-                subnormal.add(sub)
-                changed = True
-    meet = set(full)
-    for sub in subnormal:
-        if len(sub) > 1:
-            meet &= sub
-    return frozenset(meet)
-
-
-def oracle_invariant_lines(gens, s, p):
-    """All leading-1 vectors of F_p^s spanning a line sent to itself by
-    every generator, by exhaustive enumeration."""
-    gens = [tuple(g) for g in gens]
-    out = []
-    for vec in itertools.product(range(p), repeat=s):
-        lead = next((x for x in vec if x), None)
-        if lead != 1:
-            continue
-        good = True
-        for g in gens:
-            moved = [0] * s
-            for i in range(s):
-                moved[g[i]] = vec[i]
-            lam = None
-            okay = True
-            for a in range(s):
-                if vec[a] == 0:
-                    if moved[a] != 0:
-                        okay = False
-                        break
-                    continue
-                ratio = moved[a] * pow(vec[a], p - 2, p) % p
-                if lam is None:
-                    lam = ratio
-                elif ratio != lam:
-                    okay = False
-                    break
-            if not okay or lam == 0:
-                good = False
-                break
-        if good:
-            out.append(vec)
-    return sorted(out)

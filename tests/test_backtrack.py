@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from twoclosure import PermGroup, Permutation
-from twoclosure.backtrack import (centralizer, conjugating_element,
+from twoclosure.backtrack import (conjugating_element,
                                   conjugating_element_for_subgroup,
-                                  find_element, intersection,
-                                  setwise_stabilizer, subgroup_search)
+                                  find_element, subgroup_search)
 from twoclosure.errors import BudgetExceededError
 
 
@@ -41,72 +40,6 @@ def brute_elements(G):
 perm_lists = st.integers(min_value=5, max_value=7).flatmap(
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
     .map(lambda imgs: (n, imgs)))
-
-
-@given(perm_lists, st.data())
-@settings(max_examples=40, deadline=None)
-def test_setwise_stabilizer_matches_filter(case, data):
-    n, imgs = case
-    G = random_subgroup([tuple(i) for i in imgs], n)
-    k = data.draw(st.integers(min_value=1, max_value=n - 1))
-    points = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1),
-                               min_size=k, max_size=k))
-    got = setwise_stabilizer(G, points)
-    want = [e for e in brute_elements(G)
-            if {e[p] for p in points} == set(points)]
-    assert got.order() == len(want)
-    assert all(got.contains(Permutation(e)) for e in want)
-
-
-@given(perm_lists, st.data())
-@settings(max_examples=40, deadline=None)
-def test_intersection_matches_filter(case, data):
-    n, imgs = case
-    G = random_subgroup([tuple(i) for i in imgs], n)
-    other = data.draw(st.lists(st.permutations(range(n)), min_size=1,
-                               max_size=2))
-    H = random_subgroup([tuple(i) for i in other], n)
-    got = intersection(G, H)
-    g_elems = brute_elements(G)
-    h_elems = set(brute_elements(H))
-    want = [e for e in g_elems if e in h_elems]
-    assert got.order() == len(want)
-    assert all(got.contains(Permutation(e)) for e in want)
-
-
-@given(perm_lists, st.data())
-@settings(max_examples=40, deadline=None)
-def test_centralizer_matches_filter(case, data):
-    n, imgs = case
-    G = random_subgroup([tuple(i) for i in imgs], n)
-    x = Permutation(data.draw(st.permutations(range(n))))
-    got = centralizer(G, x)
-    xi = x.images
-    want = [e for e in brute_elements(G)
-            if all(e[xi[a]] == xi[e[a]] for a in range(n))]
-    assert got.order() == len(want)
-
-
-def test_setwise_stabilizer_in_symmetric_group():
-    G = sym(7)
-    got = setwise_stabilizer(G, {1, 3, 4})
-    assert got.order() == 6 * 24
-    assert all(g.on_set({1, 3, 4}) == frozenset({1, 3, 4})
-               for g in got.generators)
-
-
-def test_intersection_of_two_point_stabilizers():
-    G = sym(6)
-    A = G.point_stabilizer(0)
-    B = G.point_stabilizer(1)
-    got = intersection(A, B)
-    assert got.order() == 24
-
-
-def test_intersection_alternating_with_stabilizer():
-    G = sym(6)
-    got = intersection(alt(6), G.point_stabilizer(5))
-    assert got.order() == 60
 
 
 def test_conjugating_element_found_and_correct():
@@ -190,30 +123,6 @@ def test_subgroup_search_collects_even_elements():
         G, lambda g: sum(l - 1 for l in map(len, g.cycles())) % 2 == 0)
     assert result.complete
     assert result.group.order() == 360
-
-
-def test_setwise_stabilizer_of_block():
-    # Stabilizer of {0,1} in <(0 1 2 3)> has order 1; in D4 it has order 2.
-    n = 4
-    c4 = PermGroup(n, [Permutation.from_cycles(n, [(0, 1, 2, 3)])])
-    d4 = PermGroup(n, [Permutation.from_cycles(n, [(0, 1, 2, 3)]),
-                       Permutation.from_cycles(n, [(1, 3)])])
-    assert setwise_stabilizer(c4, {0, 1}).order() == 1
-    assert setwise_stabilizer(d4, {0, 2}).order() == 4
-
-
-def test_centralizer_of_full_cycle():
-    G = sym(6)
-    x = Permutation.from_cycles(6, [tuple(range(6))])
-    got = centralizer(G, x)
-    assert got.order() == 6
-    assert got.contains(x)
-
-
-def test_intersection_budget_raises():
-    G = sym(8)
-    with pytest.raises(BudgetExceededError):
-        intersection(alt(8), G.point_stabilizer(0), node_budget=10)
 
 
 def brute_conjugate_exists(G, x, y):

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from twoclosure import PermGroup, Permutation
 from twoclosure.actions import coset_action
-from twoclosure.basesize import (REFERENCE_TABLE, BaseSizeReport,
-                                 base_size_with_qhat, class_intersection_count,
-                                 exact_base_size, qhat, rational_strings,
+from twoclosure.basesize import (REFERENCE_TABLE, class_intersection_count,
+                                 exact_base_size, qhat,
                                  two_point_stabilizer_gcd,
                                  two_point_stabilizer_orders)
 from twoclosure.constructions import (alternating, cyclic, dihedral,
@@ -261,37 +260,6 @@ def test_qhat_below_one_implies_base_at_most_two():
                 f"order-{H.order()} subgroup")
     assert checked >= 50
     assert proven >= 10
-
-
-def test_rational_strings_exact_and_readable():
-    info = rational_strings(Fraction(2, 3))
-    assert info["numerator"] == "2"
-    assert info["denominator"] == "3"
-    assert info["approx"].startswith("0.6666")
-
-
-def test_base_size_with_qhat_attaches_bound():
-    action = coset_action(alternating(5),
-                          PermGroup(5, [Permutation((1, 2, 3, 4, 0))]))
-    report = base_size_with_qhat(action.image, c=2)
-    assert report.exact == 2
-    assert report.upper_bound_via_qhat == 2
-    assert report.qhat_value == Fraction(2, 3)
-    assert report.exact <= report.upper_bound_via_qhat
-
-
-def test_base_size_with_qhat_records_failed_bound():
-    report = base_size_with_qhat(pairs_group(), c=2)
-    assert report.exact == 2
-    assert report.upper_bound_via_qhat is None
-    assert report.qhat_value == Fraction(1)
-
-
-def test_report_rejects_contradictory_bound():
-    with pytest.raises(GroupError):
-        BaseSizeReport(exact=3, lower_bound=3, upper_bound=3,
-                       witness_base=(0, 1, 2), upper_bound_via_qhat=2,
-                       qhat_value=Fraction(1, 2))
 
 
 def test_two_point_stabilizer_gcd_base_two_actions():

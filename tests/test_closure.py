@@ -5,17 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from twoclosure import PermGroup, Permutation
-from twoclosure.actions import coset_action
+from twoclosure.actions import coset_action, minimal_block_systems
 from twoclosure.backtrack import subgroup_search
-from twoclosure.closure import (brute_force_two_closure, closure_membership,
-                                dissection_condition,
-                                intransitive_closure_bound, two_closure)
+from twoclosure.closure import closure_membership, two_closure
 from twoclosure.constructions import (alternating, cyclic, diagonal_double,
                                       dihedral, direct_product, frobenius20,
                                       gamma_l1_16, psl2, quaternion,
                                       regular_representation, symmetric,
                                       trivial, wreath_imprimitive)
-from twoclosure.errors import GroupError
 from twoclosure.subgroups import subgroup_classes
 
 
@@ -131,77 +128,18 @@ def test_membership_degree_mismatch():
         closure_membership(cyclic(4), Permutation.identity(5))
 
 
-def test_brute_force_oracle_matches_search():
-    for G in (cyclic(4), sym3_on_5(), dihedral(4),
-              direct_product(cyclic(2), cyclic(2))):
-        brute = brute_force_two_closure(G)
-        res = two_closure(G)
-        assert brute.order() == res.closure.order()
-        assert brute.is_subgroup_of(res.closure)
-
-
-def test_brute_force_degree_cap():
-    with pytest.raises(GroupError):
-        brute_force_two_closure(trivial(10))
-
-
-def test_intransitive_bound_examples():
-    G = sym3_on_5()
-    prod = intransitive_closure_bound(G, {0, 1, 2}, {3, 4})
-    assert prod.order() == 12
-    diag = diagonal_double(cyclic(3))
-    prod2 = intransitive_closure_bound(diag, {0, 1, 2}, {3, 4, 5})
-    assert prod2.order() == 9
-    assert two_closure(diag).closure.is_subgroup_of(prod2)
-    whole = intransitive_closure_bound(G, {0, 1, 2, 3, 4}, set())
-    assert whole.order() == 12
-
-
-def test_intransitive_bound_validates_split():
-    G = sym3_on_5()
-    with pytest.raises(GroupError):
-        intransitive_closure_bound(G, {0, 1}, {2, 3, 4})
-    with pytest.raises(GroupError):
-        intransitive_closure_bound(G, {0, 1, 2}, {3})
-    with pytest.raises(GroupError):
-        intransitive_closure_bound(G, {0, 1, 2, 3}, {3, 4})
-
-
-def test_dissection_examples():
-    G = sym3_on_5()
-    assert dissection_condition(G, {0, 1, 2}, {3, 4})
-    diag = diagonal_double(cyclic(3))
-    assert not dissection_condition(diag, {0, 1, 2}, {3, 4, 5})
-    # a fixed point on one side: true since G_gamma is all of G
-    H = direct_product(trivial(1), symmetric(3))
-    assert dissection_condition(H, {0}, {1, 2, 3})
-
-
-def test_dissection_agrees_with_product_membership():
-    import random
-    rng = random.Random(7)
-    tried = 0
-    while tried < 60:
-        n1 = rng.randint(2, 5)
-        n2 = rng.randint(2, 4)
-        n = n1 + n2
-        gens = []
-        for _ in range(2):
-            left = list(range(n1))
-            right = list(range(n1, n))
-            rng.shuffle(left)
-            rng.shuffle(right)
-            gens.append(Permutation(left + right))
-        G = PermGroup(n, gens)
-        gamma = set(range(n1))
-        delta = set(range(n1, n))
-        orbs = {tuple(o) for o in G.orbits()}
-        if not all(set(o) <= gamma or set(o) <= delta for o in orbs):
-            continue
-        tried += 1
-        prod = intransitive_closure_bound(G, gamma, delta)
-        member_wise = all(closure_membership(G, g) for g in prod.generators)
-        assert dissection_condition(G, gamma, delta) == member_wise
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(4), sym3_on_5, lambda: dihedral(4),
+    lambda: direct_product(cyclic(2), cyclic(2)),
+], ids=["C4", "Sym3 on 5", "D4", "C2 x C2"])
+def test_two_closure_matches_oracle_examples(build):
+    G = build()
+    want = oracles.oracle_two_closure([g.images for g in G.generators],
+                                      G.degree)
+    res = two_closure(G)
+    assert res.certified
+    assert res.closure.order() == len(want)
+    assert all(res.closure.contains(Permutation(e)) for e in want)
 
 
 def test_closure_result_repr_and_fields():
@@ -230,6 +168,19 @@ def _psl27_on_order_12_cosets():
     return coset_action(P, table.representatives[i]).image
 
 
+def _on_cosets(G, *cycles):
+    """G on the cosets of the subgroup generated by the given cycles."""
+    gens = [Permutation.from_cycles(G.degree, [c]) for c in cycles]
+    return coset_action(G, PermGroup(G.degree, gens)).image
+
+
+def _f20_on_10_points():
+    F = frobenius20()
+    least = min((g for g in F.elements() if g.order() == 2),
+                key=lambda g: g.images)
+    return coset_action(F, PermGroup(5, [least])).image
+
+
 COUNTED_GROUPS = {
     "S3 wr S3": lambda: wreath_imprimitive(symmetric(3), symmetric(3)),
     "D4 wr C3": lambda: wreath_imprimitive(dihedral(4), cyclic(3)),
@@ -237,6 +188,11 @@ COUNTED_GROUPS = {
     "GammaL(1,16)": gamma_l1_16,
     "PSL(2,7) on 14 points": _psl27_on_order_12_cosets,
     "D5 x D6": lambda: direct_product(dihedral(5), dihedral(6)),
+    "S4 on 8 points": lambda: _on_cosets(symmetric(4), (0, 1, 2)),
+    "A5 on 12 points": lambda: _on_cosets(alternating(5), (0, 1, 2, 3, 4)),
+    "S4 on 12 points": lambda: _on_cosets(symmetric(4), (0, 1)),
+    "S4 on 6 points": lambda: _on_cosets(symmetric(4), (0, 1), (2, 3)),
+    "F20 on 10 points": _f20_on_10_points,
 }
 
 
@@ -258,6 +214,12 @@ COUNTED_GROUPS = {
     ("D5 x D6", None, (6, 120, True)),
     ("D5 x D6", 1, (2, 120, False)),
     ("D5 x D6", 2, (3, 120, False)),
+    # imprimitive coset actions; three of them are not 2-closed
+    ("S4 on 8 points", None, (5, 48, True)),
+    ("A5 on 12 points", None, (5, 120, True)),
+    ("S4 on 12 points", None, (3, 24, True)),
+    ("S4 on 6 points", None, (5, 48, True)),
+    ("F20 on 10 points", None, (3, 20, True)),
 ])
 def test_search_node_counts(case, node_budget, want):
     if case == "even permutations of S6":
@@ -270,3 +232,17 @@ def test_search_node_counts(case, node_budget, want):
         res = two_closure(COUNTED_GROUPS[case](), node_budget=node_budget)
         got = res.nodes, res.closure.order(), res.certified
     assert got == want
+
+
+@pytest.mark.parametrize("case", ["S4 on 8 points", "A5 on 12 points"])
+def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
+    # Swapping the two points of every block preserves every orbital but
+    # lies outside the group: a "No" witness checked without a search.
+    G = COUNTED_GROUPS[case]()
+    system = next(s for s in minimal_block_systems(G) if s.b == 2)
+    img = list(range(G.degree))
+    for a, b in system.blocks:
+        img[a], img[b] = b, a
+    z = Permutation(img)
+    assert closure_membership(G, z)
+    assert not G.contains(z)
