@@ -1,8 +1,8 @@
 """Exact 2-closure analysis for finite permutation groups."""
 
 from .errors import (BudgetExceededError, DegreeMismatchError, GroupError,
-                     MalformedPermutationError, NotTransitiveError,
-                     ParseError, SectionObstructionError)
+                     MalformedPermutationError, NotCoreFreeError,
+                     NotTransitiveError, ParseError, SectionObstructionError)
 from .perm import Permutation
 from .group import PermGroup, StabilizerChain, trivial_group
 from .orbital import OrbitalPartition, higman_primitive
@@ -11,6 +11,12 @@ from .actions import (BlockSystem, CosetAction, InducedAction,
                       block_systems_above, coset_action, induce_on_blocks,
                       minimal_block_systems, permutationally_equivalent)
 from .subgroups import SubgroupClassTable, subgroup_classes
+from .reduction import (BlockKernel, CoveringReport, DivisorReport,
+                        PairTestVerdict, ReductionContext, block_pair_test,
+                        classify_block_kernel, closure_block_kernel,
+                        imprimitive_context, prime_covering_test,
+                        product_one_closure_filter, stabilizer_gcd_test,
+                        subnormal_intersection)
 from .basesize import BaseSizeReport, exact_base_size, qhat
 from .totality import (ActionWitness, AssembledAction, FactorizationWitness,
                        TotalityBudget, TotalityVerdict, assemble_action,

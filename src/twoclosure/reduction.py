@@ -13,10 +13,8 @@ corresponding two-block stabilizer on the product of its two blocks.
 This module builds that block kernel N, classifies its shape, and
 exposes the cheaper certificates that can settle 2-closedness without
 a full partition search: the block-pair test for blocks of size 2, the
-gcd bound from two-block stabilizer orders, the covering test for
-blocks of prime size, invariant lines of the permutation module over a
-prime field, and strip decompositions of subdirect products of simple
-groups.
+gcd bound from two-block stabilizer orders, and the covering test for
+blocks of prime size.
 
 The pairwise constraint filters are independent of one another, so they
 could be evaluated in any order or concurrently; the fixed sequential
@@ -25,7 +23,6 @@ every result is independent of the schedule.
 """
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from math import gcd
 
 from .actions import BlockSystem, induce_on_blocks
@@ -542,24 +539,6 @@ def _classified(N, ctx, A, coords=None):
     return BlockKernel(KIND_UNCLASSIFIED, N, A, a)
 
 
-def element_moving_blocks(kernel, ctx, i, j):
-    """An element of the block kernel acting nontrivially inside both
-    block i and block j, or None when no such element exists.
-
-    The existence of such elements, for prime block size and distinct
-    blocks, is a consequence of the structure theory; this searches the
-    kernel directly rather than trusting it.
-    """
-    N = kernel.group if isinstance(kernel, BlockKernel) else kernel
-    for n in N.elements():
-        if n.is_identity:
-            continue
-        if (not ctx.coordinate(n, i, i).is_identity
-                and not ctx.coordinate(n, j, j).is_identity):
-            return n
-    return None
-
-
 def subnormal_intersection(G, order_bound=2000):
     """The intersection of all nontrivial subnormal subgroups of G.
 
@@ -708,23 +687,6 @@ def stabilizer_gcd_test(ctx, assume_block_image_closed=False,
     return DivisorReport(g, orders, certifies)
 
 
-def pair_stabilizer_divisor(L):
-    """The gcd of two-point stabilizer orders of a transitive group,
-    over one representative per suborbit."""
-    if not L.is_transitive():
-        raise NotTransitiveError("the divisor bound needs a transitive "
-                                 "group")
-    if L.degree < 2:
-        raise GroupError("the divisor bound needs at least two points")
-    stab = L.point_stabilizer(0)
-    g = 0
-    for orb in stab.orbits():
-        if 0 in orb:
-            continue
-        g = gcd(g, L.tuple_stabilizer_order((0, orb[0])))
-    return g
-
-
 @dataclass
 class CoveringReport:
     """Outcome of the covering test on blocks of prime size."""
@@ -772,191 +734,3 @@ def prime_covering_test(ctx, assume_block_image_closed=False,
     return CoveringReport(False, failing_block=failing,
                           certifies_two_closed=True,
                           checked=tuple(checked))
-
-
-def one_dim_submodules(L, p, point_budget=10 ** 4):
-    """All lines of the permutation module F_p^points sent to
-    themselves by every generator of L.
-
-    Found by solving the eigenvector equation for each tuple of nonzero
-    scalars, one scalar per generator, and intersecting the solution
-    spaces; lines are returned as vectors scaled to leading
-    coefficient 1, sorted.  Always contains the all-ones line.
-    """
-    if not is_prime(p):
-        raise GroupError("the field size must be prime")
-    if not L.is_transitive():
-        raise NotTransitiveError("the submodule search expects a "
-                                 "transitive group")
-    s = L.degree
-    if s > point_budget:
-        raise BudgetExceededError(
-            f"{s} points exceed the budget {point_budget}")
-    gens = [g.images for g in L.generators]
-    if not gens:
-        return [(1,)]
-    if (p - 1) ** len(gens) > 10 ** 6:
-        raise BudgetExceededError("too many scalar tuples to enumerate")
-    lines = set()
-    for lams in iter_product(range(1, p), repeat=len(gens)):
-        basis = _eigen_basis(gens, lams, p, s)
-        d = len(basis)
-        if d == 0:
-            continue
-        if p ** d > 10 ** 5:
-            raise BudgetExceededError("eigenspace too large to list "
-                                      "its lines")
-        for coeffs in iter_product(range(p), repeat=d):
-            vec = [0] * s
-            for coef, base_vec in zip(coeffs, basis):
-                if coef:
-                    for idx in range(s):
-                        vec[idx] = (vec[idx] + coef * base_vec[idx]) % p
-            lead = next((x for x in vec if x), None)
-            if lead != 1:
-                continue
-            lines.add(tuple(vec))
-    return sorted(lines)
-
-
-def _eigen_basis(gens, lams, p, s):
-    """A basis of the common eigenvector space for the given scalar
-    per generator, from propagation along the generator images."""
-    edges = [[] for _ in range(s)]
-    for g, lam in zip(gens, lams):
-        lam_inv = pow(lam, p - 2, p)
-        for i in range(s):
-            j = g[i]
-            edges[i].append((j, lam_inv))
-            edges[j].append((i, lam))
-    seen = [False] * s
-    basis = []
-    for root in range(s):
-        if seen[root]:
-            continue
-        values = {root: 1}
-        seen[root] = True
-        stack = [root]
-        alive = True
-        while stack:
-            x = stack.pop()
-            for y, mult in edges[x]:
-                w = values[x] * mult % p
-                known = values.get(y)
-                if known is None:
-                    values[y] = w
-                    seen[y] = True
-                    stack.append(y)
-                elif known != w:
-                    alive = False
-        if alive:
-            vec = [0] * s
-            for node, val in values.items():
-                vec[node] = val
-            basis.append(vec)
-    return basis
-
-
-@dataclass
-class Strip:
-    """One strip of a subdirect product: the factor indices it covers,
-    its order, and for every non-anchor factor the element map from the
-    anchor factor (image tuples in factor-local coordinates)."""
-
-    support: tuple
-    order: int
-    links: dict = field(default_factory=dict)
-
-    @property
-    def anchor(self):
-        return self.support[0]
-
-
-def strip_decomposition(H, factors, order_budget=10 ** 6):
-    """Decompose a subdirect product of simple groups into strips.
-
-    H and the factors act on the same points, each factor moving its
-    own share; H must project onto every factor in full.  Two factors
-    belong to one strip when the joint projection is a diagonal rather
-    than the full product, which for simple factors is the only other
-    possibility.  Returns the strips sorted by support, and checks that
-    their orders multiply back to the order of H.
-    """
-    r = len(factors)
-    if not 1 <= r <= 8:
-        raise GroupError("between 1 and 8 factors are supported")
-    supports = []
-    for f in factors:
-        if f.degree != H.degree:
-            raise GroupError("factors must share the degree of H")
-        moved = sorted({a for g in f.generators
-                        for a in range(f.degree) if g.images[a] != a})
-        if not moved:
-            raise GroupError("a factor moves no points")
-        supports.append(moved)
-    taken = set()
-    for supp in supports:
-        if taken & set(supp):
-            raise GroupError("factor supports overlap")
-        taken.update(supp)
-    orders = []
-    for idx, f in enumerate(factors):
-        if not f.is_simple():
-            raise GroupError(f"factor {idx} is not simple")
-        local = f.restriction(supports[idx])
-        proj = H.restriction(supports[idx])
-        if proj.order() != local.order() or not proj.is_subgroup_of(local):
-            raise GroupError(f"H does not project onto factor {idx}")
-        orders.append(local.order())
-    linked = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            o = H.restriction(supports[i] + supports[j]).order()
-            if o == orders[i] * orders[j]:
-                linked[(i, j)] = False
-            elif o == orders[i] and orders[i] == orders[j]:
-                linked[(i, j)] = True
-            else:
-                raise GroupError(
-                    f"projection to factors {i},{j} has unexpected "
-                    f"order {o}")
-    parent = list(range(r))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j), tied in linked.items():
-        if tied:
-            parent[find(j)] = find(i)
-    components = {}
-    for i in range(r):
-        components.setdefault(find(i), []).append(i)
-    for comp in components.values():
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if not linked[(comp[a], comp[b])]:
-                    raise GroupError("strip relation is not transitive")
-    strips = []
-    total = 1
-    for comp in sorted(components.values()):
-        anchor = comp[0]
-        links = {}
-        for j in comp[1:]:
-            joint = H.restriction(supports[anchor] + supports[j])
-            if joint.order() > order_budget:
-                raise BudgetExceededError("strip link enumeration over "
-                                          "budget")
-            na = len(supports[anchor])
-            table = {}
-            for e in joint.elements():
-                table[tuple(e.images[:na])] = tuple(
-                    x - na for x in e.images[na:])
-            links[j] = table
-        strips.append(Strip(tuple(comp), orders[anchor], links))
-        total *= orders[anchor]
-    if total != H.order():
-        raise GroupError("strips do not reassemble to H")
-    return strips

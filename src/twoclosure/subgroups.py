@@ -17,7 +17,7 @@ one generator of each cyclic subgroup of prime-power order, and ⟨M, x⟩
 is closed by a breadth-first search seeded with M.
 
 Results leave this module as frozensets of image tuples, on which the
-section test compares subgroups by inclusion.
+section test and the callers outside take joins and intersections.
 """
 
 from __future__ import annotations

@@ -272,6 +272,11 @@ def test_two_point_stabilizer_gcd_regular():
     assert two_point_stabilizer_gcd(cyclic(5)) == 1
 
 
+def test_two_point_stabilizer_gcd_natural_actions():
+    assert two_point_stabilizer_gcd(symmetric(4)) == 2
+    assert two_point_stabilizer_gcd(alternating(5)) == 3
+
+
 def test_two_point_stabilizer_gcd_degree_one():
     assert two_point_stabilizer_gcd(trivial(1)) == 0
 

@@ -10,7 +10,7 @@ import oracles
 from twoclosure import PermGroup, Permutation
 from twoclosure.actions import (BlockSystem, block_systems_above,
                                 coset_action, minimal_block_systems)
-from twoclosure.closure import brute_force_two_closure, two_closure
+from twoclosure.closure import two_closure
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       elementary_abelian, frobenius20,
                                       gamma_l1_16, quaternion,
@@ -19,14 +19,10 @@ from twoclosure.constructions import (alternating, cyclic, dihedral,
 from twoclosure.errors import (BudgetExceededError, GroupError,
                                NotCoreFreeError, NotTransitiveError)
 from twoclosure.reduction import (block_pair_test, classify_block_kernel,
-                                  closure_block_kernel,
-                                  element_moving_blocks,
-                                  imprimitive_context, one_dim_submodules,
-                                  pair_stabilizer_divisor,
+                                  closure_block_kernel, imprimitive_context,
                                   prime_covering_test,
                                   product_one_closure_filter,
-                                  stabilizer_gcd_test, strip_decomposition,
-                                  subnormal_intersection)
+                                  stabilizer_gcd_test, subnormal_intersection)
 
 
 @lru_cache(maxsize=None)
@@ -115,18 +111,6 @@ def s4_regular_context():
         except NotCoreFreeError:
             continue
     raise AssertionError("no core-free system found")
-
-
-def shifted_copy(G, offset, total):
-    """G acting on its own points moved up by offset inside a larger
-    degree."""
-    gens = []
-    for g in G.generators:
-        img = list(range(total))
-        for a in range(G.degree):
-            img[offset + a] = offset + g.images[a]
-        gens.append(Permutation(img))
-    return PermGroup(total, gens)
 
 
 def element_set(G):
@@ -579,17 +563,6 @@ def test_stabilizer_gcd_refuses_open_block_image():
     assert report.certifies_two_closed
 
 
-def test_pair_stabilizer_divisor_values():
-    assert pair_stabilizer_divisor(cyclic(5)) == 1
-    assert pair_stabilizer_divisor(dihedral(5)) == 1
-    assert pair_stabilizer_divisor(symmetric(4)) == 2
-    assert pair_stabilizer_divisor(alternating(5)) == 3
-    with pytest.raises(NotTransitiveError):
-        pair_stabilizer_divisor(PermGroup(3, []))
-    with pytest.raises(GroupError):
-        pair_stabilizer_divisor(PermGroup(1, []))
-
-
 def test_reports_serialize_to_json():
     ctx = s4_on_8_context()
     reports = [
@@ -600,150 +573,3 @@ def test_reports_serialize_to_json():
     ]
     for report in reports:
         assert json.loads(json.dumps(report, sort_keys=True)) == report
-
-
-# ------------------------------------------------------- invariant lines
-
-def test_one_dim_submodules_known_values():
-    assert one_dim_submodules(cyclic(2), 3) == [(1, 1), (1, 2)]
-    assert one_dim_submodules(cyclic(2), 2) == [(1, 1)]
-    assert one_dim_submodules(symmetric(4), 3) == [(1, 1, 1, 1)]
-    assert one_dim_submodules(cyclic(3), 7) == [
-        (1, 1, 1), (1, 2, 4), (1, 4, 2)]
-
-
-@pytest.mark.parametrize("group,p", [
-    (cyclic(2), 3), (cyclic(3), 3), (cyclic(3), 7), (cyclic(4), 2),
-    (cyclic(4), 5), (symmetric(4), 3), (dihedral(4), 3), (cyclic(6), 7),
-    (alternating(4), 5),
-])
-def test_one_dim_submodules_match_oracle(group, p):
-    mine = one_dim_submodules(group, p)
-    want = oracles.oracle_invariant_lines(
-        [g.images for g in group.generators], group.degree, p)
-    assert mine == [tuple(v) for v in want]
-
-
-def test_one_dim_lines_reverified_by_action():
-    for group, p in ((cyclic(3), 7), (cyclic(2), 3), (dihedral(5), 11)):
-        lines = one_dim_submodules(group, p)
-        assert tuple([1] * group.degree) in lines
-        for vec in lines:
-            for g in group.generators:
-                moved = [0] * group.degree
-                for i in range(group.degree):
-                    moved[g.images[i]] = vec[i]
-                ratios = {moved[a] * pow(vec[a], p - 2, p) % p
-                          for a in range(group.degree) if vec[a]}
-                assert len(ratios) == 1 and 0 not in ratios
-                assert all(moved[a] == 0 for a in range(group.degree)
-                           if vec[a] == 0)
-
-
-def test_one_dim_point_stabilizer_in_no_proper_normal_forces_one_line():
-    # the point stabilizers of S4 and A5 in their natural actions sit
-    # in no proper normal subgroup, so only the constant line survives
-    for group, p in ((symmetric(4), 5), (alternating(5), 3)):
-        assert one_dim_submodules(group, p) == [tuple([1] * group.degree)]
-
-
-def test_one_dim_guards():
-    with pytest.raises(GroupError):
-        one_dim_submodules(cyclic(4), 4)
-    with pytest.raises(BudgetExceededError):
-        one_dim_submodules(cyclic(3), 3, point_budget=2)
-    with pytest.raises(NotTransitiveError):
-        one_dim_submodules(PermGroup(3, []), 3)
-
-
-# ---------------------------------------------------------------- strips
-
-def test_strips_full_product_splits_into_singletons():
-    A = shifted_copy(alternating(5), 0, 10)
-    B = shifted_copy(alternating(5), 5, 10)
-    H = PermGroup(10, list(A.generators) + list(B.generators))
-    strips = strip_decomposition(H, [A, B])
-    assert [(s.support, s.order) for s in strips] == [((0,), 60),
-                                                      ((1,), 60)]
-    assert all(s.links == {} for s in strips)
-
-
-def test_strips_diagonal_is_one_strip_with_identity_link():
-    A = shifted_copy(alternating(5), 0, 10)
-    B = shifted_copy(alternating(5), 5, 10)
-    H = PermGroup(10, [Permutation(tuple(g.images)
-                                   + tuple(5 + t for t in g.images))
-                       for g in alternating(5).generators])
-    strips = strip_decomposition(H, [A, B])
-    assert len(strips) == 1
-    strip = strips[0]
-    assert strip.support == (0, 1) and strip.anchor == 0
-    assert strip.order == 60
-    link = strip.links[1]
-    assert len(link) == 60
-    for h in H.generators:
-        key = tuple(h.images[:5])
-        assert link[key] == tuple(t - 5 for t in h.images[5:])
-
-
-def test_strips_twisted_diagonal_records_the_twist():
-    A = shifted_copy(alternating(5), 0, 10)
-    B = shifted_copy(alternating(5), 5, 10)
-    t = Permutation.from_cycles(5, [(0, 1)])
-    H = PermGroup(10, [
-        Permutation(tuple(g.images)
-                    + tuple(5 + (t.inverse() * g * t).images[a]
-                            for a in range(5)))
-        for g in alternating(5).generators])
-    strips = strip_decomposition(H, [A, B])
-    assert len(strips) == 1
-    three = Permutation.from_cycles(5, [(0, 1, 2)])
-    assert strips[0].links[1][tuple(three.images)] == (2, 0, 1, 3, 4)
-
-
-def test_strips_mixed_components():
-    copies = [shifted_copy(alternating(5), k, 15) for k in (0, 5, 10)]
-    gens = [Permutation(tuple(g.images)
-                        + tuple(5 + t for t in g.images)
-                        + tuple(range(10, 15)))
-            for g in alternating(5).generators]
-    gens += list(copies[2].generators)
-    H = PermGroup(15, gens)
-    strips = strip_decomposition(H, copies)
-    assert [(s.support, s.order) for s in strips] == [((0, 1), 60),
-                                                      ((2,), 60)]
-
-
-def test_strips_errors():
-    A = shifted_copy(alternating(5), 0, 10)
-    B = shifted_copy(alternating(5), 5, 10)
-    with pytest.raises(GroupError):
-        strip_decomposition(A, [A, B])  # no projection onto the second
-    C4 = shifted_copy(cyclic(4), 0, 8)
-    D = shifted_copy(cyclic(4), 4, 8)
-    H = PermGroup(8, list(C4.generators) + list(D.generators))
-    with pytest.raises(GroupError):
-        strip_decomposition(H, [C4, D])  # factors are not simple
-    with pytest.raises(GroupError):
-        strip_decomposition(A, [A, A])  # overlapping supports
-    with pytest.raises(GroupError):
-        strip_decomposition(A, [A, PermGroup(10, [])])  # unmoved factor
-    many = [shifted_copy(alternating(5), 5 * k, 45) for k in range(9)]
-    with pytest.raises(GroupError):
-        strip_decomposition(PermGroup(45, []), many)  # too many factors
-
-
-# -------------------------------------------------------- moving element
-
-def test_element_moving_blocks_finds_doubly_active_element():
-    ctx = a5_on_12_context()
-    kernel = closure_block_kernel(ctx)
-    found = element_moving_blocks(kernel, ctx, 0, 1)
-    assert found == ctx.full_swap()
-    assert element_moving_blocks(kernel.group, ctx, 0, 1) == found
-
-
-def test_element_moving_blocks_none_on_trivial_kernel():
-    ctx = f20_on_10_context()
-    kernel = closure_block_kernel(ctx)
-    assert element_moving_blocks(kernel, ctx, 0, 1) is None
