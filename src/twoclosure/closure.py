@@ -1,9 +1,11 @@
 """Exact 2-closures by partition backtrack on the orbital coloring.
 
 The closure of G is the group of all permutations preserving every cell
-of G's orbital partition.  The search is the collect mode of the walk in
-``backtrack``, with candidate base images taken from color signatures
-instead of an ambient chain; the known subgroup (seeded with G itself)
+of G's orbital partition.  Apart from three identities that need no
+search (trivial, regular and 2-transitive inputs), every input, whether
+transitive or not, goes through one search: the collect mode of the walk
+in ``backtrack``, with candidate base images taken from color signatures
+instead of an ambient chain.  The known subgroup starts as G itself and
 prunes along the principal branch, and every accepted leaf is verified
 against the full coloring, so a completed walk is a proof.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 from .backtrack import _walk
 from .constructions import symmetric
 from .errors import DegreeMismatchError
-from .group import PermGroup
 from .orbital import OrbitalPartition
 from .perm import Permutation
 
@@ -23,14 +24,11 @@ class ClosureResult:
 
     method is either "backtrack" (partition search ran) or
     "certified-equal" (the answer follows from a closure identity with no
-    search: regular actions are their own closure, 2-transitive groups
-    close to the full symmetric group, and an intransitive group whose
-    per-orbit closure product passes the membership test generator-wise
-    closes to that product).  certified is False only when a node budget
-    stopped the search or a per-orbit closure, in which case closure is a
-    lower bound containing the input.  nodes counts every search node the
-    call spent, the per-orbit closures of an intransitive input included;
-    node_budget bounds each of those searches separately.
+    search: the trivial group and regular actions are their own closure,
+    and 2-transitive groups close to the full symmetric group).
+    certified is False only when the node budget stopped the search, in
+    which case closure is a lower bound containing the input.  nodes
+    counts the nodes of that one search, and node_budget bounds it.
     """
 
     def __init__(self, input_group, closure, method, certified=True,
@@ -72,58 +70,22 @@ def closure_membership(G, x, partition=None):
     return True
 
 
-def _embed_on_orbit(h, orbit, degree):
-    img = list(range(degree))
-    for i, p in enumerate(orbit):
-        img[p] = orbit[h.images[i]]
-    return Permutation(img)
-
-
-def _closure_product(G, parts, node_budget=None):
-    """The product of the closures of G restricted to each part, as a
-    group on G's domain, and the search nodes spent; the group is None
-    when a part's closure is not certified."""
-    gens = []
-    nodes = 0
-    for part in parts:
-        res = two_closure(G.restriction(part), node_budget=node_budget)
-        nodes += res.nodes
-        if not res.certified:
-            return None, nodes
-        gens.extend(_embed_on_orbit(h, part, G.degree)
-                    for h in res.closure.generators)
-    return PermGroup(G.degree, gens, seed=G.seed), nodes
-
-
-def two_closure(G, node_budget=None, partition=None):
+def two_closure(G, node_budget=None):
     """The exact 2-closure of G, with method and certification data."""
     n = G.degree
     if G.order() == 1:
         return ClosureResult(G, G, "certified-equal")
-    part = partition if partition is not None else OrbitalPartition(G)
-    transitive = G.is_transitive()
-    if transitive:
+    part = OrbitalPartition(G)
+    if G.is_transitive():
         if part.rank == 2:
             return ClosureResult(G, symmetric(n, seed=G.seed),
                                  "certified-equal")
         if G.order() == n:
             return ClosureResult(G, G, "certified-equal")
-    seeds = list(G.generators)
-    spent = 0
-    if not transitive:
-        product, spent = _closure_product(G, G.orbits(), node_budget)
-        if product is None:
-            return ClosureResult(G, G, "backtrack", certified=False,
-                                 nodes=spent)
-        passing = [g for g in product.generators
-                   if closure_membership(G, g, part)]
-        if len(passing) == len(product.generators):
-            return ClosureResult(G, product, "certified-equal", nodes=spent)
-        seeds.extend(passing)
-    return _closure_search(G, part, seeds, node_budget, spent)
+    return _closure_search(G, part, node_budget)
 
 
-def _closure_search(G, part, seeds, node_budget, spent):
+def _closure_search(G, part, node_budget):
     n = G.degree
     diag = [part.diagonal_color(a) for a in range(n)]
 
@@ -194,9 +156,9 @@ def _closure_search(G, part, seeds, node_budget, spent):
         return True
 
     found = _walk(base, candidates, descend, leaf, preserves_coloring, [],
-                  node_budget, PermGroup(n, seeds, seed=G.seed))
+                  node_budget, G)
     return ClosureResult(G, found.group, "backtrack", found.complete,
-                         found.nodes + spent)
+                         found.nodes)
 
 
 def _canonical_ids(values):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import BudgetExceededError, GroupError
+from .errors import BudgetExceededError
 from .group import PermGroup
 from .perm import Permutation
 

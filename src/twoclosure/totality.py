@@ -44,7 +44,8 @@ from .closure import two_closure
 from .errors import BudgetExceededError, GroupError, SectionObstructionError
 from .group import PermGroup
 from .perm import Permutation
-from .subgroups import all_subgroup_sets, has_section, subgroup_classes
+from .subgroups import (ORDER_BOUND, all_subgroup_sets, has_section,
+                        subgroup_classes)
 
 YES = "Yes"
 NO = "No"
@@ -53,7 +54,6 @@ INCONCLUSIVE = "Inconclusive"
 DEFAULT_MAX_ACTIONS = 512
 DEFAULT_MAX_DEGREE = 4096
 DEFAULT_NODE_BUDGET = 300_000
-DEFAULT_ORDER_BOUND = 2000
 
 # Published section data for sporadic factors far beyond any enumeration
 # budget.  Among the simple groups known to be totally 2-closed, the only
@@ -75,7 +75,7 @@ class TotalityBudget:
     max_actions: int = DEFAULT_MAX_ACTIONS
     max_degree: int = DEFAULT_MAX_DEGREE
     node_budget: int = DEFAULT_NODE_BUDGET
-    subgroup_order_bound: int = DEFAULT_ORDER_BOUND
+    subgroup_order_bound: int = ORDER_BOUND
 
     def __post_init__(self):
         for name in ("max_actions", "max_degree", "node_budget",
@@ -448,7 +448,8 @@ def representation_sweep(G, budget=None, table=None, prune=True,
 
     Yes when each streamed action is certified 2-closed; No at the first
     one whose closure strictly exceeds the image; Inconclusive when a
-    budget stops the sweep or a search cannot certify.  With prune on,
+    budget stops the sweep or a search cannot certify, and when the group
+    is too large for a complete subgroup class table.  With prune on,
     the base-size shortcut marks single-orbit actions below a core-free
     2-closed base-2 stabilizer as settled without re-testing them.
     completed lists class subsets already verified 2-closed by an earlier
@@ -459,7 +460,7 @@ def representation_sweep(G, budget=None, table=None, prune=True,
     if table is None:
         table = subgroup_classes(G, budget.subgroup_order_bound)
     if not table.complete:
-        raise GroupError("the sweep needs a complete subgroup class table")
+        return _unenumerated(G, "multi-orbit sweep", budget, _new_spent())
     return _sweep(G, table, _faithful_subsets(G, table), budget,
                   "multi-orbit sweep", prune,
                   frozenset(tuple(subset) for subset in completed))
@@ -557,6 +558,14 @@ def _inconclusive(stage, stopped_by, tested, unresolved, pending, spent,
               f"{stage} stopped by the {stopped_by} budget")
     return TotalityVerdict(INCONCLUSIVE, reason=reason, frontier=frontier,
                            budget_spent=spent, tested=tuple(tested))
+
+
+def _unenumerated(G, stage, budget, spent):
+    """Inconclusive because G is too large for a complete class table."""
+    return _inconclusive(
+        stage, "subgroup enumeration", [], [], [], spent,
+        note=f"group order {G.order()} exceeds the enumeration bound "
+             f"{budget.subgroup_order_bound}")
 
 
 def _certified_witness(kind, description, classes, group, budget, spent):
@@ -673,10 +682,7 @@ def transitive_reduction_check(G, budget=None, assume_no_sections=False,
     if table is None:
         table = subgroup_classes(G, budget.subgroup_order_bound)
     if not table.complete:
-        return _inconclusive(
-            "transitive sweep", "subgroup enumeration", [], [], [], spent,
-            note=f"group order {G.order()} exceeds the enumeration bound "
-                 f"{budget.subgroup_order_bound}")
+        return _unenumerated(G, "transitive sweep", budget, spent)
     order = G.order()
     return _sweep(G, table, sorted((order // table.orders[i], (i,))
                                    for i in table.proper_classes()),
@@ -713,11 +719,7 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
                 "input-action",
                 "the defining action of the group is not 2-closed",
                 (), G.degree, G, res.closure.order(), res.certified), spent)
-        return _inconclusive(
-            "subgroup enumeration", "subgroup enumeration", [], [], [],
-            spent,
-            note=f"group order {G.order()} exceeds the enumeration bound "
-                 f"{budget.subgroup_order_bound}")
+        return _unenumerated(G, "subgroup enumeration", budget, spent)
 
     fact = factorization_disproof(G, budget, table=table)
     if fact is not None:

@@ -11,9 +11,8 @@ from twoclosure.actions import (BlockSystem, block_systems_above,
                                 minimal_block_systems,
                                 permutationally_equivalent)
 from twoclosure.closure import two_closure
-from twoclosure.constructions import (cyclic, dihedral, direct_product,
-                                      elementary_abelian, frobenius20,
-                                      gamma_l1_16, symmetric,
+from twoclosure.constructions import (cyclic, dihedral, elementary_abelian,
+                                      frobenius20, gamma_l1_16, symmetric,
                                       wreath_imprimitive)
 from twoclosure.errors import (BudgetExceededError, GroupError,
                                NotTransitiveError)

@@ -1,7 +1,5 @@
 """Backtrack searches checked against brute-force enumeration."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

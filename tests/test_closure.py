@@ -150,11 +150,12 @@ def test_closure_result_repr_and_fields():
 
 
 @pytest.mark.parametrize("node_budget, certified", [(1, False), (2, False),
-                                                    (3, True)])
+                                                    (4, False), (5, True)])
 def test_intransitive_closure_out_of_budget_is_uncertified(node_budget,
                                                            certified):
-    # The per-orbit closures run out of nodes at budgets 1 and 2; the
-    # result is then the input itself, uncertified, rather than an error.
+    # The one closure search takes 5 nodes, so budgets up to 4 stop it;
+    # the result is then the input itself, uncertified, rather than an
+    # error.
     res = two_closure(direct_product(dihedral(5), dihedral(6)),
                       node_budget=node_budget)
     assert res.certified == certified
@@ -193,6 +194,7 @@ COUNTED_GROUPS = {
     "S4 on 12 points": lambda: _on_cosets(symmetric(4), (0, 1)),
     "S4 on 6 points": lambda: _on_cosets(symmetric(4), (0, 1), (2, 3)),
     "F20 on 10 points": _f20_on_10_points,
+    "A5 x A6": lambda: direct_product(alternating(5), alternating(6)),
 }
 
 
@@ -210,8 +212,8 @@ COUNTED_GROUPS = {
     ("diagonal A5", 4, (5, 60, False)),
     ("even permutations of S6", None, (264, 360, True)),
     ("even permutations of S6", 100, (101, 360, False)),
-    # intransitive: the nodes of the per-orbit closures are counted
-    ("D5 x D6", None, (6, 120, True)),
+    # intransitive inputs run the same search as transitive ones
+    ("D5 x D6", None, (5, 120, True)),
     ("D5 x D6", 1, (2, 120, False)),
     ("D5 x D6", 2, (3, 120, False)),
     # imprimitive coset actions; three of them are not 2-closed
@@ -220,6 +222,8 @@ COUNTED_GROUPS = {
     ("S4 on 12 points", None, (3, 24, True)),
     ("S4 on 6 points", None, (5, 48, True)),
     ("F20 on 10 points", None, (3, 20, True)),
+    ("A5 x A6", None, (14, 86400, True)),
+    ("A5 x A6", 13, (14, 86400, False)),
 ])
 def test_search_node_counts(case, node_budget, want):
     if case == "even permutations of S6":

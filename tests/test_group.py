@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoclosure.errors import BudgetExceededError
 from twoclosure.perm import Permutation
-from twoclosure.group import PermGroup, orbits_of, is_prime
+from twoclosure.group import PermGroup, is_prime
 
 import oracles
 

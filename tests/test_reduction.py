@@ -8,8 +8,8 @@ import pytest
 
 import oracles
 from twoclosure import PermGroup, Permutation
-from twoclosure.actions import (BlockSystem, block_systems_above,
-                                coset_action, minimal_block_systems)
+from twoclosure.actions import (block_systems_above, coset_action,
+                                minimal_block_systems)
 from twoclosure.closure import two_closure
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       elementary_abelian, frobenius20,

@@ -3,7 +3,6 @@
 import pytest
 
 import oracles
-from twoclosure import PermGroup, Permutation
 from twoclosure.backtrack import conjugating_element_for_subgroup
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,

@@ -9,8 +9,7 @@ from twoclosure.closure import two_closure
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
                                       psl2, quaternion, symmetric)
-from twoclosure.errors import (BudgetExceededError, GroupError,
-                               SectionObstructionError)
+from twoclosure.errors import GroupError, SectionObstructionError
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  YES, ActionWitness, TotalityBudget,
@@ -193,6 +192,14 @@ def test_stream_needs_complete_table():
     with pytest.raises(GroupError):
         next(nonequivalent_faithful_representations(alternating(5),
                                                     partial))
+
+
+def test_sweep_over_order_bound_is_inconclusive():
+    v = representation_sweep(alternating(5),
+                             TotalityBudget(subgroup_order_bound=4))
+    assert v.status == INCONCLUSIVE
+    assert v.frontier["stopped_by"] == "subgroup enumeration"
+    assert v.tested == ()
 
 
 def test_assemble_action_errors():
