@@ -8,15 +8,21 @@ leaf step.  It runs in two modes:
 - collect: every passing leaf outside the known subgroup K joins K.
   While each image so far equals its base point (the principal branch),
   a candidate image is kept only when it is the least point of its orbit
-  under the stabilizer in K of the earlier base points.  Pruned branches
-  are recovered as products with K elements, so a completed walk returns
-  the whole solution subgroup, provided the test is closed under
-  products and inverses.
+  under the stabilizer in K of the earlier base points.  A subtree that
+  leaves the principal branch at level l holds one coset of the
+  solutions' stabilizer of the first l + 1 base points, so the walk
+  returns to level l as soon as one of its leaves passes or already lies
+  in K; the principal subtree below, walked in full, puts that
+  stabilizer into K.  Pruned branches and skipped leaves are recovered
+  as products with K elements, so a completed walk returns the whole
+  solution subgroup, provided the test is closed under products and
+  inverses.
 - first hit: the walk returns the first passing leaf, or None.
 
 ``subgroup_search`` (collect) and ``find_element`` (first hit) walk an
-ambient stabilizer chain; the 2-closure search in ``closure`` walks the
-orbital colouring in collect mode with K seeded by the input group.
+ambient stabilizer chain; the 2-closure search in ``closure`` walks
+equitable partitions of the orbital colouring in collect mode, with K
+seeded by the input group.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .group import PermGroup, orbits_of
 from .perm import Permutation
 
 PRUNE = object()
+_FOUND = object()
 
 
 def orbit_minima(gens, n):
@@ -51,12 +58,13 @@ def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
 
     candidates(level, state) yields (image, token) pairs in search order,
     descend(level, state, token) gives the child state of a kept
-    candidate, and leaf(state) gives the leaf permutation, or None when
-    the leaf has none; test(g) decides it.  With K a group, the walk
-    collects and returns a SearchResult whose group is the grown K and
-    whose complete flag is False when the node budget ran out.  With K
-    None, it returns the first passing leaf or None, and raises
-    BudgetExceededError when the node budget runs out first.
+    candidate, or PRUNE to cut it, and leaf(state) gives the leaf
+    permutation, or None when the leaf has none; test(g) decides it.
+    With K a group, the walk collects and returns a SearchResult whose
+    group is the grown K and whose complete flag is False when the node
+    budget ran out.  With K None, it returns the first passing leaf or
+    None, and raises BudgetExceededError when the node budget runs out
+    first.
     """
     depth = len(base)
     nodes = 0
@@ -77,31 +85,43 @@ def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
                 f"search node budget {node_budget} exhausted")
         if level == depth:
             g = leaf(state)
-            if g is None or (K is not None and K.contains(g)) \
-                    or not test(g):
+            if g is None:
+                return None
+            if K is not None and K.contains(g):
+                return _FOUND
+            if not test(g):
                 return None
             if K is None:
                 return g
             K = PermGroup(K.degree, K.generators + [g], seed=K.seed)
             minima.clear()
-            return None
+            return _FOUND
         b = base[level]
         for d, token in candidates(level, state):
             if principal and d != b and least(level)[d] != d:
                 continue
-            got = dfs(level + 1, descend(level, state, token),
-                      principal and d == b)
-            if got is not None:
+            child = descend(level, state, token)
+            if child is PRUNE:
+                continue
+            got = dfs(level + 1, child, principal and d == b)
+            if got is not None and not principal:
+                # a first hit, or one coset found off the principal branch
                 return got
         return None
 
-    if K is None:
-        return dfs(0, root, False)
     try:
-        dfs(0, root, True)
-    except BudgetExceededError:
-        return SearchResult(K, nodes, False)
-    return SearchResult(K, nodes, True)
+        if K is None:
+            return dfs(0, root, False)
+        try:
+            dfs(0, root, True)
+        except BudgetExceededError:
+            return SearchResult(K, nodes, False)
+        return SearchResult(K, nodes, True)
+    finally:
+        # dfs refers to itself and, through the caller's functions, to the
+        # whole search state; unbinding it frees that state at once
+        # instead of at the next full garbage collection.
+        del dfs
 
 
 def _chain_walk(ambient, leaf_test, base_hint, hooks, node_budget, K):

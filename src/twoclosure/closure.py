@@ -4,15 +4,25 @@ The closure of G is the group of all permutations preserving every cell
 of G's orbital partition.  Apart from three identities that need no
 search (trivial, regular and 2-transitive inputs), every input, whether
 transitive or not, goes through one search: the collect mode of the walk
-in ``backtrack``, with candidate base images taken from color signatures
-instead of an ambient chain.  The known subgroup starts as G itself and
-prunes along the principal branch, and every accepted leaf is verified
-against the full coloring, so a completed walk is a proof.
+in ``backtrack``, whose known subgroup starts as G itself.
+
+The search is individualization-refinement (McKay & Piperno, Practical
+graph isomorphism II, 2014; Leon, Permutation group algorithms based on
+partitions I, 1991).  A node holds an ordered partition of the points,
+refined to equitable: any two points of a cell see every cell with the
+same multiset of colors.  The root is the G-orbits, which is equitable
+already.  A child individualizes one point of the cell being branched on
+and refines again.  Refinement is equivariant under relabelling, so a
+closure element maps the principal branch's partitions onto those of its
+image branch; a node whose cell sizes differ from the principal branch's
+at its depth is pruned.  A leaf pairs two discrete partitions into a
+permutation, and every accepted leaf is checked against the full
+coloring, so a completed walk is a proof.
 """
 
 from __future__ import annotations
 
-from .backtrack import _walk
+from .backtrack import PRUNE, _walk
 from .constructions import symmetric
 from .errors import DegreeMismatchError
 from .orbital import OrbitalPartition
@@ -85,64 +95,123 @@ def two_closure(G, node_budget=None):
     return _closure_search(G, part, node_budget)
 
 
+def root_partition(part):
+    """The G-orbits as an ordered partition, ordered by diagonal color.
+
+    Each orbit is one diagonal orbital, so the cells are the classes of
+    the diagonal colors, and the partition is already equitable.
+    """
+    by_color = {}
+    for a in range(part.degree):
+        by_color.setdefault(part.diagonal_color(a), []).append(a)
+    return [by_color[c] for c in sorted(by_color)]
+
+
+def _refine(part, cells, queue):
+    """Refine the ordered partition cells in place until it is equitable.
+
+    queue lists the positions of the splitter cells.  A splitter W splits
+    every non-singleton cell by the multiset of colors of (w, x) over w in
+    W.  The first fragment keeps the cell's position and the others are
+    appended in signature order, so the result is equivariant: it depends
+    on colors and cell positions, never on point labels.  A cell that was
+    not waiting as a splitter queues all its fragments but the first
+    largest one.  Returns cells.
+    """
+    pending = set(queue)
+    queue = list(queue)
+    open_cells = [pos for pos, cell in enumerate(cells) if len(cell) > 1]
+    for w in queue:
+        if not open_cells:
+            break
+        pending.discard(w)
+        splitter = cells[w]
+        if len(splitter) == 1:
+            signature = part.row(splitter[0])
+        else:
+            # one row at a time: a large splitter's rows are never all held
+            counts = {x: {} for pos in open_cells for x in cells[pos]}
+            for v in splitter:
+                row = part.row(v)
+                for x, seen in counts.items():
+                    color = row[x]
+                    seen[color] = seen.get(color, 0) + 1
+            signature = {x: tuple(sorted(seen.items()))
+                         for x, seen in counts.items()}
+        still_open = []
+        for pos in open_cells:
+            cell = cells[pos]
+            groups = {}
+            for x in cell:
+                groups.setdefault(signature[x], []).append(x)
+            if len(groups) == 1:
+                still_open.append(pos)
+                continue
+            frags = [groups[key] for key in sorted(groups)]
+            spots = [pos] + list(range(len(cells),
+                                       len(cells) + len(frags) - 1))
+            cells[pos] = frags[0]
+            cells.extend(frags[1:])
+            still_open += [spot for spot, frag in zip(spots, frags)
+                           if len(frag) > 1]
+            if pos not in pending:
+                sizes = [len(frag) for frag in frags]
+                del spots[sizes.index(max(sizes))]
+            for spot in spots:
+                if spot not in pending:
+                    pending.add(spot)
+                    queue.append(spot)
+        open_cells = still_open
+    return cells
+
+
+def individualize(part, cells, pos, point):
+    """A refined copy of cells with point split off the cell at pos.
+
+    The point keeps the position and the rest of its cell is appended.
+    """
+    cells = list(cells)
+    cells.append([x for x in cells[pos] if x != point])
+    cells[pos] = [point]
+    return _refine(part, cells, [pos])
+
+
 def _closure_search(G, part, node_budget):
     n = G.degree
-    diag = [part.diagonal_color(a) for a in range(n)]
-
-    class_of = _canonical_ids(diag)
+    # The principal branch individualizes the least point of the first
+    # largest cell until the partition is discrete; its cell sizes prune
+    # every other branch, and its discrete partition pairs with theirs.
+    path = [root_partition(part)]
     base = []
-    base_rows = []
+    where = []
     while True:
-        counts = {}
-        for a in range(n):
-            counts[class_of[a]] = counts.get(class_of[a], 0) + 1
-        big = None
-        for cid, size in counts.items():
-            if size > 1 and (big is None or size > counts[big]
-                             or (size == counts[big] and cid < big)):
-                big = cid
-        if big is None:
+        cells = path[-1]
+        sizes = [len(cell) for cell in cells]
+        if max(sizes) == 1:
             break
-        b = min(a for a in range(n) if class_of[a] == big)
-        base.append(b)
-        row_b = part.row(b)
-        base_rows.append(row_b)
-        class_of = _canonical_ids(list(zip(class_of, row_b)))
+        pos = sizes.index(max(sizes))
+        base.append(min(cells[pos]))
+        where.append(pos)
+        path.append(individualize(part, cells, pos, base[-1]))
+    shapes = [[len(cell) for cell in cells] for cells in path]
+    lead = [cell[0] for cell in path[-1]]
 
-    key_of = [tuple([diag[a]] + [row[a] for row in base_rows])
-              for a in range(n)]
-    diag_class = {}
-    for a in range(n):
-        diag_class.setdefault(diag[a], []).append(a)
+    def candidates(level, cells):
+        cell = sorted(cells[where[level]])
+        return zip(cell, cell)
 
-    def candidates(level, chosen):
-        b = base[level]
-        cands = diag_class[diag[b]]
-        for j in range(level):
-            target = base_rows[j][b]
-            row_d = part.row(chosen[j])
-            cands = [c for c in cands if row_d[c] == target]
-            if not cands:
-                break
-        return zip(cands, cands)
+    def descend(level, cells, d):
+        if cells is path[level] and d == base[level]:
+            return path[level + 1]
+        child = individualize(part, cells, where[level], d)
+        if [len(cell) for cell in child] != shapes[level + 1]:
+            return PRUNE
+        return child
 
-    def descend(level, chosen, d):
-        return chosen + [d]
-
-    def leaf(chosen):
-        chosen_rows = [part.row(d) for d in chosen]
-        lookup = {}
-        for c in range(n):
-            key = tuple([diag[c]] + [row[c] for row in chosen_rows])
-            if key in lookup:
-                return None
-            lookup[key] = c
+    def leaf(cells):
         img = [0] * n
-        for a in range(n):
-            c = lookup.get(key_of[a])
-            if c is None:
-                return None
-            img[a] = c
+        for a, cell in zip(lead, cells):
+            img[a] = cell[0]
         return Permutation(img)
 
     def preserves_coloring(g):
@@ -155,19 +224,7 @@ def _closure_search(G, part, node_budget):
                     return False
         return True
 
-    found = _walk(base, candidates, descend, leaf, preserves_coloring, [],
-                  node_budget, G)
+    found = _walk(base, candidates, descend, leaf, preserves_coloring,
+                  path[0], node_budget, G)
     return ClosureResult(G, found.group, "backtrack", found.complete,
                          found.nodes)
-
-
-def _canonical_ids(values):
-    ids = {}
-    out = []
-    for v in values:
-        got = ids.get(v)
-        if got is None:
-            got = len(ids)
-            ids[v] = got
-        out.append(got)
-    return out

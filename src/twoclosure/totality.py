@@ -352,13 +352,15 @@ def two_transitive_disproof(G, budget=None, table=None, _spent=None):
 
     Any such action closes to Sym(n), so finding one with |G| < n! rules
     out total 2-closure.  Scans core-free proper classes in ascending
-    coset degree and returns an ActionWitness, or None.
+    coset degree and returns an ActionWitness, or None.  Raises
+    BudgetExceededError when the class table is incomplete, that is when
+    G is larger than the budget's subgroup_order_bound.
     """
     budget = budget if budget is not None else TotalityBudget()
     if table is None:
         table = subgroup_classes(G, budget.subgroup_order_bound)
     if not table.complete:
-        raise GroupError(
+        raise BudgetExceededError(
             "the 2-transitive scan needs a complete subgroup class table")
     spent = _spent if _spent is not None else _new_spent()
     order = G.order()

@@ -9,7 +9,8 @@ from twoclosure.closure import two_closure
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
                                       psl2, quaternion, symmetric)
-from twoclosure.errors import GroupError, SectionObstructionError
+from twoclosure.errors import (BudgetExceededError, GroupError,
+                               SectionObstructionError)
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  YES, ActionWitness, TotalityBudget,
@@ -200,6 +201,18 @@ def test_sweep_over_order_bound_is_inconclusive():
     assert v.status == INCONCLUSIVE
     assert v.frontier["stopped_by"] == "subgroup enumeration"
     assert v.tested == ()
+
+
+@pytest.mark.parametrize("G, status", [(alternating(5), NO),
+                                       (symmetric(4), INCONCLUSIVE)],
+                         ids=["A5", "S4"])
+def test_two_transitive_scan_over_order_bound_runs_out_of_budget(G, status):
+    # Without a class table the decision only tries the defining action:
+    # A5 on 5 points closes to S5, and S4 on 4 points is its own closure.
+    budget = TotalityBudget(subgroup_order_bound=4)
+    with pytest.raises(BudgetExceededError):
+        two_transitive_disproof(G, budget)
+    assert is_totally_two_closed(G, budget).status == status
 
 
 def test_assemble_action_errors():
