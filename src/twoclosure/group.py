@@ -102,6 +102,25 @@ class _Level:
         return u
 
 
+def _walk(levels, i, acc):
+    """The products acc * u_i * ... * u_0, one coset representative u_j
+    per level, top level outermost; None stands for the identity.  Each
+    prefix product is formed once and shared by all its extensions.  A
+    module-level function, so the suspended generators refer to the
+    levels only and leave no reference cycle through the chain."""
+    if i < 0:
+        yield acc
+        return
+    lvl = levels[i]
+    for p in lvl.orbit:
+        u = lvl.rep(p)
+        if u is None:
+            nxt = acc
+        else:
+            nxt = u if acc is None else acc * u
+        yield from _walk(levels, i - 1, nxt)
+
+
 class StabilizerChain:
     """Base, strong generators, and Schreier trees for a permutation group."""
 
@@ -266,22 +285,8 @@ class StabilizerChain:
         if self.order() > budget:
             raise BudgetExceededError(
                 f"group order {self.order()} exceeds element budget {budget}")
-
-        def walk(i, acc):
-            if i < 0:
-                yield acc
-                return
-            lvl = self.levels[i]
-            for p in lvl.orbit:
-                u = lvl.rep(p)
-                if u is None:
-                    nxt = acc
-                else:
-                    nxt = u if acc is None else acc * u
-                yield from walk(i - 1, nxt)
-
         identity = Permutation.identity(self.degree)
-        for g in walk(len(self.levels) - 1, None):
+        for g in _walk(self.levels, len(self.levels) - 1, None):
             yield identity if g is None else g
 
 

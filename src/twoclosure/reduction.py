@@ -10,11 +10,10 @@ exactly when every coordinate preserves the orbit structure of R on
 Delta x Delta and every coordinate pair preserves the orbits of the
 corresponding two-block stabilizer on the product of its two blocks.
 
-This module builds that block kernel N, classifies its shape, and
-exposes the cheaper certificates that can settle 2-closedness without
-a full partition search: the block-pair test for blocks of size 2, the
-gcd bound from two-block stabilizer orders, and the covering test for
-blocks of prime size.
+This module builds that block kernel N from the pairwise filters; no
+decision path imports it.  A nontrivial N has a common orbit length on
+the first block that divides every two-block stabilizer order, so their
+gcd, ``basesize.two_point_stabilizer_gcd`` of the block image, bounds it.
 
 The pairwise constraint filters are independent of one another, so they
 could be evaluated in any order or concurrently; the fixed sequential
@@ -22,24 +21,16 @@ order used here is one deterministic schedule of that computation, and
 every result is independent of the schedule.
 """
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 from .actions import BlockSystem, induce_on_blocks
 from .closure import closure_membership, two_closure
 from .constructions import symmetric
 from .errors import (BudgetExceededError, GroupError, NotCoreFreeError,
                      NotTransitiveError)
-from .group import PermGroup, is_prime
-from .orbital import OrbitalPartition, higman_primitive
+from .group import PermGroup
+from .orbital import OrbitalPartition
 from .perm import Permutation
-from .subgroups import all_subgroup_sets, generated_set, small_generating_set
-
-KIND_TRIVIAL = "trivial"
-KIND_FULL_DIAGONAL = "full-diagonal"
-KIND_CONTAINS_BASE = "contains-base"
-KIND_PRIME_SOCLE = "prime-socle"
-KIND_UNCLASSIFIED = "unclassified"
 
 
 class ReductionContext:
@@ -221,24 +212,14 @@ class ReductionContext:
                 img[pt[c]] = pt[yk[c]]
         return Permutation(img)
 
-    def full_swap(self):
-        """For blocks of size 2: the permutation swapping the two
-        points of every block."""
-        if self.system.b != 2:
-            raise GroupError("the full swap needs blocks of size 2")
-        img = list(range(self.group.degree))
-        for x, y in self.system.blocks:
-            img[x], img[y] = y, x
-        return Permutation(img)
-
 
 def imprimitive_context(G, system, node_budget=None):
     """Build a ReductionContext for G over the given block system.
 
     The partition must be nontrivial and G-invariant, and the kernel of
     the action on blocks must be trivial (the block stabilizer is
-    core-free); otherwise NotCoreFreeError is raised, because every
-    certificate below leans on that faithfulness.
+    core-free); otherwise NotCoreFreeError is raised, because the
+    block kernel below leans on that faithfulness.
     """
     if not isinstance(system, BlockSystem):
         system = BlockSystem(system)
@@ -364,35 +345,22 @@ def product_one_closure_filter(K, Y):
 
 @dataclass
 class BlockKernel:
-    """The block-fixing part N of the 2-closure, with its shape.
+    """The block-fixing part N of the 2-closure.
 
-    kind is one of "trivial", "full-diagonal" (N projects bijectively
-    onto the same group A on every block), "contains-base" (N contains
-    every element supported on a single block with coordinate in the
-    given base subgroup), "prime-socle" (the block closure has a unique
-    minimal normal subgroup of prime order), or "unclassified" (the
-    block image is not primitive, or no listed shape matched).
     block_part is the projection A of N to the first block and
     orbit_length the common length of the A-orbits there (None if they
     split unevenly, which cannot happen over a 2-closed block image).
     """
 
-    kind: str
     group: PermGroup
     block_part: PermGroup
     orbit_length: int | None
-    base: PermGroup = None
-    prime: int = None
-    diagonal: tuple = None
 
     def report(self):
         return {
-            "kind": self.kind,
             "order": self.group.order(),
             "block part order": self.block_part.order(),
             "orbit length": self.orbit_length,
-            "prime": self.prime,
-            "base order": None if self.base is None else self.base.order(),
         }
 
 
@@ -475,262 +443,6 @@ def closure_block_kernel(ctx, block_budget=64, element_budget=20000):
                          "do not form a group")
     A = PermGroup(ctx.system.b, [Permutation(t[0]) for t in found],
                   seed=ctx.group.seed)
-    return _classified(N, ctx, A)
-
-
-def classify_block_kernel(N, ctx):
-    """Classify a block-fixing subgroup N against the possible shapes.
-
-    N must fix every block of the context setwise.  When the block
-    image is primitive the kind is one of the structure alternatives
-    (trivial, full-diagonal, contains-base, prime-socle); otherwise the
-    kind is "unclassified".
-    """
-    coords = [[ctx.coordinate(n, k, k) for n in N.generators]
-              for k in range(ctx.system.s)]
-    A = PermGroup(ctx.system.b, coords[0], seed=ctx.group.seed)
-    return _classified(N, ctx, A, coords)
-
-
-def _classified(N, ctx, A, coords=None):
     lens = {len(orb) for orb in A.orbits()}
-    a = lens.pop() if len(lens) == 1 else None
-    if N.order() == 1:
-        return BlockKernel(KIND_TRIVIAL, N, A, 1)
-    if not higman_primitive(ctx.block_image):
-        return BlockKernel(KIND_UNCLASSIFIED, N, A, a)
-    s = ctx.system.s
-    if coords is None:
-        coords = [[ctx.coordinate(n, k, k) for n in N.generators]
-                  for k in range(s)]
-    projections = [PermGroup(ctx.system.b, coords[k], seed=ctx.group.seed)
-                   for k in range(s)]
-    if (N.order() == A.order()
-            and all(p.equals(A) for p in projections[1:])):
-        elements = list(N.elements())
-        maps = []
-        for k in range(s):
-            table = {}
-            for n in elements:
-                key = tuple(ctx.coordinate(n, 0, 0).images)
-                table[key] = tuple(ctx.coordinate(n, k, k).images)
-            maps.append(table)
-        return BlockKernel(KIND_FULL_DIAGONAL, N, A, a,
-                           diagonal=tuple(maps))
-    S = subnormal_intersection(ctx.block_closure)
-    if S.order() > 1:
-        identity = tuple(range(ctx.system.b))
-        contained = True
-        for k in range(s):
-            for x in S.generators:
-                coords_k = [identity] * s
-                coords_k[k] = tuple(x.images)
-                if not N.contains(ctx.block_fixing_element(coords_k)):
-                    contained = False
-                    break
-            if not contained:
-                break
-        if contained:
-            return BlockKernel(KIND_CONTAINS_BASE, N, A, a, base=S)
-    minimal = ctx.block_closure.minimal_normal_subgroups()
-    if len(minimal) == 1 and is_prime(minimal[0].order()):
-        return BlockKernel(KIND_PRIME_SOCLE, N, A, a,
-                           prime=minimal[0].order())
-    return BlockKernel(KIND_UNCLASSIFIED, N, A, a)
+    return BlockKernel(N, A, lens.pop() if len(lens) == 1 else None)
 
-
-def subnormal_intersection(G, order_bound=2000):
-    """The intersection of all nontrivial subnormal subgroups of G.
-
-    Nontrivial only when G has a unique minimal normal subgroup, that
-    subgroup is simple, and it lies in every nontrivial subnormal
-    subgroup; the trivial group otherwise.  Subgroups are enumerated
-    outright, so the order bound of the subgroup search applies.
-    """
-    if G.order() == 1:
-        return PermGroup(G.degree, [], seed=G.seed)
-    minimal = G.minimal_normal_subgroups()
-    if len(minimal) != 1 or not minimal[0].is_simple():
-        return PermGroup(G.degree, [], seed=G.seed)
-    subs = all_subgroup_sets(G, order_bound=order_bound)
-    full = max(subs, key=len)
-    common = None
-    for sub in subs:
-        if len(sub) == 1:
-            continue
-        if _subnormal_set(sub, full, G.degree):
-            common = sub if common is None else common & sub
-            if len(common) == 1:
-                break
-    return PermGroup(G.degree, [Permutation(t) for t in sorted(common)],
-                     seed=G.seed)
-
-
-def _subnormal_set(sub, top, degree):
-    """Whether the subgroup set is subnormal in the group set, by the
-    descending chain of normal closures."""
-    gens = small_generating_set(sorted(sub), degree)
-    cur = top
-    while True:
-        if cur == sub:
-            return True
-        conjugates = set()
-        for h in cur:
-            h_inv = Permutation(h).inverse()
-            for g in gens:
-                conjugates.add(tuple((h_inv * Permutation(g)
-                                      * Permutation(h)).images))
-        nxt = generated_set(sorted(conjugates), degree)
-        if nxt == cur:
-            return False
-        cur = nxt
-
-
-def _require_block_image_closed(ctx, assumed, node_budget):
-    if assumed:
-        return
-    res = two_closure(ctx.block_image, node_budget=node_budget)
-    if not res.certified or res.closure.order() != ctx.block_image.order():
-        raise GroupError(
-            "this verdict needs a 2-closed block image; pass "
-            "assume_block_image_closed=True only with an outside "
-            "certificate")
-
-
-@dataclass
-class PairTestVerdict:
-    """Outcome of the block-pair test on blocks of size 2."""
-
-    two_closed: bool
-    witness: Permutation = None
-    failing_block: int = None
-    checked: tuple = ()
-
-    def report(self):
-        return {
-            "two closed": self.two_closed,
-            "witness": (None if self.witness is None
-                        else self.witness.cycle_string()),
-            "failing block": self.failing_block,
-            "checked blocks": list(self.checked),
-        }
-
-
-def block_pair_test(ctx, assume_block_image_closed=False, node_budget=None):
-    """Decide 2-closedness for blocks of size 2.
-
-    If every representative two-block stabilizer acts nontrivially on
-    both of its blocks, the permutation swapping the two points of
-    every block lies in the closure but not in the group, so G is not
-    2-closed and that swap is returned as the witness; this direction
-    needs no assumption on the block image.  If some stabilizer fails,
-    G is 2-closed provided the block image equals its own 2-closure,
-    which is verified unless the caller vouches for it.
-    """
-    if ctx.system.b != 2:
-        raise GroupError("the block-pair test needs blocks of size 2")
-    checked = []
-    failing = None
-    for j in ctx.rep_blocks():
-        checked.append(j)
-        K = ctx.pair_group(j)
-        if len(K.orbit(0)) != 2 or len(K.orbit(2)) != 2:
-            failing = j
-            break
-    if failing is None:
-        z = ctx.full_swap()
-        if ctx.group.contains(z):
-            raise GroupError("internal inconsistency: the swap witness "
-                             "lies in the group")
-        return PairTestVerdict(False, witness=z, checked=tuple(checked))
-    _require_block_image_closed(ctx, assume_block_image_closed, node_budget)
-    return PairTestVerdict(True, failing_block=failing,
-                           checked=tuple(checked))
-
-
-@dataclass
-class DivisorReport:
-    """The gcd bound from two-block stabilizer orders."""
-
-    gcd: int
-    orders: dict = field(default_factory=dict)
-    certifies_two_closed: bool = False
-
-    def report(self):
-        return {
-            "gcd": self.gcd,
-            "orders": {str(j): o for j, o in sorted(self.orders.items())},
-            "certifies two closed": self.certifies_two_closed,
-        }
-
-
-def stabilizer_gcd_test(ctx, assume_block_image_closed=False,
-                        node_budget=None):
-    """The gcd of two-block stabilizer orders, one per M-orbit.
-
-    Any nontrivial block kernel forces a common orbit length greater
-    than 1 dividing every such order, so gcd 1 certifies that G equals
-    its 2-closure without running the closure search.  The certificate
-    direction needs a 2-closed block image, which is verified at
-    certification time unless the caller vouches for it.
-    """
-    L = ctx.block_image
-    orders = {j: L.tuple_stabilizer_order((0, j))
-              for j in ctx.rep_blocks()}
-    g = 0
-    for o in orders.values():
-        g = gcd(g, o)
-    certifies = g == 1
-    if certifies:
-        _require_block_image_closed(ctx, assume_block_image_closed,
-                                    node_budget)
-    return DivisorReport(g, orders, certifies)
-
-
-@dataclass
-class CoveringReport:
-    """Outcome of the covering test on blocks of prime size."""
-
-    holds: bool
-    failing_block: int = None
-    certifies_two_closed: bool = False
-    checked: tuple = ()
-
-    def report(self):
-        return {
-            "holds": self.holds,
-            "failing block": self.failing_block,
-            "certifies two closed": self.certifies_two_closed,
-            "checked blocks": list(self.checked),
-        }
-
-
-def prime_covering_test(ctx, assume_block_image_closed=False,
-                        node_budget=None):
-    """The covering condition for blocks of prime size: every
-    representative two-block stabilizer acts transitively on both of
-    its blocks.
-
-    The condition is necessary for the closure to exceed the group, so
-    a failure certifies 2-closedness (given a 2-closed block image,
-    verified at certification time unless vouched for); the condition
-    holding decides nothing by itself except for blocks of size 2,
-    where it matches the block-pair test.
-    """
-    b = ctx.system.b
-    if not is_prime(b):
-        raise GroupError("the covering test needs blocks of prime size")
-    checked = []
-    failing = None
-    for j in ctx.rep_blocks():
-        checked.append(j)
-        K = ctx.pair_group(j)
-        if len(K.orbit(0)) != b or len(K.orbit(b)) != b:
-            failing = j
-            break
-    if failing is None:
-        return CoveringReport(True, checked=tuple(checked))
-    _require_block_image_closed(ctx, assume_block_image_closed, node_budget)
-    return CoveringReport(False, failing_block=failing,
-                          certifies_two_closed=True,
-                          checked=tuple(checked))

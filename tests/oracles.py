@@ -226,34 +226,3 @@ def oracle_pair_filter(k_gens, y_gens, b):
                 out.add((u, v))
     return out
 
-
-def oracle_is_normal(inner, outer):
-    for h in outer:
-        hi = inverse(h)
-        for x in inner:
-            if compose(compose(hi, x), h) not in inner:
-                return False
-    return True
-
-
-def oracle_subnormal_meet(gens):
-    """Intersection of all nontrivial subnormal subgroups, by fixpoint
-    over the normal-in-some-member relation."""
-    subs = oracle_subgroups(gens)
-    full = max(subs, key=len)
-    subnormal = {full}
-    changed = True
-    while changed:
-        changed = False
-        for sub in subs:
-            if sub in subnormal:
-                continue
-            if any(sub < big and oracle_is_normal(sub, big)
-                   for big in list(subnormal)):
-                subnormal.add(sub)
-                changed = True
-    meet = set(full)
-    for sub in subnormal:
-        if len(sub) > 1:
-            meet &= sub
-    return frozenset(meet)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,26 @@ def test_elements_enumeration(case):
     G = PermGroup(n, gens)
     elements = {g.images for g in G.elements()}
     assert elements == oracles.mulclose([g.images for g in gens])
+
+
+def test_elements_leave_no_cyclic_garbage():
+    # Enumerating (fully or in part) and dropping the group must free its
+    # stabilizer chain by reference counting alone.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for stop in (None, 7):
+            G = alt(5)
+            chain = weakref.ref(G.chain)
+            walk = G.elements()
+            for i, _ in enumerate(walk):
+                if i == stop:
+                    break
+            del G, walk
+            assert chain() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_elements_budget():

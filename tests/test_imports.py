@@ -1,8 +1,11 @@
-"""Every imported name in the package, the tests and the tools is used.
+"""Every imported name and every private module-level name in the
+package, the tests and the tools is used.
 
 The repository has no lint step, so this walks each module's syntax tree
-for names bound by an import and never read.  Package ``__init__``
-modules are skipped: their imports are the public re-exports.
+for names bound by an import and never read, and for private top-level
+functions, classes and constants that the module never reads outside
+their own definition.  Package ``__init__`` modules are skipped: their
+imports are the public re-exports.
 """
 
 import ast
@@ -26,9 +29,33 @@ def unused_imports(source):
                       for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = _reads([tree])
     return [name for name in bound if name not in read]
+
+
+def _reads(nodes):
+    """The names read anywhere inside the given syntax trees."""
+    return {node.id for top in nodes for node in ast.walk(top)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def dead_private_names(source):
+    """Module-level names starting with one underscore that the module
+    reads nowhere outside their own definition, in order."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined += [(t.id, node) for t in targets
+                        if isinstance(t, ast.Name)]
+    return [name for name, own in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in _reads(n for n in tree.body if n is not own)]
 
 
 def test_checker_flags_only_unread_names():
@@ -39,7 +66,23 @@ def test_checker_flags_only_unread_names():
     assert unused_imports(source) == ["system", "pi"]
 
 
+def test_checker_flags_only_unread_private_names():
+    source = ("import re\n"
+              "_USED = 1\n_UNUSED: int = 2\n__version__ = '0'\n"
+              "def _dead(n):\n    return _dead(n - 1) + _USED\n"
+              "def _called():\n    return re\n"
+              "class _Gone:\n    pass\n"
+              "def public():\n    return _called()\n")
+    assert dead_private_names(source) == ["_UNUSED", "_dead", "_Gone"]
+
+
 @pytest.mark.parametrize("path", MODULES,
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text()) == []

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from twoclosure import PermGroup, Permutation
-from twoclosure.basesize import exact_base_size
+from twoclosure.basesize import (REFERENCE_TABLE, exact_base_size,
+                                 two_point_stabilizer_gcd,
+                                 two_point_stabilizer_orders)
 from twoclosure.closure import two_closure
 from twoclosure.orbital import OrbitalPartition
 
@@ -55,3 +57,11 @@ def test_j1_is_two_closed(j1, seed, nodes):
 
 def test_j1_base_size_is_three(j1):
     assert exact_base_size(j1).exact == 3
+
+
+def test_j1_two_point_stabilizer_gcd_matches_reference(j1):
+    orders = sorted(order for _, order in two_point_stabilizer_orders(j1))
+    # |J1_{0,p}| is 660 over the subdegree of p
+    assert orders == [5, 6, 55, 60]
+    reference = REFERENCE_TABLE.lookup("J1", "L2(11)").g_value
+    assert two_point_stabilizer_gcd(j1) == reference == 1
