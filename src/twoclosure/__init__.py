@@ -1,18 +1,15 @@
 """Exact 2-closure analysis for finite permutation groups."""
 
 from .errors import (BudgetExceededError, DegreeMismatchError, GroupError,
-                     MalformedPermutationError, NotCoreFreeError,
-                     NotTransitiveError, ParseError, SectionObstructionError)
+                     MalformedPermutationError, NotTransitiveError,
+                     ParseError, SectionObstructionError)
 from .perm import Permutation
 from .group import PermGroup, StabilizerChain, trivial_group
 from .orbital import OrbitalPartition, higman_primitive
 from .closure import ClosureResult, closure_membership, two_closure
-from .actions import (BlockSystem, CosetAction, InducedAction,
-                      block_systems_above, coset_action, induce_on_blocks,
+from .actions import (BlockSystem, CosetAction, coset_action,
                       minimal_block_systems, permutationally_equivalent)
 from .subgroups import SubgroupClassTable, subgroup_classes
-from .reduction import (BlockKernel, ReductionContext, closure_block_kernel,
-                        imprimitive_context, product_one_closure_filter)
 from .basesize import BaseSizeReport, exact_base_size, qhat
 from .totality import (ActionWitness, AssembledAction, FactorizationWitness,
                        TotalityBudget, TotalityVerdict, assemble_action,

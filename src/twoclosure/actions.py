@@ -1,8 +1,10 @@
-"""Coset actions, block systems, and induced block actions.
+"""Coset actions, their equivalence, and minimal block systems.
 
 Cosets are indexed from 0 with coset 0 the subgroup itself.  Block
 systems are canonical: blocks sorted internally and ordered by least
-element, so the block containing point 0 comes first.
+element, so the block containing point 0 comes first.  The minimal
+systems of a transitive group are the finest congruences through pairs
+of points; the group is primitive exactly when there are none.
 """
 
 from __future__ import annotations
@@ -66,20 +68,6 @@ class CosetAction:
         return self.kernel.order() == 1
 
 
-def _extend(G, image_gens, m):
-    """G's generators acting on G's domain and m extra points at once.
-
-    image_gens must line up with G.generators one for one; identity
-    entries are allowed and meaningful here.
-    """
-    n = G.degree
-    ext_gens = []
-    for g, h in zip(G.generators, image_gens):
-        ext_gens.append(Permutation(list(g.images) +
-                                    [n + v for v in h.images]))
-    return PermGroup(n + m, ext_gens, seed=G.seed)
-
-
 def _hom_kernel(G, image_gens, m):
     """Kernel of the homomorphism sending G's generators to image_gens.
 
@@ -88,7 +76,9 @@ def _hom_kernel(G, image_gens, m):
     remains, read on G's domain, is the kernel.
     """
     n = G.degree
-    ext = _extend(G, image_gens, m)
+    ext_gens = [Permutation(list(g.images) + [n + v for v in h.images])
+                for g, h in zip(G.generators, image_gens)]
+    ext = PermGroup(n + m, ext_gens, seed=G.seed)
     image = PermGroup(m, image_gens, seed=G.seed)
     hint = [n + b for b in image.chain.base()]
     stab = ext.pointwise_stabilizer(hint)
@@ -173,17 +163,8 @@ class BlockSystem:
         return self.s == 1 or self.b == 1
 
 
-def _check_invariant(G, system):
-    for g in G.generators:
-        for block in system.blocks:
-            image_block = {g.images[p] for p in block}
-            target = system.block_of[g.images[block[0]]]
-            if image_block != set(system.blocks[target]):
-                raise GroupError("partition is not invariant under the group")
-
-
-def _congruence_closure(G, pairs):
-    """The finest G-congruence identifying each given pair (Atkinson)."""
+def minimal_block_partition(G, a, b):
+    """The finest G-congruence identifying points a and b (Atkinson)."""
     n = G.degree
     parent = list(range(n))
 
@@ -193,7 +174,7 @@ def _congruence_closure(G, pairs):
             x = parent[x]
         return x
 
-    queue = list(pairs)
+    queue = [(a, b)]
     while queue:
         x, y = queue.pop()
         rx, ry = find(x), find(y)
@@ -208,11 +189,6 @@ def _congruence_closure(G, pairs):
     for p in range(n):
         cells.setdefault(find(p), []).append(p)
     return BlockSystem(cells.values())
-
-
-def minimal_block_partition(G, a, b):
-    """The finest G-congruence identifying points a and b."""
-    return _congruence_closure(G, [(a, b)])
 
 
 def minimal_block_systems(G):
@@ -242,84 +218,6 @@ def _refines(fine, coarse):
         return False
     return all(len({coarse.block_of[p] for p in block}) == 1
                for block in fine.blocks)
-
-
-def block_systems_above(G, points=()):
-    """All nontrivial block systems with the given points in one block.
-
-    With no points (or a single point) this enumerates every nontrivial
-    block system of G, walking minimal systems of induced actions upward.
-    Primitive groups give an empty list.
-    """
-    if not G.is_transitive():
-        raise NotTransitiveError("block systems need a transitive group")
-    points = sorted(set(points))
-    if len(points) <= 1:
-        frontier = minimal_block_systems(G)
-    else:
-        base = points[0]
-        merged = _congruence_closure(G, [(base, q) for q in points[1:]])
-        frontier = [] if merged.is_trivial() else [merged]
-    seen = set(frontier)
-    out = list(frontier)
-    while frontier:
-        new = []
-        for system in frontier:
-            induced = induce_on_blocks(G, system)
-            L = induced.block_image
-            for upper in minimal_block_systems(L):
-                lifted = _lift(system, upper)
-                if not lifted.is_trivial() and lifted not in seen:
-                    seen.add(lifted)
-                    new.append(lifted)
-                    out.append(lifted)
-        frontier = new
-    return sorted(out, key=lambda s: (s.b, s.blocks))
-
-
-def _lift(system, upper):
-    """Blocks of the upper system of the induced action, pulled back."""
-    blocks = []
-    for cell in upper.blocks:
-        merged = []
-        for j in cell:
-            merged.extend(system.blocks[j])
-        blocks.append(merged)
-    return BlockSystem(blocks)
-
-
-class InducedAction:
-    """The data of G acting on a block system."""
-
-    def __init__(self, block_image, kernel, block_stabilizer, within_block,
-                 system):
-        self.block_image = block_image
-        self.kernel = kernel
-        self.block_stabilizer = block_stabilizer
-        self.within_block = within_block
-        self.system = system
-
-
-def induce_on_blocks(G, system):
-    """G's action on the blocks of system, with kernel and block data."""
-    _check_invariant(G, system)
-    n = G.degree
-    s = system.s
-    image_gens = []
-    for g in G.generators:
-        img = [system.block_of[g.images[block[0]]]
-               for block in system.blocks]
-        image_gens.append(Permutation(img))
-    block_image = PermGroup(s, image_gens, seed=G.seed)
-    kernel = _hom_kernel(G, image_gens, s)
-    delta = list(system.blocks[system.block_of[0]])
-    ext = _extend(G, image_gens, s)
-    stab = ext.pointwise_stabilizer([n + system.block_of[0]])
-    stab_gens = [Permutation(g.images[:n]) for g in stab.generators]
-    block_stabilizer = PermGroup(n, stab_gens, seed=G.seed)
-    within_block = block_stabilizer.restriction(delta)
-    return InducedAction(block_image, kernel, block_stabilizer, within_block,
-                         system)
 
 
 def permutationally_equivalent(G, first, second, node_budget=200000):

@@ -214,17 +214,8 @@ def _closure_search(G, part, node_budget):
             img[a] = cell[0]
         return Permutation(img)
 
-    def preserves_coloring(g):
-        img = g.images
-        for a in range(n):
-            row_a = part.row(a)
-            row_ga = part.row(img[a])
-            for b in range(n):
-                if row_ga[img[b]] != row_a[b]:
-                    return False
-        return True
-
-    found = _walk(base, candidates, descend, leaf, preserves_coloring,
+    found = _walk(base, candidates, descend, leaf,
+                  lambda g: closure_membership(G, g, part),
                   path[0], node_budget, G)
     return ClosureResult(G, found.group, "backtrack", found.complete,
                          found.nodes)

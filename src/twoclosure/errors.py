@@ -33,11 +33,6 @@ class NotTransitiveError(GroupError):
     """Raised when an operation requires a transitive action."""
 
 
-class NotCoreFreeError(GroupError):
-    """Raised when a block stabilizer has a nontrivial core, so the
-    induced action on the block system is unfaithful."""
-
-
 class SectionObstructionError(GroupError):
     """Raised when one direct factor is a section of another, so the
     transitive-only reduction for semisimple products does not apply."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import (BudgetExceededError, DegreeMismatchError, GroupError)
+from .errors import BudgetExceededError, DegreeMismatchError
 from .perm import Permutation
 
 ELEMENT_BUDGET = 10 ** 7
@@ -430,19 +430,6 @@ class PermGroup:
     def is_perfect(self):
         return not self.is_trivial \
             and self.derived_subgroup().order() == self.order()
-
-    def restriction(self, points):
-        """The induced action on an invariant subset, relabelled to
-        0..len(points)-1 in the given order."""
-        points = list(points)
-        index = {p: i for i, p in enumerate(points)}
-        gens = []
-        for g in self.generators:
-            try:
-                gens.append(Permutation(index[g.images[p]] for p in points))
-            except KeyError:
-                raise GroupError("subset is not invariant") from None
-        return PermGroup(len(points), gens, seed=self.seed)
 
     def conjugacy_classes(self, budget=CLASS_BUDGET):
         """All conjugacy classes as (representative, size) pairs, ordered by

@@ -184,45 +184,3 @@ def _tuple_order(p):
         x = compose(x, p)
         k += 1
     return k
-
-
-def oracle_block_fixing(elements, blocks):
-    """The elements fixing every block setwise, as image tuples."""
-    out = set()
-    for x in elements:
-        if all({x[p] for p in blk} == set(blk) for blk in blocks):
-            out.add(tuple(x))
-    return out
-
-
-def oracle_pair_filter(k_gens, y_gens, b):
-    """All pairs of Y-elements preserving every K-orbit on the product
-    of two size-b blocks, by direct pair-orbit comparison."""
-    k_gens = [tuple(g) for g in k_gens]
-    color = {}
-    next_color = 0
-    for a in range(b):
-        for c in range(b):
-            if (a, c) in color:
-                continue
-            color[(a, c)] = next_color
-            frontier = [(a, c)]
-            while frontier:
-                new = []
-                for x, y in frontier:
-                    for g in k_gens:
-                        pair = (g[x], g[y + b] - b)
-                        if pair not in color:
-                            color[pair] = next_color
-                            new.append(pair)
-                frontier = new
-            next_color += 1
-    elements = sorted(mulclose(y_gens))
-    out = set()
-    for u in elements:
-        for v in elements:
-            if all(color[(u[a], v[c])] == color[(a, c)]
-                   for a in range(b) for c in range(b)):
-                out.add((u, v))
-    return out
-

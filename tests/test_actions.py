@@ -1,18 +1,18 @@
-"""Coset actions and block systems against small hand-checked cases."""
+"""Coset actions, their equivalence and minimal block systems against
+small hand-checked cases."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from twoclosure import PermGroup, Permutation
-from twoclosure.actions import (BlockSystem, block_systems_above,
-                                coset_action, induce_on_blocks,
+from twoclosure.actions import (BlockSystem, coset_action,
                                 minimal_block_partition,
                                 minimal_block_systems,
                                 permutationally_equivalent)
 from twoclosure.closure import two_closure
-from twoclosure.constructions import (cyclic, dihedral, elementary_abelian,
-                                      frobenius20, gamma_l1_16, symmetric,
+from twoclosure.constructions import (cyclic, dihedral, frobenius20,
+                                      gamma_l1_16, symmetric,
                                       wreath_imprimitive)
 from twoclosure.errors import (BudgetExceededError, GroupError,
                                NotTransitiveError)
@@ -160,72 +160,6 @@ def test_minimal_block_partition_closure_is_invariant():
         for block in system.blocks:
             image = tuple(sorted(g.images[p] for p in block))
             assert image in system.blocks
-
-
-def test_block_systems_above_walks_the_lattice():
-    shapes = sorted((s.s, s.b) for s in block_systems_above(cyclic(8)))
-    assert shapes == [(2, 4), (4, 2)]
-    shapes = sorted((s.s, s.b) for s in block_systems_above(cyclic(6)))
-    assert shapes == [(2, 3), (3, 2)]
-
-
-def test_block_systems_above_primitive_empty():
-    assert block_systems_above(symmetric(5)) == []
-
-
-def test_block_systems_above_regular_klein_four():
-    G = elementary_abelian(2, 2)
-    systems = block_systems_above(G)
-    assert len(systems) == 3
-    assert all(s.s == 2 and s.b == 2 for s in systems)
-
-
-def test_block_systems_above_seed_points():
-    G = cyclic(6)
-    only = block_systems_above(G, {0, 3})
-    assert [(s.s, s.b) for s in only] == [(3, 2)]
-    only = block_systems_above(G, {0, 2})
-    assert [(s.s, s.b) for s in only] == [(2, 3)]
-    assert block_systems_above(G, {0, 1}) == []
-
-
-def test_induce_on_blocks_gamma_l1_16():
-    G = gamma_l1_16()
-    by_shape = {(s.s, s.b): s for s in minimal_block_systems(G)}
-    five = induce_on_blocks(G, by_shape[(5, 3)])
-    assert five.block_image.degree == 5
-    assert five.block_image.order() == 20
-    assert G.order() == five.block_image.order() * five.kernel.order()
-    three = induce_on_blocks(G, by_shape[(3, 5)])
-    assert three.within_block.degree == 5
-    assert three.within_block.order() == 20
-    assert three.within_block.is_transitive()
-    assert G.order() == three.block_image.order() * three.kernel.order()
-
-
-def test_induce_on_blocks_c6():
-    G = cyclic(6)
-    system = next(s for s in minimal_block_systems(G) if s.b == 2)
-    ind = induce_on_blocks(G, system)
-    assert ind.block_image.degree == 3
-    assert ind.block_image.order() == 3
-    assert ind.kernel.order() == 2
-    assert ind.block_stabilizer.order() == 2
-    assert ind.within_block.degree == 2
-
-
-def test_induce_block_stabilizer_index_is_block_count():
-    G = wreath_imprimitive(symmetric(3), cyclic(2))
-    for system in minimal_block_systems(G):
-        ind = induce_on_blocks(G, system)
-        assert G.order() == ind.block_stabilizer.order() * system.s
-        assert ind.within_block.is_transitive()
-
-
-def test_induce_rejects_non_invariant_partition():
-    G = cyclic(6)
-    with pytest.raises(GroupError):
-        induce_on_blocks(G, BlockSystem([(0, 1), (2, 3), (4, 5)]))
 
 
 def test_block_system_shape_validation():

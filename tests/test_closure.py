@@ -305,6 +305,8 @@ def test_search_node_counts(case, node_budget, want):
 def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
     # Swapping the two points of every block preserves every orbital but
     # lies outside the group: a "No" witness checked without a search.
+    # The closure elements fixing every block are 1 and the swap, so the
+    # swap and G generate the whole closure, of twice G's order.
     G = COUNTED_GROUPS[case]()
     system = next(s for s in minimal_block_systems(G) if s.b == 2)
     img = list(range(G.degree))
@@ -313,3 +315,6 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
     z = Permutation(img)
     assert closure_membership(G, z)
     assert not G.contains(z)
+    res = two_closure(G)
+    assert res.certified and res.index == 2
+    assert PermGroup(G.degree, G.generators + [z]).equals(res.closure)

@@ -213,13 +213,6 @@ def test_is_semisimple_product():
     assert not sym(5).is_semisimple_product()
 
 
-def test_restriction():
-    g = Permutation.from_cycles(6, [[0, 1, 2], [3, 4]])
-    G = PermGroup(6, [g])
-    H = G.restriction([0, 1, 2])
-    assert H.degree == 3 and H.order() == 3
-
-
 def test_conjugate_by():
     G = PermGroup(4, [Permutation.from_cycles(4, [[0, 1]])])
     t = Permutation.from_cycles(4, [[1, 2]])
