@@ -59,8 +59,8 @@ class CosetAction:
     def kernel(self):
         """The core of the stabilizer: elements acting trivially on cosets."""
         if self._kernel is None:
-            self._kernel = _hom_kernel(self.parent, self._image_gens,
-                                       self.degree)
+            self._kernel = _hom_kernel(self.parent, self.image,
+                                       self._image_gens)
         return self._kernel
 
     @property
@@ -68,8 +68,9 @@ class CosetAction:
         return self.kernel.order() == 1
 
 
-def _hom_kernel(G, image_gens, m):
-    """Kernel of the homomorphism sending G's generators to image_gens.
+def _hom_kernel(G, image, image_gens):
+    """Kernel of the homomorphism sending G's generators to image_gens,
+    which generate the group image.
 
     Works on the disjoint union of the two domains: fixing a base of
     the image pointwise cuts the image side to the identity, and what
@@ -78,8 +79,7 @@ def _hom_kernel(G, image_gens, m):
     n = G.degree
     ext_gens = [Permutation(list(g.images) + [n + v for v in h.images])
                 for g, h in zip(G.generators, image_gens)]
-    ext = PermGroup(n + m, ext_gens, seed=G.seed)
-    image = PermGroup(m, image_gens, seed=G.seed)
+    ext = PermGroup(n + image.degree, ext_gens, seed=G.seed)
     hint = [n + b for b in image.chain.base()]
     stab = ext.pointwise_stabilizer(hint)
     kernel_gens = [Permutation(g.images[:n]) for g in stab.generators]

@@ -62,9 +62,12 @@ def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
     permutation, or None when the leaf has none; test(g) decides it.
     With K a group, the walk collects and returns a SearchResult whose
     group is the grown K and whose complete flag is False when the node
-    budget ran out.  With K None, it returns the first passing leaf or
-    None, and raises BudgetExceededError when the node budget runs out
-    first.
+    budget ran out.  The leaf membership tests and the orbit minima read
+    one chain of K, the one on the search base.  A passing leaf outside K
+    replaces K by the group it generates with K's generators, whose chain
+    is built afresh when next needed; K's old chain is not extended.
+    With K None, it returns the first passing leaf or None, and raises
+    BudgetExceededError when the node budget runs out first.
     """
     depth = len(base)
     nodes = 0
@@ -87,7 +90,7 @@ def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
             g = leaf(state)
             if g is None:
                 return None
-            if K is not None and K.contains(g):
+            if K is not None and K.chain_with_base(base).contains(g):
                 return _FOUND
             if not test(g):
                 return None

@@ -83,14 +83,15 @@ def closure_membership(G, x, partition=None):
 def two_closure(G, node_budget=None):
     """The exact 2-closure of G, with method and certification data."""
     n = G.degree
-    if G.order() == 1:
+    if G.is_trivial:
         return ClosureResult(G, G, "certified-equal")
     part = OrbitalPartition(G)
     if G.is_transitive():
         if part.rank == 2:
             return ClosureResult(G, symmetric(n, seed=G.seed),
                                  "certified-equal")
-        if G.order() == n:
+        # transitive G is regular exactly when every suborbit is a point
+        if part.rank == n:
             return ClosureResult(G, G, "certified-equal")
     return _closure_search(G, part, node_budget)
 

@@ -3,6 +3,15 @@
 Chains are built by the deterministic Schreier-Sims algorithm, preceded by
 a seeded randomized growth phase; the deterministic pass always runs last,
 so the result is verified regardless of how it was grown.
+
+A group builds each chain once and reuses it.  Order and membership do
+not depend on the base, so they are answered from whichever verified
+chain the group already holds: its plain chain, a chain re-based by
+``chain_with_base``, or the tail of its parent's chain that a pointwise
+stabilizer inherits.  Whatever depends on the base or on element order
+(``elements``, ``random_element``, ``sift``, strong generators) reads the
+plain chain only, so its results do not depend on which chains were
+built first.
 """
 
 from __future__ import annotations
@@ -291,7 +300,14 @@ class StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group on 0..degree-1 given by generators."""
+    """A permutation group on 0..degree-1 given by generators.
+
+    ``chain`` is the plain chain, built from the generators with no base
+    hint; ``chain_with_base`` builds and keeps one chain per base hint.
+    ``order`` and ``contains`` read the first verified chain the group
+    came to hold, plain, re-based or inherited, and build the plain chain
+    only when there is none.
+    """
 
     def __init__(self, degree, generators, name=None, seed=0):
         self.degree = degree
@@ -312,6 +328,9 @@ class PermGroup:
         self.seed = seed
         self._chain = None
         self._chains_by_base = {}
+        self._stabilizers = {}
+        # the first verified chain held, for base-independent questions
+        self._verified = None
 
     def __repr__(self):
         label = self.name or f"<{len(self.generators)} gens>"
@@ -322,6 +341,8 @@ class PermGroup:
         if self._chain is None:
             self._chain = StabilizerChain.build(
                 self.generators, self.degree, seed=self.seed)
+            if self._verified is None:
+                self._verified = self._chain
         return self._chain
 
     def chain_with_base(self, base_hint):
@@ -332,17 +353,19 @@ class PermGroup:
             got = StabilizerChain.build(
                 self.generators, self.degree, base_hint=key, seed=self.seed)
             self._chains_by_base[key] = got
+            if self._verified is None:
+                self._verified = got
         return got
 
     def order(self):
-        return self.chain.order()
+        return (self._verified or self.chain).order()
 
     @property
     def is_trivial(self):
         return not self.generators
 
     def contains(self, g):
-        return self.chain.contains(g)
+        return (self._verified or self.chain).contains(g)
 
     __contains__ = contains
 
@@ -372,14 +395,20 @@ class PermGroup:
         return self.pointwise_stabilizer([point])
 
     def pointwise_stabilizer(self, points):
-        distinct = []
-        for p in points:
-            if p not in distinct:
-                distinct.append(p)
-        chain = self.chain_with_base(distinct)
-        gens = chain.level_generators(len(distinct))
-        gens = [g for g in gens if all(g.images[p] == p for p in distinct)]
-        return PermGroup(self.degree, gens, seed=self.seed)
+        """The stabilizer of the points, kept per distinct point tuple."""
+        key = tuple(dict.fromkeys(points))
+        stab = self._stabilizers.get(key)
+        if stab is None:
+            chain = self.chain_with_base(key)
+            k = len(key)
+            stab = PermGroup(self.degree, chain.level_generators(k),
+                             seed=self.seed)
+            # The levels below the fixed points are a verified chain of the
+            # group their first level's generators generate.
+            stab._verified = StabilizerChain(self.degree)
+            stab._verified.levels = chain.levels[k:]
+            self._stabilizers[key] = stab
+        return stab
 
     def tuple_stabilizer_order(self, points):
         return self.pointwise_stabilizer(points).order()

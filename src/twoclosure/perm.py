@@ -11,6 +11,9 @@ import math
 
 from .errors import DegreeMismatchError, MalformedPermutationError, ParseError
 
+# The identity's image tuple per degree, compared against in C.
+_IDENTITY_IMAGES = {}
+
 
 class Permutation:
     """An immutable permutation given by its tuple of images."""
@@ -107,7 +110,12 @@ class Permutation:
 
     @property
     def is_identity(self):
-        return all(v == a for a, v in enumerate(self.images))
+        images = self.images
+        n = len(images)
+        identity = _IDENTITY_IMAGES.get(n)
+        if identity is None:
+            identity = _IDENTITY_IMAGES[n] = tuple(range(n))
+        return images == identity
 
     def cycles(self):
         """Nontrivial cycles, each starting at its least point, sorted."""

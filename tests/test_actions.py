@@ -75,6 +75,17 @@ def test_coset_action_kernel_is_the_core():
         tuple(e) for e in core}
 
 
+def test_coset_action_kernel_reuses_the_image(chain_builds):
+    G = symmetric(5)
+    act = coset_action(G, G.point_stabilizer(0))
+    assert act.image.order() == 120
+    chain_builds.clear()
+    kernel = act.kernel
+    # one chain of the disjoint-union group, re-based at the image's base
+    assert len(chain_builds) == 1
+    assert kernel.order() == 1
+
+
 def test_coset_action_order_splits_over_kernel():
     for G, H in [
         (symmetric(4), PermGroup(4, [Permutation([1, 0, 2, 3])])),

@@ -318,3 +318,32 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
     res = two_closure(G)
     assert res.certified and res.index == 2
     assert PermGroup(G.degree, G.generators + [z]).equals(res.closure)
+
+
+# One chain on the search base serves the leaf membership tests and the
+# orbit minima; K is rebuilt, and its chain with it, once per generator
+# the search adds.  PSL(2,7) on 14 points is not 2-closed (index 3,840):
+# its search adds two generators.
+@pytest.mark.parametrize("case, builds", [
+    ("PSL(2,7) on 14 points", 3),
+    ("D5 x D6", 1),
+    ("S3 wr S3", 1),
+    ("A5 x A6", 3),
+])
+def test_two_closure_builds_one_chain_per_known_group(chain_builds, case,
+                                                       builds):
+    G = COUNTED_GROUPS[case]()
+    chain_builds.clear()
+    res = two_closure(G)
+    assert res.certified and res.index >= 1
+    added = len(res.closure.generators) - len(G.generators)
+    assert len(chain_builds) == 1 + added == builds
+
+
+def test_shortcuts_build_no_chain(chain_builds):
+    groups = [trivial(5), cyclic(7), regular_representation(quaternion()),
+              symmetric(5)]
+    chain_builds.clear()
+    for G in groups:
+        assert two_closure(G).method == "certified-equal"
+    assert chain_builds == []

@@ -239,3 +239,46 @@ def test_chain_deterministic():
     assert a.chain.base() == b.chain.base()
     assert [g.images for g in a.chain.strong_generators()] \
         == [g.images for g in b.chain.strong_generators()]
+
+
+def test_point_stabilizer_reads_the_tail_of_its_parents_chain(chain_builds):
+    G = sym(6)
+    assert G.order() == 720
+    chain_builds.clear()
+    H = G.point_stabilizer(3)
+    assert H.order() == 120
+    assert H.contains(Permutation.from_cycles(6, [[0, 1, 2, 4, 5]]))
+    assert not H.contains(Permutation.from_cycles(6, [[2, 3]]))
+    assert G.pointwise_stabilizer([3, 1]).order() == 24
+    # one chain of G per base hint; the stabilizers build none
+    assert chain_builds == [(3,), (3, 1)]
+
+
+def test_stabilizers_are_kept_per_distinct_point_tuple():
+    G = sym(5)
+    assert G.point_stabilizer(2) is G.pointwise_stabilizer([2, 2])
+    assert G.pointwise_stabilizer([1, 0, 1]) is G.pointwise_stabilizer([1, 0])
+    assert G.pointwise_stabilizer([0, 1]) is not G.pointwise_stabilizer([1, 0])
+
+
+def test_rebased_chain_answers_order_and_membership(chain_builds):
+    G = sym(6)
+    G.chain_with_base((4, 2))
+    assert G.order() == 720
+    assert G.contains(Permutation.from_cycles(6, [[0, 5]]))
+    assert chain_builds == [(4, 2)]
+
+
+def test_elements_order_ignores_the_chain_that_answered_order(chain_builds):
+    gens = [Permutation.from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]]),
+            Permutation.from_cycles(7, [[0, 1, 3]])]
+    plain = PermGroup(7, gens)
+    want = [g.images for g in plain.elements()]
+    rebased = PermGroup(7, gens)
+    rebased.chain_with_base((5, 3))
+    chain_builds.clear()
+    assert rebased.order() == plain.order()
+    assert chain_builds == []
+    assert [g.images for g in rebased.elements()] == want
+    assert rebased.chain.base() == plain.chain.base()
+    assert rebased.random_element().images == plain.random_element().images

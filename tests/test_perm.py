@@ -29,6 +29,13 @@ def test_identity():
     assert e.order() == 1
 
 
+def test_is_identity_at_every_degree():
+    for n in range(7):
+        assert Permutation.identity(n).is_identity
+        for a in range(n - 1):
+            assert not Permutation.from_cycles(n, [(a, n - 1)]).is_identity
+
+
 def test_rejects_non_bijection():
     with pytest.raises(MalformedPermutationError):
         Permutation([0, 0, 1])
