@@ -9,7 +9,6 @@ comes from the tail of the parent's re-based chain.
 
 import json
 import random
-from pathlib import Path
 
 import pytest
 from sympy.combinatorics import Permutation as SymPermutation
@@ -19,25 +18,13 @@ from twoclosure import PermGroup, Permutation
 from twoclosure.actions import coset_action
 from twoclosure.constructions import cyclic, dihedral, direct_product, psl2
 
-J1_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "j1_266.json"
+from test_j1 import J1_FILE, relabelled
 
 
 def j1():
     data = json.loads(J1_FILE.read_text())
     return PermGroup(data["degree"],
                      [Permutation(tuple(g)) for g in data["generators"]])
-
-
-def relabelled(G, seed):
-    """G with point a renamed perm[a], perm a seeded random permutation."""
-    perm = list(range(G.degree))
-    random.Random(seed).shuffle(perm)
-    inv = [0] * G.degree
-    for a, b in enumerate(perm):
-        inv[b] = a
-    return PermGroup(G.degree, [
-        Permutation(tuple(perm[g.images[inv[b]]] for b in range(G.degree)))
-        for g in G.generators])
 
 
 def psl2_11_on_cosets(order):
