@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .backtrack import PRUNE, _walk
 from .constructions import symmetric
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, GroupError
 from .orbital import OrbitalPartition
 from .perm import Permutation
 
@@ -80,12 +80,23 @@ def closure_membership(G, x, partition=None):
     return True
 
 
-def two_closure(G, node_budget=None):
-    """The exact 2-closure of G, with method and certification data."""
+def two_closure(G, node_budget=None, partition=None):
+    """The exact 2-closure of G, with method and certification data.
+
+    partition, when given, is G's orbital partition built beforehand, as
+    the totality sweep builds it from cached blocks; it must have been
+    built for G itself.
+    """
     n = G.degree
+    if partition is not None:
+        if partition.degree != n:
+            raise DegreeMismatchError(
+                f"partition degree {partition.degree} != group degree {n}")
+        if partition.group is not G:
+            raise GroupError("the partition was built for another group")
     if G.is_trivial:
         return ClosureResult(G, G, "certified-equal")
-    part = OrbitalPartition(G)
+    part = partition if partition is not None else OrbitalPartition(G)
     if G.is_transitive():
         if part.rank == 2:
             return ClosureResult(G, symmetric(n, seed=G.seed),

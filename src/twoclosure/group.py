@@ -1,8 +1,18 @@
 """Permutation groups backed by stabilizer chains.
 
 Chains are built by the deterministic Schreier-Sims algorithm, preceded by
-a seeded randomized growth phase; the deterministic pass always runs last,
-so the result is verified regardless of how it was grown.
+a seeded randomized growth phase; the deterministic pass runs last, so the
+result is verified regardless of how it was grown.  The one exception is
+a build told the group's order.  Each level's generators fix the earlier
+base points, so each basic orbit is a subset of the true one; once the
+orbit lengths multiply to the known order, every basic orbit is complete
+and the chain is verified without the deterministic pass (the known-order
+stopping test of randomized Schreier-Sims; Seress, Permutation Group
+Algorithms, 2003, ch. 4).  The build checks the product after each
+generator the random phase adds and stops at the order; growth that
+stalls below it runs the deterministic pass as usual, and a product that
+passes the order, or a finished chain of another order, raises, since
+the order given was wrong.
 
 A group builds each chain once and reuses it.  Order and membership do
 not depend on the base, so they are answered from whichever verified
@@ -11,14 +21,19 @@ chain the group already holds: its plain chain, a chain re-based by
 stabilizer inherits.  Whatever depends on the base or on element order
 (``elements``, ``random_element``, ``sift``, strong generators) reads the
 plain chain only, so its results do not depend on which chains were
-built first.
+built first.  For the same reason the plain chain is always built in
+full: its strong generators fix the order of ``elements()`` and
+``random_element()``.  The known order goes to ``chain_with_base`` chains
+only.  It is the order of the chain the group already holds, or the one
+given to the constructor, as the totality sweep does for the direct sums
+it assembles.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import BudgetExceededError, DegreeMismatchError
+from .errors import BudgetExceededError, DegreeMismatchError, GroupError
 from .perm import Permutation
 
 ELEMENT_BUDGET = 10 ** 7
@@ -138,7 +153,15 @@ class StabilizerChain:
         self.levels = []
 
     @classmethod
-    def build(cls, gens, degree, base_hint=(), seed=0, random_boost=True):
+    def build(cls, gens, degree, base_hint=(), seed=0, random_boost=True,
+              order=None):
+        """A verified chain of the group the generators generate.
+
+        order, when given, is the group's order; the build stops as soon
+        as the basic orbits multiply to it.  The caller vouches for it:
+        a product above it raises GroupError, but an order below the true
+        one can stop the build early on an incomplete chain.
+        """
         chain = cls(degree)
         gens = [g for g in gens if not g.is_identity]
         for g in gens:
@@ -156,11 +179,16 @@ class StabilizerChain:
             level_gens = [g for g in gens
                           if all(g.images[c] == c for c in base[:i])]
             chain.levels.append(_Level(b, level_gens))
-        if not gens:
+        if order is not None and chain._reached(order):
             return chain
-        if random_boost and len(gens) > 1:
-            chain._random_grow(gens, seed)
+        if random_boost and len(gens) > 1 \
+                and chain._random_grow(gens, seed, order):
+            return chain
         chain._schreier_sims()
+        if order is not None and chain.order() != order:
+            raise GroupError(
+                f"the chain has order {chain.order()}, not the known order "
+                f"{order}")
         return chain
 
     def base(self):
@@ -213,9 +241,21 @@ class StabilizerChain:
             self.levels[k].rebuild()
         return j
 
-    def _random_grow(self, gens, seed):
-        """Grow the chain by sifting pseudo-random products; the
-        deterministic pass afterwards verifies and completes it."""
+    def _reached(self, order):
+        """Whether the basic orbits multiply to the known order, which
+        makes the chain complete.  Raises GroupError above it."""
+        got = self.order()
+        if got > order:
+            raise GroupError(
+                f"the basic orbits multiply to {got}, above the known "
+                f"order {order}")
+        return got == order
+
+    def _random_grow(self, gens, seed, order=None):
+        """Grow the chain by sifting pseudo-random products.  Returns
+        True when the chain reached the known order, which verifies it;
+        otherwise the deterministic pass afterwards verifies and
+        completes it."""
         rng = random.Random(seed)
         words = list(gens)
         misses = 0
@@ -234,6 +274,9 @@ class StabilizerChain:
             # only would let later sifts use elements the shallow levels
             # cannot express.
             self._add_generator(residue, 1)
+            if order is not None and self._reached(order):
+                return True
+        return False
 
     def _schreier_sims(self):
         """Verify every Schreier generator sifts to the identity, adding
@@ -303,13 +346,15 @@ class PermGroup:
     """A permutation group on 0..degree-1 given by generators.
 
     ``chain`` is the plain chain, built from the generators with no base
-    hint; ``chain_with_base`` builds and keeps one chain per base hint.
-    ``order`` and ``contains`` read the first verified chain the group
+    hint; ``chain_with_base`` builds and keeps one chain per base hint,
+    stopping at the group's order once that is known: from the chain the
+    group holds, or from ``order``, which the caller vouches for.
+    ``order()`` and ``contains`` read the first verified chain the group
     came to hold, plain, re-based or inherited, and build the plain chain
     only when there is none.
     """
 
-    def __init__(self, degree, generators, name=None, seed=0):
+    def __init__(self, degree, generators, name=None, seed=0, order=None):
         self.degree = degree
         gens = []
         seen = set()
@@ -331,6 +376,7 @@ class PermGroup:
         self._stabilizers = {}
         # the first verified chain held, for base-independent questions
         self._verified = None
+        self._known_order = order
 
     def __repr__(self):
         label = self.name or f"<{len(self.generators)} gens>"
@@ -350,8 +396,11 @@ class PermGroup:
         key = tuple(base_hint)
         got = self._chains_by_base.get(key)
         if got is None:
+            known = self._known_order if self._verified is None \
+                else self._verified.order()
             got = StabilizerChain.build(
-                self.generators, self.degree, base_hint=key, seed=self.seed)
+                self.generators, self.degree, base_hint=key, seed=self.seed,
+                order=known)
             self._chains_by_base[key] = got
             if self._verified is None:
                 self._verified = got

@@ -2,8 +2,21 @@
 
 Colors are integers assigned in order of first discovery scanning pairs
 (0,0), (0,1), ... lexicographically, so the numbering is deterministic and
-identical between the dense table (degree <= 2048) and the row-compressed
-representation used above that.
+identical in all three storage modes: the dense table (degree <= 2048),
+the row-compressed representation used above that, and blocks.
+
+The block mode serves a direct sum of transitive actions whose orbits
+D_0, D_1, ... are contiguous, as the totality sweep assembles them.  The
+pairs in D_i x D_j form one block, a union of G-orbits.  G is transitive
+on D_i, so every G-orbit in the block meets the block's first row: the
+lexicographic scan meets all of the block's colors in the first row of
+D_i, in the order the block's own scan numbers them, and meets the
+blocks of D_i in the order j = 0, 1, ... along that row.  The global
+color of a pair is therefore offset(i, j) + its local color, where
+offset(i, j) adds up the ranks of the blocks before (i, j) in row-major
+order, and pair representatives shift the same way.  A block depends only
+on the two actions, so the sweep computes each one once per pair of
+subgroup classes and reuses it in every direct sum that holds both.
 """
 
 from __future__ import annotations
@@ -11,11 +24,53 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 
-from .errors import NotTransitiveError
+from .errors import DegreeMismatchError, NotTransitiveError
 from .group import orbits_of
 
 DENSE_LIMIT = 2048
 ROW_CACHE = 128
+
+
+class OrbitalBlock:
+    """The G-orbits on D x E for two actions of G, transitive on D.
+
+    first and second list the images of the same nonempty list of
+    generators of G on D and on E.  rows[a][b] is the local color of the
+    pair (a, b); colors are numbered by first discovery along row 0, which
+    every G-orbit meets, and reps[c] is the least b with (0, b) of color c.
+    """
+
+    __slots__ = ("rows", "reps")
+
+    def __init__(self, first, second):
+        m, n = first[0].degree, second[0].degree
+        pairs = [(f.images, s.images) for f, s in zip(first, second)]
+        rows = [[-1] * n for _ in range(m)]
+        reps = []
+        filled = 0
+        for b in range(n):
+            if rows[0][b] >= 0:
+                continue
+            color = len(reps)
+            reps.append(b)
+            rows[0][b] = color
+            filled += 1
+            frontier = [(0, b)]
+            while frontier:
+                new = []
+                for x, y in frontier:
+                    for f, s in pairs:
+                        p, q = f[x], s[y]
+                        if rows[p][q] < 0:
+                            rows[p][q] = color
+                            filled += 1
+                            new.append((p, q))
+                frontier = new
+        if filled != m * n:
+            raise NotTransitiveError(
+                "an orbital block needs a transitive first action")
+        self.rows = rows
+        self.reps = reps
 
 
 class OrbitalPartition:
@@ -24,21 +79,28 @@ class OrbitalPartition:
     Attributes: degree, rank, paired (color -> color of the transpose),
     subdegrees (sorted suborbit lengths when G is transitive, else None),
     and pair representatives per color.  color_of(a, b) and row(a) work in
-    both storage modes.
+    every storage mode.
+
+    blocks, when given, is the square table of the OrbitalBlocks of G's
+    orbits, each transitive, contiguous and in order: blocks[i][j] holds
+    the pairs of orbit i by orbit j.  The caller vouches that they belong
+    to G.  They are read only up to DENSE_LIMIT; above it the partition is
+    compressed as for any group.
     """
 
-    def __init__(self, G):
+    def __init__(self, G, blocks=None):
         self.group = G
         self.degree = G.degree
         self.dense = self.degree <= DENSE_LIMIT
+        self.colors = None
+        self._blocks = None
         self._rows = OrderedDict()
         self._transversals = OrderedDict()
         self.reps = []
         self.pair_reps = []
-        self._orbit_of = [0] * self.degree
-        for orb in G.orbits():
-            for a in orb:
-                self._orbit_of[a] = orb[0]
+        if blocks is not None and self.dense:
+            self._build_from_blocks(blocks)
+            return
         if self.dense:
             self._build_dense()
         else:
@@ -54,6 +116,44 @@ class OrbitalPartition:
             self.subdegrees = sorted(sizes.values())
         else:
             self.subdegrees = None
+
+    def _build_from_blocks(self, blocks):
+        sizes = [len(row[0].rows) for row in blocks]
+        if sum(sizes) != self.degree:
+            raise DegreeMismatchError(
+                f"blocks cover {sum(sizes)} points, not {self.degree}")
+        self._blocks = blocks
+        self._starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        self._orbit_index = [i for i, size in enumerate(sizes)
+                             for _ in range(size)]
+        self._offsets = []
+        for i, row in enumerate(blocks):
+            offsets = []
+            for j, block in enumerate(row):
+                offsets.append(len(self.pair_reps))
+                self.pair_reps += [(self._starts[i], self._starts[j] + b)
+                                   for b in block.reps]
+            self._offsets.append(offsets)
+        self.rank = len(self.pair_reps)
+        # the transpose of (0, b) in block (i, j) is (b, 0) in block (j, i)
+        self.paired = [self._offsets[j][i] + blocks[j][i].rows[b][0]
+                       for i, row in enumerate(blocks)
+                       for j, block in enumerate(row) for b in block.reps]
+        if len(blocks) == 1:
+            counts = {}
+            for c in blocks[0][0].rows[0]:
+                counts[c] = counts.get(c, 0) + 1
+            self.subdegrees = sorted(counts.values())
+        else:
+            self.subdegrees = None
+
+    def _block_row(self, a):
+        i = self._orbit_index[a]
+        local = a - self._starts[i]
+        row = []
+        for offset, block in zip(self._offsets[i], self._blocks[i]):
+            row += [offset + c for c in block.rows[local]]
+        return row
 
     def _build_dense(self):
         n = self.degree
@@ -84,7 +184,10 @@ class OrbitalPartition:
 
     def _build_compressed(self):
         n = self.degree
-        self.colors = None
+        self._orbit_of = [0] * n
+        for orb in self.group.orbits():
+            for a in orb:
+                self._orbit_of[a] = orb[0]
         self._trees = {}
         self._base_rows = {}
         gens = self.group.generators
@@ -151,26 +254,36 @@ class OrbitalPartition:
         return got
 
     def row(self, a):
-        """Colors of the pairs (a, b) for all b, as an indexable row."""
-        if self.dense:
+        """Colors of the pairs (a, b) for all b, as an indexable row.
+
+        A block or compressed row is built when asked for and kept among
+        the ROW_CACHE most recent ones."""
+        if self.colors is not None:
             n = self.degree
             return self.colors[a * n:(a + 1) * n]
         got = self._rows.get(a)
         if got is not None:
             self._rows.move_to_end(a)
             return got
-        rep = self._orbit_of[a]
-        base = self._base_rows[rep]
-        _, u_inv = self.transversal(a)
-        got = [base[u_inv[b]] for b in range(self.degree)]
+        if self._blocks is not None:
+            got = self._block_row(a)
+        else:
+            base = self._base_rows[self._orbit_of[a]]
+            _, u_inv = self.transversal(a)
+            got = [base[u_inv[b]] for b in range(self.degree)]
         self._rows[a] = got
         if len(self._rows) > ROW_CACHE:
             self._rows.popitem(last=False)
         return got
 
     def color_of(self, a, b):
-        if self.dense:
+        if self.colors is not None:
             return self.colors[a * self.degree + b]
+        if self._blocks is not None:
+            i, j = self._orbit_index[a], self._orbit_index[b]
+            block = self._blocks[i][j]
+            return self._offsets[i][j] + \
+                block.rows[a - self._starts[i]][b - self._starts[j]]
         rep = self._orbit_of[a]
         _, u_inv = self.transversal(a)
         return self._base_rows[rep][u_inv[b]]
@@ -179,15 +292,14 @@ class OrbitalPartition:
         a, b = self.pair_reps[color]
         return a == b
 
-    def is_self_paired(self, color):
-        if not 0 <= color < self.rank:
-            raise ValueError(f"no orbital with id {color}")
-        return self.paired[color] == color
-
     def diagonal_color(self, a):
         """The color of the pair (a, a); constant on each G-orbit."""
-        if self.dense:
+        if self.colors is not None:
             return self.colors[a * self.degree + a]
+        if self._blocks is not None:
+            # (0, 0) opens the scan of a diagonal block: local color 0
+            i = self._orbit_index[a]
+            return self._offsets[i][i]
         rep = self._orbit_of[a]
         return self._base_rows[rep][rep]
 

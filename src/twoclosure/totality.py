@@ -43,6 +43,7 @@ from .basesize import exact_base_size
 from .closure import two_closure
 from .errors import BudgetExceededError, GroupError, SectionObstructionError
 from .group import PermGroup
+from .orbital import DENSE_LIMIT, OrbitalBlock, OrbitalPartition
 from .perm import Permutation
 from .subgroups import (ORDER_BOUND, all_subgroup_sets, has_section,
                         subgroup_classes)
@@ -185,12 +186,12 @@ class AssembledAction:
     group: PermGroup
 
 
-def _direct_sum(G, actions):
+def _direct_sum(G, actions, order=None):
     """One permutation group acting on the disjoint union of coset spaces.
 
     The generator lists of the individual actions line up with
     G.generators entry for entry, so concatenating images per generator
-    yields the diagonal action.
+    yields the diagonal action.  order, when given, is the image's order.
     """
     total = sum(act.degree for act in actions)
     gens = []
@@ -201,7 +202,63 @@ def _direct_sum(G, actions):
             images.extend(offset + v for v in act._image_gens[gi].images)
             offset += act.degree
         gens.append(Permutation(images))
-    return PermGroup(total, gens, seed=G.seed)
+    return PermGroup(total, gens, seed=G.seed, order=order)
+
+
+class _ClassData:
+    """What the actions of one class table share, each built once.
+
+    Holds the coset action of each class, the element set of each core,
+    and the orbital block of each ordered pair of classes, which is the
+    same in every direct sum holding both classes.
+    """
+
+    def __init__(self, G, table):
+        self.G = G
+        self.table = table
+        self._actions = {}
+        self._cores = {}
+        self._blocks = {}
+
+    def action(self, ci):
+        act = self._actions.get(ci)
+        if act is None:
+            act = coset_action(self.G, self.table.representatives[ci])
+            self._actions[ci] = act
+        return act
+
+    def core(self, ci):
+        """The elements of the core of class ci, as image tuples."""
+        got = self._cores.get(ci)
+        if got is None:
+            got = frozenset(p.images for p in self.table.cores[ci].elements())
+            self._cores[ci] = got
+        return got
+
+    def image_order(self, classes):
+        """|G| / |the intersection of the classes' cores|: the order of
+        the direct sum of their coset actions."""
+        kernel = frozenset.intersection(*(self.core(ci) for ci in classes))
+        return self.G.order() // len(kernel)
+
+    def partition(self, assembled):
+        """The orbital partition of an assembled action, from the blocks
+        of its class pairs; None above DENSE_LIMIT, where two_closure
+        builds the compressed one itself."""
+        if assembled.degree > DENSE_LIMIT:
+            return None
+        rows = []
+        for ci in assembled.classes:
+            row = []
+            for cj in assembled.classes:
+                block = self._blocks.get((ci, cj))
+                if block is None:
+                    block = OrbitalBlock(self.action(ci)._image_gens,
+                                         self.action(cj)._image_gens)
+                    self._blocks[ci, cj] = block
+                row.append(block)
+            rows.append(row)
+        return OrbitalPartition(assembled.group, blocks=rows)
 
 
 def assemble_action(G, table, class_indices, cache=None):
@@ -210,7 +267,9 @@ def assemble_action(G, table, class_indices, cache=None):
     Repeated indices are allowed; the representation stream never emits
     them, but appending an equivalent copy of an orbit is useful when
     checking that duplicates do not change 2-closedness.  cache, if
-    given, maps class index to a built CosetAction and is filled in.
+    given, is the table's _ClassData, which keeps the coset actions.  The
+    group is told its order, |G| over the order of the intersection of
+    the classes' cores, so its re-based chains stop there.
     """
     if not class_indices:
         raise GroupError("an action needs at least one orbit")
@@ -222,34 +281,27 @@ def assemble_action(G, table, class_indices, cache=None):
             raise GroupError(
                 "the full group as a stabilizer gives a fixed point, "
                 "not an orbit")
-    actions = []
-    for ci in class_indices:
-        act = None if cache is None else cache.get(ci)
-        if act is None:
-            act = coset_action(G, table.representatives[ci])
-            if cache is not None:
-                cache[ci] = act
-        actions.append(act)
-    group = _direct_sum(G, actions)
+    if cache is None:
+        cache = _ClassData(G, table)
+    group = _direct_sum(G, [cache.action(ci) for ci in class_indices],
+                        cache.image_order(class_indices))
     return AssembledAction(tuple(class_indices), group.degree, group)
 
 
-def _faithful_subsets(G, table):
+def _faithful_subsets(G, table, cache):
     """Class subsets with trivially intersecting cores, by total degree.
 
     Yields (degree, classes) pairs in nondecreasing total degree, ties
     broken by the class-index tuple.  Subsets whose cores still intersect
     nontrivially are extended but not yielded, since adding more orbits
     can shrink the kernel.  Extensions only use larger class indices, so
-    each subset appears exactly once.
+    each subset appears exactly once.  The core element sets come from
+    cache, the table's _ClassData.
     """
     order = G.order()
     classes = sorted(table.proper_classes())
     degrees = {i: order // table.orders[i] for i in classes}
-    core_sets = {
-        i: frozenset(p.images for p in table.cores[i].elements())
-        for i in classes
-    }
+    core_sets = {i: cache.core(i) for i in classes}
     heap = [(degrees[i], (i,), core_sets[i]) for i in classes]
     heapq.heapify(heap)
     while heap:
@@ -280,8 +332,8 @@ def nonequivalent_faithful_representations(G, table=None):
         raise GroupError(
             "the representation stream needs a complete subgroup class "
             "table")
-    cache = {}
-    for _, subset in _faithful_subsets(G, table):
+    cache = _ClassData(G, table)
+    for _, subset in _faithful_subsets(G, table, cache):
         yield assemble_action(G, table, subset, cache)
 
 
@@ -366,7 +418,7 @@ def two_transitive_disproof(G, budget=None, table=None, _spent=None):
     order = G.order()
     scan = sorted((order // table.orders[i], i)
                   for i in table.proper_classes() if table.core_free(i))
-    cache = {}
+    cache = _ClassData(G, table)
     for degree, i in scan:
         if degree > budget.max_degree:
             break
@@ -379,7 +431,8 @@ def two_transitive_disproof(G, budget=None, table=None, _spent=None):
         assembled = assemble_action(G, table, (i,), cache)
         if not _is_two_transitive(assembled.group):
             continue
-        res = _run_closure(assembled.group, budget, spent)
+        res = _run_closure(assembled.group, budget, spent,
+                           cache.partition(assembled))
         return ActionWitness(
             "two-transitive",
             f"2-transitive coset action of degree {degree} for stabilizer "
@@ -402,10 +455,11 @@ def _merge_spent(first, second):
     return merged
 
 
-def _run_closure(group, budget, spent):
+def _run_closure(group, budget, spent, partition=None):
     """two_closure under the shared budget."""
     spent["closure_runs"] += 1
-    res = two_closure(group, node_budget=budget.node_budget)
+    res = two_closure(group, node_budget=budget.node_budget,
+                      partition=partition)
     spent["closure_nodes"] += res.nodes
     return res
 
@@ -463,12 +517,14 @@ def representation_sweep(G, budget=None, table=None, prune=True,
         table = subgroup_classes(G, budget.subgroup_order_bound)
     if not table.complete:
         return _unenumerated(G, "multi-orbit sweep", budget, _new_spent())
-    return _sweep(G, table, _faithful_subsets(G, table), budget,
-                  "multi-orbit sweep", prune,
+    cache = _ClassData(G, table)
+    return _sweep(G, table, cache, _faithful_subsets(G, table, cache),
+                  budget, "multi-orbit sweep", prune,
                   frozenset(tuple(subset) for subset in completed))
 
 
-def _sweep(G, table, items, budget, stage, prune=True, done=frozenset()):
+def _sweep(G, table, cache, items, budget, stage, prune=True,
+           done=frozenset()):
     """Test the action of each (degree, class-subset) item in order.
 
     Items must come in nondecreasing degree; the first one above
@@ -478,12 +534,18 @@ def _sweep(G, table, items, budget, stage, prune=True, done=frozenset()):
     base-2 stabilizer.  The verdict is No at the first action whose
     closure exceeds its image, Inconclusive on a stop or an uncertified
     search, and Yes otherwise.
+
+    Every action is a direct sum of coset actions of a few classes, so
+    cache, the table's _ClassData, builds what the actions share once per
+    sweep: each class's coset action, each core's elements, and the
+    orbital block of each ordered pair of classes.  An action's orbital partition is put together from its
+    class pairs' blocks, and its group is told its order, so the closure
+    search's chain stops there.
     """
     spent = _new_spent()
     tested = []
     unresolved = []
     pruned = {}
-    cache = {}
     for degree, subset in items:
         spent["actions_enumerated"] += 1
         entry = {"classes": list(subset), "degree": degree}
@@ -502,7 +564,8 @@ def _sweep(G, table, items, budget, stage, prune=True, done=frozenset()):
                                  [entry], spent)
         else:
             assembled = assemble_action(G, table, subset, cache)
-            res = _run_closure(assembled.group, budget, spent)
+            res = _run_closure(assembled.group, budget, spent,
+                               cache.partition(assembled))
             if res.closure.order() > assembled.group.order():
                 entry["result"] = "witness"
                 tested.append(entry)
@@ -686,8 +749,9 @@ def transitive_reduction_check(G, budget=None, assume_no_sections=False,
     if not table.complete:
         return _unenumerated(G, "transitive sweep", budget, spent)
     order = G.order()
-    return _sweep(G, table, sorted((order // table.orders[i], (i,))
-                                   for i in table.proper_classes()),
+    return _sweep(G, table, _ClassData(G, table),
+                  sorted((order // table.orders[i], (i,))
+                         for i in table.proper_classes()),
                   budget, "transitive sweep")
 
 

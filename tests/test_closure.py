@@ -14,8 +14,10 @@ from twoclosure.constructions import (alternating, cyclic, diagonal_double,
                                       gamma_l1_16, psl2, quaternion,
                                       regular_representation, symmetric,
                                       trivial, wreath_imprimitive)
+from twoclosure.errors import DegreeMismatchError, GroupError
 from twoclosure.orbital import OrbitalPartition
 from twoclosure.subgroups import subgroup_classes
+from twoclosure.totality import _ClassData, assemble_action
 
 
 def sym3_on_5():
@@ -347,3 +349,32 @@ def test_shortcuts_build_no_chain(chain_builds):
     for G in groups:
         assert two_closure(G).method == "certified-equal"
     assert chain_builds == []
+
+
+def test_prebuilt_partition_must_belong_to_the_group():
+    G = dihedral(5)
+    with pytest.raises(DegreeMismatchError):
+        two_closure(G, partition=OrbitalPartition(cyclic(4)))
+    # an equal group is still another group: the partition is not checked
+    # for equality, only for identity
+    twin = PermGroup(G.degree, G.generators)
+    with pytest.raises(GroupError):
+        two_closure(G, partition=OrbitalPartition(twin))
+
+
+@pytest.mark.parametrize("case, classes", [
+    ("D8", (0, 1)), ("D8", (1, 2, 3)), ("Q8xC3", (0,)), ("Q8xC3", (2, 5)),
+    ("S4", (4,)), ("S4", (1, 3)),
+])
+def test_prebuilt_partition_gives_the_same_result(case, classes):
+    G = {"D8": lambda: dihedral(4),
+         "Q8xC3": lambda: direct_product(quaternion(), cyclic(3)),
+         "S4": lambda: symmetric(4)}[case]()
+    table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    built = assemble_action(G, table, classes, cache)
+    inside = two_closure(assemble_action(G, table, classes).group)
+    given = two_closure(built.group, partition=cache.partition(built))
+    assert (given.closure.order(), given.nodes, given.certified,
+            given.method) == (inside.closure.order(), inside.nodes,
+                              inside.certified, inside.method)

@@ -1,13 +1,16 @@
 import gc
+import hashlib
+import json
 import random
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoclosure.errors import BudgetExceededError
+from twoclosure.constructions import alternating, psl2, symmetric
+from twoclosure.errors import BudgetExceededError, GroupError
 from twoclosure.perm import Permutation
-from twoclosure.group import PermGroup, is_prime
+from twoclosure.group import PermGroup, StabilizerChain, is_prime
 
 import oracles
 
@@ -282,3 +285,122 @@ def test_elements_order_ignores_the_chain_that_answered_order(chain_builds):
     assert [g.images for g in rebased.elements()] == want
     assert rebased.chain.base() == plain.chain.base()
     assert rebased.random_element().images == plain.random_element().images
+
+
+def _j1():
+    from test_j1 import J1_FILE
+    data = json.loads(J1_FILE.read_text())
+    return PermGroup(data["degree"],
+                     [Permutation(tuple(g)) for g in data["generators"]])
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda: sym(5), 120),
+    (lambda: psl2(7), 168),
+    (_j1, 175560),
+], ids=["S5", "PSL(2,7)", "J1/266"])
+def test_known_order_build_agrees_with_the_full_build(make, order):
+    G = make()
+    full = StabilizerChain.build(G.generators, G.degree)
+    known = StabilizerChain.build(G.generators, G.degree, order=order)
+    assert full.order() == known.order() == order
+    # half the probes lie in the group, half are arbitrary permutations
+    rng = random.Random(200)
+    for k in range(200):
+        if k % 2:
+            images = list(range(G.degree))
+            rng.shuffle(images)
+            g = Permutation(images)
+        else:
+            g = full.random_element(rng)
+        assert known.contains(g) == full.contains(g)
+
+
+def test_known_order_build_stops_before_the_deterministic_pass():
+    G = alternating(5)
+    sifts = []
+    sift = StabilizerChain.sift
+
+    def counted(self, g, start=0):
+        sifts.append(start)
+        return sift(self, g, start)
+
+    StabilizerChain.sift = counted
+    try:
+        StabilizerChain.build(G.generators, G.degree)
+        full = len(sifts)
+        sifts.clear()
+        StabilizerChain.build(G.generators, G.degree, order=60)
+    finally:
+        StabilizerChain.sift = sift
+    # the deterministic pass sifts from level 1 on; the stopped build
+    # sifts at most the random phase's products, from level 0
+    assert set(sifts) <= {0}
+    assert len(sifts) < full
+
+
+@pytest.mark.parametrize("order", [4, 24])
+def test_known_order_below_the_orbit_product_raises(order):
+    # the first basic orbit of S5 already has 5 points; 24 is no multiple
+    # of 5, so every product the growth reaches passes it without a stop
+    G = sym(5)
+    with pytest.raises(GroupError):
+        StabilizerChain.build(G.generators, G.degree, order=order)
+
+
+def test_known_order_out_of_reach_of_random_growth_ends_verified():
+    # no random phase runs: with it switched off, and for one generator
+    G = sym(5)
+    chain = StabilizerChain.build(G.generators, G.degree, order=120,
+                                  random_boost=False)
+    assert chain.order() == 120
+    assert chain.contains(Permutation.from_cycles(5, [[1, 3]]))
+    g = Permutation.from_cycles(5, [[0, 1], [2, 3, 4]])
+    chain = StabilizerChain.build([g], 5, order=6)
+    assert chain.order() == 6
+    assert chain.contains(g * g * g)
+
+
+def test_rebased_chain_takes_the_order_of_the_chain_held(monkeypatch):
+    build = StabilizerChain.build.__func__
+    orders = []
+
+    def recorded(cls, gens, degree, base_hint=(), **kwargs):
+        orders.append((tuple(base_hint), kwargs.get("order")))
+        return build(cls, gens, degree, base_hint=base_hint, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "build", classmethod(recorded))
+    G = psl2(7)
+    G.chain_with_base((3,))
+    G.chain_with_base((3, 5))
+    assert G.chain.order() == 168
+    told = PermGroup(G.degree, G.generators, order=168)
+    told.chain_with_base((1,))
+    # the plain chain is never told the order
+    assert orders == [((3,), None), ((3, 5), 168), ((), None), ((1,), 168)]
+    assert G.chain_with_base((3, 5)).order() == 168
+    with pytest.raises(GroupError):
+        PermGroup(G.degree, G.generators, order=84).chain_with_base((3,))
+
+
+# SHA-256 of the image bytes of elements(), in order, taken before the
+# known-order chains existed; the plain chain is built as it was.
+ELEMENT_DIGESTS = {
+    "S4": (24, "42d17ff67728d899621b76d935d68aa89d34bd7668b89f18e0d2ff2acdb4b484"),
+    "A5": (60, "d127a0702f12fb0b2ae7a8b81da09c7396a23790f3eacb38168129aca8040130"),
+    "PSL(2,11)": (660, "e21e694758c9499c59f213c4d586d715017a53d5b89b7f586a61849231f2471f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_DIGESTS))
+def test_elements_sequence_is_unchanged_by_known_orders(name):
+    G = {"S4": lambda: symmetric(4), "A5": lambda: alternating(5),
+         "PSL(2,11)": lambda: psl2(11)}[name]()
+    order, want = ELEMENT_DIGESTS[name]
+    told = PermGroup(G.degree, G.generators, seed=G.seed, order=order)
+    told.chain_with_base((2, 1))
+    for H in (G, told):
+        sha = hashlib.sha256()
+        for g in H.elements():
+            sha.update(bytes(g.images))
+        assert sha.hexdigest() == want

@@ -6,9 +6,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from twoclosure import PermGroup, Permutation
 from twoclosure.constructions import (cyclic, dihedral, direct_product,
-                                      frobenius20, gamma_l1_16, symmetric)
+                                      elementary_abelian, frobenius20,
+                                      gamma_l1_16, quaternion, symmetric)
 from twoclosure.errors import NotTransitiveError
-from twoclosure.orbital import OrbitalPartition, higman_primitive
+from twoclosure.orbital import (OrbitalBlock, OrbitalPartition,
+                                higman_primitive)
+from twoclosure.subgroups import subgroup_classes
+from twoclosure.totality import _ClassData, _faithful_subsets, assemble_action
 
 
 perm_lists = st.integers(min_value=4, max_value=7).flatmap(
@@ -81,11 +85,9 @@ def test_self_paired_flags():
     backward = part.color_of(1, 0)
     assert forward != backward
     assert part.paired[forward] == backward
-    assert not part.is_self_paired(forward)
+    assert part.paired[forward] != forward
     diag = part.color_of(0, 0)
-    assert part.is_self_paired(diag)
-    with pytest.raises(ValueError):
-        part.is_self_paired(99)
+    assert part.paired[diag] == diag
 
 
 def test_intransitive_diagonal_colors_split_orbits():
@@ -165,3 +167,77 @@ def test_compressed_mode_matches_dense_intransitive():
     assert compressed.pair_reps == dense.pair_reps
     for a in range(G.degree):
         assert list(compressed.row(a)) == list(dense.row(a))
+
+
+def assert_same_partition(got, want):
+    assert got.rank == want.rank
+    assert got.pair_reps == want.pair_reps
+    assert got.paired == want.paired
+    assert got.subdegrees == want.subdegrees
+    for a in range(want.degree):
+        assert list(got.row(a)) == list(want.row(a))
+        assert got.diagonal_color(a) == want.diagonal_color(a)
+    for a, b in [(0, want.degree - 1), (want.degree - 1, 0)]:
+        assert got.color_of(a, b) == want.color_of(a, b)
+    for c in range(want.rank):
+        assert got.neighbors(0, c) == want.neighbors(0, c)
+
+
+SWEPT = {
+    "C2xC4": lambda: direct_product(cyclic(2), cyclic(4)),
+    "D8": lambda: dihedral(4),
+    "C3^2": lambda: elementary_abelian(3, 2),
+    "Q8xC3": lambda: direct_product(quaternion(), cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_block_partition_matches_the_scan_on_every_sweep_action(name):
+    G = SWEPT[name]()
+    table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    # the multi-orbit sweep's actions, then every transitive one, faithful
+    # or not, as the 2-transitive scan and the transitive sweep take them
+    subsets = [s for _, s in _faithful_subsets(G, table, cache)]
+    subsets += [(i,) for i in table.proper_classes()]
+    for subset in subsets:
+        assembled = assemble_action(G, table, subset, cache)
+        part = cache.partition(assembled)
+        assert part._blocks is not None
+        assert_same_partition(part, OrbitalPartition(assembled.group))
+        # the order the group is told is the order of its plain chain
+        assert cache.image_order(subset) == assembled.group.chain.order()
+
+
+def test_block_partition_with_a_repeated_class():
+    G = dihedral(4)
+    table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    cls = min(table.proper_classes(), key=lambda i: table.orders[i])
+    other = max(table.proper_classes(), key=lambda i: table.orders[i])
+    assembled = assemble_action(G, table, (other, cls, other), cache)
+    assert_same_partition(cache.partition(assembled),
+                          OrbitalPartition(assembled.group))
+
+
+def test_blocks_are_not_read_above_the_dense_limit(monkeypatch):
+    import twoclosure.orbital as orbital_mod
+    G = dihedral(4)
+    table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    assembled = assemble_action(G, table, tuple(table.proper_classes()[:2]),
+                                cache)
+    dense = OrbitalPartition(assembled.group)
+    monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
+    blocks = [[OrbitalBlock(cache.action(i)._image_gens,
+                            cache.action(j)._image_gens)
+               for j in assembled.classes] for i in assembled.classes]
+    compressed = OrbitalPartition(assembled.group, blocks=blocks)
+    assert not compressed.dense and compressed._blocks is None
+    assert_same_partition(compressed, dense)
+
+
+def test_block_needs_a_transitive_first_action():
+    swap = Permutation([1, 0, 2])
+    with pytest.raises(NotTransitiveError):
+        OrbitalBlock([swap], [swap])
