@@ -2,9 +2,10 @@
 
 The closure of G is the group of all permutations preserving every cell
 of G's orbital partition.  Apart from three identities that need no
-search (trivial, regular and 2-transitive inputs), every input, whether
-transitive or not, goes through one search: the collect mode of the walk
-in ``backtrack``, whose known subgroup starts as G itself.
+search (trivial inputs, inputs with a regular orbit, and 2-transitive
+inputs), every input, whether transitive or not, goes through one
+search: the collect mode of the walk in ``backtrack``, whose known
+subgroup starts as G itself.
 
 The search is individualization-refinement (McKay & Piperno, Practical
 graph isomorphism II, 2014; Leon, Permutation group algorithms based on
@@ -34,8 +35,9 @@ class ClosureResult:
 
     method is either "backtrack" (partition search ran) or
     "certified-equal" (the answer follows from a closure identity with no
-    search: the trivial group and regular actions are their own closure,
-    and 2-transitive groups close to the full symmetric group).
+    search: the trivial group and every group with a regular orbit are
+    their own closure, and 2-transitive groups close to the full
+    symmetric group).
     certified is False only when the node budget stopped the search, in
     which case closure is a lower bound containing the input.  nodes
     counts the nodes of that one search, and node_budget bounds it.
@@ -86,6 +88,16 @@ def two_closure(G, node_budget=None, partition=None):
     partition, when given, is G's orbital partition built beforehand, as
     the totality sweep builds it from cached blocks; it must have been
     built for G itself.
+
+    A group with a regular orbit is its own closure (Wielandt,
+    Permutation groups through invariant relations and invariant
+    functions, 1969), and a point a whose row holds degree colors has
+    one: G_a has a singleton orbit per point, so G_a = 1.  Proof: let
+    x lie in the closure and D be a's orbit.  G is regular on D, and
+    regular groups are 2-closed, so x agrees on D with some g in G.
+    Then y = x g^-1 lies in the closure and fixes D pointwise, and y
+    keeps the orbital of each (a, b), so b^y lies in b^(G_a) = {b}.
+    Hence y = 1 and x = g.
     """
     n = G.degree
     if partition is not None:
@@ -97,13 +109,10 @@ def two_closure(G, node_budget=None, partition=None):
     if G.is_trivial:
         return ClosureResult(G, G, "certified-equal")
     part = partition if partition is not None else OrbitalPartition(G)
-    if G.is_transitive():
-        if part.rank == 2:
-            return ClosureResult(G, symmetric(n, seed=G.seed),
-                                 "certified-equal")
-        # transitive G is regular exactly when every suborbit is a point
-        if part.rank == n:
-            return ClosureResult(G, G, "certified-equal")
+    if part.rank == 2 and G.is_transitive():
+        return ClosureResult(G, symmetric(n, seed=G.seed), "certified-equal")
+    if n in part.row_ranks():
+        return ClosureResult(G, G, "certified-equal")
     return _closure_search(G, part, node_budget)
 
 

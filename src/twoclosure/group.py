@@ -26,7 +26,8 @@ full: its strong generators fix the order of ``elements()`` and
 ``random_element()``.  The known order goes to ``chain_with_base`` chains
 only.  It is the order of the chain the group already holds, or the one
 given to the constructor, as the totality sweep does for the direct sums
-it assembles.
+it assembles.  A group given its order answers ``order()`` with it until
+it holds a verified chain, and builds none to do so.
 """
 
 from __future__ import annotations
@@ -350,8 +351,9 @@ class PermGroup:
     stopping at the group's order once that is known: from the chain the
     group holds, or from ``order``, which the caller vouches for.
     ``order()`` and ``contains`` read the first verified chain the group
-    came to hold, plain, re-based or inherited, and build the plain chain
-    only when there is none.
+    came to hold, plain, re-based or inherited.  With none held,
+    ``order()`` answers the vouched order when there is one, and both
+    build the plain chain otherwise.
     """
 
     def __init__(self, degree, generators, name=None, seed=0, order=None):
@@ -407,6 +409,10 @@ class PermGroup:
         return got
 
     def order(self):
+        """The group's order: from the first verified chain held, else the
+        order given to the constructor, else from the plain chain."""
+        if self._verified is None and self._known_order is not None:
+            return self._known_order
         return (self._verified or self.chain).order()
 
     @property

@@ -78,14 +78,17 @@ class OrbitalPartition:
 
     Attributes: degree, rank, paired (color -> color of the transpose),
     subdegrees (sorted suborbit lengths when G is transitive, else None),
-    and pair representatives per color.  color_of(a, b) and row(a) work in
-    every storage mode.
+    and pair representatives per color.  color_of(a, b), row(a) and
+    row_ranks() work in every storage mode.
 
     blocks, when given, is the square table of the OrbitalBlocks of G's
     orbits, each transitive, contiguous and in order: blocks[i][j] holds
     the pairs of orbit i by orbit j.  The caller vouches that they belong
     to G.  They are read only up to DENSE_LIMIT; above it the partition is
-    compressed as for any group.
+    compressed as for any group.  A block-built partition holds the
+    blocks and the color offsets of each; its pair_reps are put together
+    from the blocks when first read, which the totality sweep never does.
+    paired is computed when first read in every mode.
     """
 
     def __init__(self, G, blocks=None):
@@ -97,7 +100,8 @@ class OrbitalPartition:
         self._rows = OrderedDict()
         self._transversals = OrderedDict()
         self.reps = []
-        self.pair_reps = []
+        self._pair_reps = None
+        self._paired = None
         if blocks is not None and self.dense:
             self._build_from_blocks(blocks)
             return
@@ -105,8 +109,7 @@ class OrbitalPartition:
             self._build_dense()
         else:
             self._build_compressed()
-        self.rank = len(self.pair_reps)
-        self.paired = [self.color_of(b, a) for a, b in self.pair_reps]
+        self.rank = len(self._pair_reps)
         if G.is_transitive():
             sizes = {}
             base_row = self.row(0)
@@ -127,18 +130,14 @@ class OrbitalPartition:
         self._orbit_index = [i for i, size in enumerate(sizes)
                              for _ in range(size)]
         self._offsets = []
-        for i, row in enumerate(blocks):
+        rank = 0
+        for row in blocks:
             offsets = []
-            for j, block in enumerate(row):
-                offsets.append(len(self.pair_reps))
-                self.pair_reps += [(self._starts[i], self._starts[j] + b)
-                                   for b in block.reps]
+            for block in row:
+                offsets.append(rank)
+                rank += len(block.reps)
             self._offsets.append(offsets)
-        self.rank = len(self.pair_reps)
-        # the transpose of (0, b) in block (i, j) is (b, 0) in block (j, i)
-        self.paired = [self._offsets[j][i] + blocks[j][i].rows[b][0]
-                       for i, row in enumerate(blocks)
-                       for j, block in enumerate(row) for b in block.reps]
+        self.rank = rank
         if len(blocks) == 1:
             counts = {}
             for c in blocks[0][0].rows[0]:
@@ -146,6 +145,37 @@ class OrbitalPartition:
             self.subdegrees = sorted(counts.values())
         else:
             self.subdegrees = None
+
+    @property
+    def pair_reps(self):
+        """The least pair (a, b) of each color, in color order."""
+        if self._pair_reps is None:
+            # block (i, j) numbers its colors along the first row of D_i
+            self._pair_reps = [
+                (self._starts[i], self._starts[j] + b)
+                for i, row in enumerate(self._blocks)
+                for j, block in enumerate(row) for b in block.reps]
+        return self._pair_reps
+
+    @property
+    def paired(self):
+        """The color of the transpose of each color's pairs."""
+        if self._paired is None:
+            self._paired = [self.color_of(b, a) for a, b in self.pair_reps]
+        return self._paired
+
+    def row_ranks(self):
+        """The number of colors in a row of each G-orbit, orbits in order
+        of least point.  A row of a holds one color per G_a-orbit, so a
+        count of degree means G_a = 1: a's orbit is regular."""
+        if self._blocks is not None:
+            return [sum(len(block.reps) for block in row)
+                    for row in self._blocks]
+        # a color's least pair starts at the least point of its orbit
+        counts = {}
+        for a, _ in self._pair_reps:
+            counts[a] = counts.get(a, 0) + 1
+        return list(counts.values())
 
     def _block_row(self, a):
         i = self._orbit_index[a]
@@ -159,6 +189,7 @@ class OrbitalPartition:
         n = self.degree
         gens = [g.images for g in self.group.generators]
         colors = array("l", [-1] * (n * n))
+        pair_reps = []
         next_color = 0
         for a in range(n):
             base = a * n
@@ -167,7 +198,7 @@ class OrbitalPartition:
                     continue
                 color = next_color
                 next_color += 1
-                self.pair_reps.append((a, b))
+                pair_reps.append((a, b))
                 colors[base + b] = color
                 frontier = [(a, b)]
                 while frontier:
@@ -181,6 +212,7 @@ class OrbitalPartition:
                                 new.append((p, q))
                     frontier = new
         self.colors = colors
+        self._pair_reps = pair_reps
 
     def _build_compressed(self):
         n = self.degree
@@ -207,6 +239,7 @@ class OrbitalPartition:
                 frontier = new
             self._trees[rep] = tree
             self.reps.append(rep)
+        pair_reps = []
         next_color = 0
         for rep in self.reps:
             stab = self.group.point_stabilizer(rep)
@@ -224,9 +257,10 @@ class OrbitalPartition:
                     c = next_color
                     next_color += 1
                     assigned[k] = c
-                    self.pair_reps.append((rep, b))
+                    pair_reps.append((rep, b))
                 row[b] = c
             self._base_rows[rep] = row
+        self._pair_reps = pair_reps
 
     def transversal(self, a):
         """A pair (u, u_inv_images) with rep^u = a for a's orbit rep."""

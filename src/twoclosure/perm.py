@@ -34,7 +34,8 @@ class Permutation:
     @classmethod
     def _trusted(cls, images):
         """A permutation from an image tuple known to be a bijection,
-        skipping the check; for products, inverses and powers only."""
+        skipping the check; for products, inverses, powers and direct
+        sums only."""
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p

@@ -201,7 +201,8 @@ def _direct_sum(G, actions, order=None):
         for act in actions:
             images.extend(offset + v for v in act._image_gens[gi].images)
             offset += act.degree
-        gens.append(Permutation(images))
+        # shifted images of bijections on disjoint ranges: a bijection
+        gens.append(Permutation._trusted(tuple(images)))
     return PermGroup(total, gens, seed=G.seed, order=order)
 
 
@@ -538,9 +539,12 @@ def _sweep(G, table, cache, items, budget, stage, prune=True,
     Every action is a direct sum of coset actions of a few classes, so
     cache, the table's _ClassData, builds what the actions share once per
     sweep: each class's coset action, each core's elements, and the
-    orbital block of each ordered pair of classes.  An action's orbital partition is put together from its
-    class pairs' blocks, and its group is told its order, so the closure
-    search's chain stops there.
+    orbital block of each ordered pair of classes.  An action's orbital
+    partition is put together from its class pairs' blocks, and its group
+    is told its order, so the closure search's chain stops there.  An
+    action holding the trivial class has a regular orbit and closes
+    without a search, and comparing its closure with its image reads the
+    told order, so it builds no chain at all.
     """
     spent = _new_spent()
     tested = []

@@ -157,13 +157,46 @@ def test_trivial_group_closure():
 
 
 def test_diagonal_c3_closure_is_diagonal():
+    # both orbits of the diagonal C3 are regular, so no search runs
     G = diagonal_double(cyclic(3))
     res = two_closure(G)
     assert res.closure.order() == 3
     assert res.index == 1
-    assert res.method == "backtrack"
+    assert res.method == "certified-equal"
     want = oracles.oracle_two_closure([g.images for g in G.generators], 6)
     assert len(want) == 3
+    # the diagonal S3 has no regular orbit: its closure is searched
+    H = diagonal_double(symmetric(3))
+    res = two_closure(H)
+    assert (res.closure.order(), res.nodes, res.method) == (6, 3, "backtrack")
+    want = oracles.oracle_two_closure([g.images for g in H.generators], 6)
+    assert len(want) == 6
+
+
+def natural_and_regular(G):
+    """G on its own points and, beside them, on its elements."""
+    R = regular_representation(G)
+    gens = [Permutation(g.images + tuple(G.degree + v for v in r.images))
+            for g, r in zip(G.generators, R.generators)]
+    return PermGroup(G.degree + R.degree, gens)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: natural_and_regular(cyclic(3)),
+    lambda: natural_and_regular(cyclic(4)),
+    lambda: natural_and_regular(symmetric(3)),
+    lambda: diagonal_double(cyclic(3)),
+], ids=["C3 and regular", "C4 and regular", "S3 and regular", "diagonal C3"])
+def test_groups_with_a_regular_orbit_are_their_own_closure(build):
+    G = build()
+    assert not G.is_transitive() and G.degree <= 9
+    gens = [g.images for g in G.generators]
+    want = oracles.oracle_two_closure(gens, G.degree)
+    assert len(want) == oracles.oracle_order(gens)
+    res = two_closure(G)
+    assert (res.method, res.nodes, res.certified) == \
+        ("certified-equal", 0, True)
+    assert res.closure.order() == len(want)
 
 
 def test_closure_idempotent():
@@ -344,10 +377,26 @@ def test_two_closure_builds_one_chain_per_known_group(chain_builds, case,
 
 def test_shortcuts_build_no_chain(chain_builds):
     groups = [trivial(5), cyclic(7), regular_representation(quaternion()),
-              symmetric(5)]
+              symmetric(5), natural_and_regular(cyclic(4))]
     chain_builds.clear()
     for G in groups:
         assert two_closure(G).method == "certified-equal"
+    assert chain_builds == []
+
+
+def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
+    # as the totality sweep runs it: a partition from cached blocks and a
+    # group told its order
+    G = direct_product(quaternion(), cyclic(3))
+    table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    classes = (table.orders.index(1), table.orders.index(4))
+    built = assemble_action(G, table, classes, cache)
+    part = cache.partition(built)
+    chain_builds.clear()
+    res = two_closure(built.group, partition=part)
+    assert res.method == "certified-equal"
+    assert res.closure.order() == built.group.order() == 24
     assert chain_builds == []
 
 

@@ -1,10 +1,11 @@
 """A slice of the decision corpus in ``tools/decision_corpus.py``, pinned.
 
-The digest was taken before the totality sweep built its orbital
-partitions from cached blocks and its chains from known orders; a change
-that alters a verdict, a witness, a frontier, the ``tested`` log or the
-spent budget of any of these decisions changes it.  The full corpus of
-600 decisions runs from the command line.
+The digest was taken once every group with a regular orbit was closed
+without a search, which cut the ``closure_nodes`` these decisions spend;
+a change that alters a verdict, a witness, a frontier, the ``tested`` log
+or the spent budget of any of these decisions changes it.  The full
+corpus of 600 decisions runs from the command line, and ``--against``
+compares it with a saved run.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "decision_corpus.py"
 SLICE_DIGEST = \
-    "676166f28a93a4b8c964c1525b341d74418edf1d2f5d01b9ad0b589729d9242c"
+    "74d559e0f3c8db2771662d2095bf57b412eddf97cb58cf6661f645337e018c83"
 
 
 def load_tool():
@@ -37,3 +38,23 @@ def test_corpus_has_600_decisions():
     tool = load_tool()
     assert len(tool.corpus_groups()) == 15
     assert sum(1 for _ in tool.decisions()) == 600
+
+
+def test_differences_count_keys_and_list_status_moves():
+    tool = load_tool()
+    inputs = {"group": "C4", "decider": "representation_sweep",
+              "node_budget": 1, "max_actions": 3, "order_bound": 4}
+    saved = [dict(inputs, status="Inconclusive", frontier={"x": 1},
+                  budget_spent={"closure_nodes": 2, "closure_runs": 1}),
+             dict(inputs, status="Yes", budget_spent={"closure_nodes": 1})]
+    now = [dict(inputs, status="Yes", frontier=None,
+                budget_spent={"closure_nodes": 0, "closure_runs": 1}),
+           dict(inputs, error="GroupError: boom")]
+    counts, moves = tool.differences(
+        [json.dumps(d) for d in saved] + ["sha256 abc over 2 decisions"],
+        [json.dumps(d) for d in now])
+    assert counts == {"budget_spent.closure_nodes": 2, "error": 1,
+                      "frontier": 1, "status": 2}
+    where = ("group=C4 decider=representation_sweep node_budget=1 "
+             "max_actions=3 order_bound=4")
+    assert moves == [f"{where}: Inconclusive -> Yes", f"{where}: Yes -> error"]

@@ -9,6 +9,7 @@ from twoclosure.constructions import (cyclic, dihedral, direct_product,
                                       elementary_abelian, frobenius20,
                                       gamma_l1_16, quaternion, symmetric)
 from twoclosure.errors import NotTransitiveError
+from twoclosure.closure import two_closure
 from twoclosure.orbital import (OrbitalBlock, OrbitalPartition,
                                 higman_primitive)
 from twoclosure.subgroups import subgroup_classes
@@ -207,6 +208,43 @@ def test_block_partition_matches_the_scan_on_every_sweep_action(name):
         assert_same_partition(part, OrbitalPartition(assembled.group))
         # the order the group is told is the order of its plain chain
         assert cache.image_order(subset) == assembled.group.chain.order()
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8xC3"])
+def test_block_pair_data_read_late_matches_the_scan(name):
+    # the sweep reads rows and row ranks only; pair data read afterwards
+    # is still the scan's
+    G = SWEPT[name]()
+    table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    for _, subset in _faithful_subsets(G, table, cache):
+        assembled = assemble_action(G, table, subset, cache)
+        part = cache.partition(assembled)
+        scan = OrbitalPartition(assembled.group)
+        two_closure(assembled.group, partition=part)
+        for a in range(part.degree):
+            assert list(part.row(a)) == list(scan.row(a))
+        assert part.row_ranks() == scan.row_ranks()
+        assert part.pair_reps == scan.pair_reps
+        assert part.paired == scan.paired
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(cyclic(3), dihedral(4)),
+    lambda: symmetric(4),
+    lambda: PermGroup(6, [Permutation([1, 2, 3, 0, 5, 4])]),
+], ids=["C3 x D8", "S4", "C4 on 4 + 2 points"])
+def test_row_ranks_count_the_colors_in_a_row_of_each_orbit(build, dense,
+                                                           monkeypatch):
+    import twoclosure.orbital as orbital_mod
+    G = build()
+    if not dense:
+        monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
+    part = OrbitalPartition(G)
+    assert part.dense == dense
+    want = [len(set(part.row(orb[0]))) for orb in G.orbits()]
+    assert part.row_ranks() == want
 
 
 def test_block_partition_with_a_repeated_class():

@@ -15,15 +15,20 @@ A change that must not alter any verdict keeps the digest.
 
     PYTHONPATH=src python3 tools/decision_corpus.py           # all 600
     PYTHONPATH=src python3 tools/decision_corpus.py --slice   # 8, fast
+    PYTHONPATH=src python3 tools/decision_corpus.py --against saved.txt
 
 ``--slice`` decides only Q8xC3 and D4 (the dihedral group of order 8) at
 the default node budget and order bound, with ``max_actions`` 3 and 512.
+``--against FILE`` compares with a run saved from this tool's output:
+instead of the decision lines it prints, per top-level key and per
+``budget_spent`` key, how many decisions differ, then every status move.
 """
 
 import argparse
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
@@ -36,6 +41,8 @@ MAX_ACTIONS = (3, 512)
 ORDER_BOUNDS = (4, 2_000)
 DECIDERS = {"is_totally_two_closed": is_totally_two_closed,
             "representation_sweep": representation_sweep}
+INPUT_KEYS = ("group", "decider", "node_budget", "max_actions",
+              "order_bound")
 
 
 def corpus_groups():
@@ -115,15 +122,61 @@ def digest(lines):
     return sha.hexdigest()
 
 
+def differences(saved, lines):
+    """How a run's decision lines differ from a saved run's.
+
+    saved may hold other lines, such as the digest line, which are
+    skipped.  Returns the number of differing decisions per top-level key
+    and per ``budget_spent.<key>``, and one line per status move; an
+    error counts as the status "error".
+    """
+    before = [json.loads(line) for line in saved if line.startswith("{")]
+    after = [json.loads(line) for line in lines]
+    if len(before) != len(after):
+        raise ValueError(f"the saved run has {len(before)} decisions, "
+                         f"this one {len(after)}")
+    counts = Counter()
+    moves = []
+    for old, new in zip(before, after):
+        inputs = {key: new[key] for key in INPUT_KEYS}
+        if any(old.get(key) != value for key, value in inputs.items()):
+            raise ValueError(f"the saved run decides other inputs: {old}")
+        for key in sorted((set(old) | set(new)) - set(INPUT_KEYS)):
+            if key == "budget_spent":
+                spent_old = old.get(key) or {}
+                spent_new = new.get(key) or {}
+                for sub in set(spent_old) | set(spent_new):
+                    if spent_old.get(sub) != spent_new.get(sub):
+                        counts[f"budget_spent.{sub}"] += 1
+            elif old.get(key) != new.get(key):
+                counts[key] += 1
+        was, now = old.get("status", "error"), new.get("status", "error")
+        if was != now:
+            moves.append(" ".join(f"{key}={value}"
+                                  for key, value in inputs.items())
+                         + f": {was} -> {now}")
+    return dict(sorted(counts.items())), moves
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--slice", action="store_true",
                         help="decide only the eight-decision slice")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a run saved from this tool")
     args = parser.parse_args()
     lines = []
     for line in corpus_lines(args.slice):
-        print(line, flush=True)
+        if args.against is None:
+            print(line, flush=True)
         lines.append(line)
+    if args.against is not None:
+        with open(args.against) as saved:
+            counts, moves = differences(saved.read().splitlines(), lines)
+        for key, count in counts.items():
+            print(f"{key}: {count} of {len(lines)} decisions differ")
+        for move in moves:
+            print(f"status {move}")
     print(f"sha256 {digest(lines)} over {len(lines)} decisions")
 
 
