@@ -2,10 +2,14 @@
 
 The elements of G are indexed 0..|G|-1 in sorted image-tuple order, and
 a subgroup is an ``int`` bitset over those indices: containment is
-``a & ~b == 0`` and conjugation by a generator is a precomputed index
-map.  Products go through right-multiplication columns, each built the
-first time an element is multiplied by, so the full |G|² table is never
-stored.
+``a & ~b == 0`` and conjugation by an element is an index map.  An
+element is fixed by its images of a base of G (Seress, *Permutation
+Group Algorithms*, 2003, ch. 4), so the base of G's plain chain turns
+those few images into one integer key, and a product's index is found
+from the images of the base alone, without forming the product.
+Products go through right-multiplication columns and conjugations
+through index maps, each built the first time it is asked for, so the
+full |G|² table is never stored.
 
 The enumeration is Neubüser's cyclic extension (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, §4.6).  Every K > 1
@@ -13,8 +17,14 @@ equals ⟨M, y⟩ for a maximal subgroup M of K and any y in K∖M.  K is
 generated by its elements of prime-power order, which cannot all lie in
 M, so y can be taken of prime-power order, and then any generator of ⟨y⟩
 serves as well.  Each class representative M is therefore extended by
-one generator of each cyclic subgroup of prime-power order, and ⟨M, x⟩
-is closed by a breadth-first search seeded with M.
+generators of cyclic subgroups of prime-power order, and ⟨M, x⟩ is
+closed by a breadth-first search seeded with M.  One x per orbit of M,
+acting by conjugation on those cyclic subgroups, is enough: for m in M,
+⟨M, x^m⟩ = ⟨M, x⟩^m = ⟨M, x⟩.
+
+The containment relation of the class table comes from one bitset per
+element, marking the subgroups that hold it: the overgroups of H are the
+AND of those bitsets over the members of H.
 
 Results leave this module as frozensets of image tuples, on which the
 section test and the callers outside take joins and intersections.
@@ -22,8 +32,10 @@ section test and the callers outside take joins and intersections.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 from .errors import BudgetExceededError
 from .group import PermGroup
@@ -126,27 +138,74 @@ _FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class _Indexed:
-    """The elements of G indexed 0..|G|-1 in sorted image-tuple order."""
+    """The elements of G indexed 0..|G|-1 in sorted image-tuple order.
+
+    An element is fixed by its images of the base of G's plain chain, so
+    ``slot`` finds an index from those images read as one integer in
+    base ``degree``.  ``images[j][i]`` is the image of the j-th base
+    point under elements[i].
+    """
 
     def __init__(self, G, order_bound):
         self.elements = sorted(
             x.images for x in G.elements(budget=order_bound + 1))
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.degree = G.degree
+        self.base = tuple(G.chain.base())
+        self.images = [[p[b] for p in self.elements] for b in self.base]
+        self.slot = {key: i for i, key in
+                     enumerate(self._keys(range(self.degree), self.images))}
+        self.identity = self.find(range(self.degree))
         self._columns = {}
+        self._conjugations = {}
         self._limits = {}
         self.conjugations = [
-            [self.index[_mul(_mul(gi, x), g)] for x in self.elements]
-            for g, gi in ((g.images, g.inverse().images)
-                          for g in G.generators)]
+            self.conjugation_by(self.find(g.images)) for g in G.generators]
+
+    def find(self, p):
+        """The index of the element with image tuple p."""
+        return self.slot[_key([p[b] for b in self.base], self.degree)]
+
+    def _keys(self, q, images):
+        """The keys of q's images of the points listed level by level:
+        images[j][i] is the j-th point of the i-th key."""
+        n = len(q)
+        if len(images) == 1:
+            return [q[a] for a in images[0]]
+        if len(images) == 2:
+            return [q[a] * n + q[b] for a, b in zip(*images)]
+        if len(images) == 3:
+            return [(q[a] * n + q[b]) * n + q[c]
+                    for a, b, c in zip(*images)]
+        # longer bases add one digit at a time over all keys, each digit
+        # read from q's images scaled by its place value
+        keys = [0] * len(self.elements)
+        scale = 1
+        for points in reversed(images):
+            scaled = [v * scale for v in q]
+            keys = list(map(operator.add, keys,
+                            map(scaled.__getitem__, points)))
+            scale *= n
+        return keys
 
     def column(self, x):
         """The map i -> index of elements[i] * elements[x]."""
         col = self._columns.get(x)
         if col is None:
-            q = self.elements[x]
-            index = self.index
-            col = [index[tuple([q[v] for v in p])] for p in self.elements]
+            col = list(map(self.slot.__getitem__,
+                           self._keys(self.elements[x], self.images)))
             self._columns[x] = col
+        return col
+
+    def conjugation_by(self, x):
+        """The map i -> index of elements[x]⁻¹ * elements[i] * elements[x]."""
+        col = self._conjugations.get(x)
+        if col is None:
+            q = self.elements[x]
+            # the conjugate of p sends each base point b to q(p(q⁻¹(b)))
+            images = [[p[a] for p in self.elements]
+                      for a in map(q.index, self.base)]
+            col = list(map(self.slot.__getitem__, self._keys(q, images)))
+            self._conjugations[x] = col
         return col
 
     def conjugate(self, bits, conjugation):
@@ -156,22 +215,47 @@ class _Indexed:
         return _from_flags(flags)
 
     def cyclic_generators(self):
-        """One generator of each cyclic subgroup of prime-power order."""
-        taken = [False] * len(self.elements)
+        """One generator of each cyclic subgroup of prime-power order,
+        and a list mapping every generator of each such subgroup to the
+        listed one (None off those generators)."""
+        listed = [None] * len(self.elements)
         out = []
+        n = self.degree
         for i, p in enumerate(self.elements):
-            if taken[i]:
+            if listed[i] is not None:
                 continue
             k = _order(p)
             if not _is_prime_power(k):
                 continue
             out.append(i)
-            q = p
+            row = [points[i] for points in self.images]
             for e in range(1, k):
                 if math.gcd(e, k) == 1:
-                    taken[self.index[q]] = True
-                q = _mul(q, p)
-        return out
+                    listed[self.slot[_key(row, n)]] = i
+                row = [p[a] for a in row]
+        return out, listed
+
+    def cyclic_orbits(self, bits, gens, cyclic, listed):
+        """The members of cyclic outside the subgroup ``bits`` = ⟨gens⟩,
+        split into orbits of that subgroup acting by conjugation on the
+        cyclic subgroups they generate.  Each orbit starts with its
+        first member in the order of cyclic."""
+        convs = [self.conjugation_by(g) for g in gens]
+        seen = bytearray(len(self.elements))
+        orbits = []
+        for x in cyclic:
+            if seen[x] or bits >> x & 1:
+                continue
+            seen[x] = 1
+            orbit = [x]
+            for y in orbit:
+                for c in convs:
+                    z = listed[c[y]]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            orbits.append(orbit)
+        return orbits
 
     def extend(self, members, gens, x):
         """⟨M, x⟩ as a bitset, where M is given by its members and
@@ -215,6 +299,43 @@ class _Indexed:
         return limit
 
 
+def _key(points, n):
+    """The points read as the digits of one integer in base n."""
+    key = 0
+    for a in points:
+        key = key * n + a
+    return key
+
+
+def _transpose(rows, width):
+    """The transposed relation: rows[i] lists positions below width, and
+    bit i of the j-th bitset returned is set when rows[i] holds j."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in row:
+            cols[j] |= bit
+    return cols
+
+
+def _containment(subs, size):
+    """Bitsets above[i] and below[i] of the positions in subs of the
+    proper overgroups and proper subgroups of subs[i], for subgroups of
+    a group of the given order.
+
+    containers[e] marks the subgroups holding element e, so the AND of
+    it over the members of subs[i] marks the overgroups of subs[i];
+    below is the transposed relation.
+    """
+    member_lists = [_members(bits) for bits in subs]
+    containers = _transpose(member_lists, size)
+    above = [functools.reduce(operator.and_,
+                              map(containers.__getitem__, members))
+             & ~(1 << i) for i, members in enumerate(member_lists)]
+    below = _transpose(map(_members, above), len(subs))
+    return above, below
+
+
 def _lattice(G, order_bound):
     """The indexed elements of G, every subgroup as a bitset in the
     order (size, sorted members), and the conjugacy classes of
@@ -224,23 +345,23 @@ def _lattice(G, order_bound):
         raise BudgetExceededError(
             f"order {order} exceeds subgroup enumeration bound {order_bound}")
     ix = _Indexed(G, order_bound)
-    identity = ix.index[tuple(range(G.degree))]
-    start = 1 << identity
+    start = 1 << ix.identity
     found = {start}
     classes = [[start]]
-    cyclic = ix.cyclic_generators()
+    cyclic, listed = ix.cyclic_generators()
     # The frontier keeps one representative per conjugacy class, with its
     # members and generators: an extension of a conjugate is the matching
     # conjugate of an extension, so growing only representatives still
     # reaches every class, and each new set is closed under conjugation
-    # on arrival.
-    reps = [(start, [identity], [])]
+    # on arrival.  A representative M extends one x per orbit of M on
+    # the cyclic subgroups outside it: for m in M, ⟨M, x^m⟩ = ⟨M, x⟩^m =
+    # ⟨M, x⟩, so the rest of the orbit would only find that set again.
+    reps = [(start, [ix.identity], [])]
     while reps:
         new_reps = []
         for bits, members, gens in reps:
-            for x in cyclic:
-                if bits >> x & 1:
-                    continue
+            for orbit in ix.cyclic_orbits(bits, gens, cyclic, listed):
+                x = orbit[0]
                 grown = ix.extend(members, gens, x)
                 if grown in found:
                     continue
@@ -342,15 +463,9 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
         for i in members:
             class_of[i] = cls
 
-    # covering relation: below[j] and above[i] are bitsets of positions
-    # in subs, so i is maximal in j when nothing strictly between meets
-    below = [0] * len(subs)
-    above = [0] * len(subs)
-    for j, big in enumerate(subs):
-        for i in range(j):
-            if not subs[i] & ~big:
-                below[j] |= 1 << i
-                above[i] |= 1 << j
+    # covering relation: i is maximal in j when nothing strictly between
+    # meets
+    above, below = _containment(subs, len(ix.elements))
     covers = [(i, j) for j in range(len(subs)) for i in _members(below[j])
               if not above[i] & below[j]]
 

@@ -1,15 +1,19 @@
 """Subgroup enumeration and the conjugacy class table, against brute force."""
 
+import hashlib
+
 import pytest
 
 import oracles
+from test_j1 import relabelled
 from twoclosure.backtrack import conjugating_element_for_subgroup
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
                                       psl2, quaternion, symmetric)
 from twoclosure.errors import BudgetExceededError
-from twoclosure.subgroups import (all_subgroup_sets, generated_set,
-                                  has_section, is_normal_in,
+from twoclosure.subgroups import (ORDER_BOUND, _Indexed, _inv, _lattice,
+                                  _members, _mul, all_subgroup_sets,
+                                  generated_set, has_section, is_normal_in,
                                   maximal_normal_subgroup_sets,
                                   small_generating_set, subgroup_classes)
 
@@ -42,7 +46,8 @@ def test_all_subgroup_sets_matches_oracle(G, count):
     (lambda: psl2(7), 179, 15),
     (lambda: alternating(6), 501, 22),
     (lambda: psl2(11), 620, 16),
-], ids=["A5", "S5", "PSL(2,7)", "A6", "PSL(2,11)"])
+    (lambda: psl2(13), 942, 16),
+], ids=["A5", "S5", "PSL(2,7)", "A6", "PSL(2,11)", "PSL(2,13)"])
 def test_subgroup_and_class_counts(make, subgroups, classes):
     G = make()
     table = subgroup_classes(G)
@@ -50,6 +55,107 @@ def test_subgroup_and_class_counts(make, subgroups, classes):
     assert len(table) == classes
     assert sum(table.class_sizes) == subgroups
     assert all_subgroup_sets(G) == table.subgroup_sets
+
+
+@pytest.mark.parametrize("make, base_length", [
+    (lambda: cyclic(27), 1),
+    (lambda: dihedral(4), 2),
+    (lambda: psl2(11), 3),
+    (lambda: symmetric(5), 4),
+], ids=["C27", "D8", "PSL(2,11)", "S5"])
+def test_indexed_products_from_base_images(make, base_length):
+    # one group per branch of the base-image lookup
+    ix = _Indexed(make(), ORDER_BOUND)
+    assert len(ix.base) == base_length
+    elements = ix.elements
+    for x, q in enumerate(elements):
+        qi = _inv(q)
+        column = ix.column(x)
+        conjugation = ix.conjugation_by(x)
+        for i, p in enumerate(elements):
+            assert elements[column[i]] == _mul(p, q)
+            assert elements[conjugation[i]] == _mul(_mul(qi, p), q)
+
+
+# SHA-256 of _lattice's (subs, classes) and of subgroup_classes'
+# class_sizes, depths, edges and sorted subgroup_sets, taken before
+# products went through base images, M-orbits of cyclic subgroups and
+# container bitsets.  Relabelling seed 0 keeps the points.
+LATTICE_DIGESTS = {
+    ("PSL(2,11)", 0): "7824793bf78c53dfc9d74213ef593d00"
+                      "0cc88d68a0364b6b70d65bb4466179b7",
+    ("PSL(2,11)", 1): "b5e873c428ae8c154fab5c887935e9b8"
+                      "003348ea59562914029c46b1ea60254e",
+    ("PSL(2,13)", 0): "2d80980be0ef123a6ba83c3a9b2ed7e5"
+                      "0d9f2f4d6967fb21acf781dd23988935",
+    ("PSL(2,13)", 1): "0f47a63283f12a6d87f0f0da957eb977"
+                      "35fc19107ad1d678c739714a37b01026",
+    ("S5", 0): "4c4d1a3ff94f9417015340f2d775f1ab"
+               "9d164bbd13d9f9558e9cd4020b2fe4d9",
+    ("S5", 1): "fd61781f772f7cfe0ae9c505d445091f"
+               "b6703ee9d35e65cef84c1b14ece66898",
+    ("A5", 0): "8dd9a32b5dd14d13526b320b8c3548f8"
+               "8f49f665989d0a79d22443c360816128",
+    ("A5", 1): "bf45d71154868442009988c3c845f117"
+               "7a86b15f39a4e6ef4ef0c0879c234820",
+    ("Q8xC3", 0): "45d7cc0bb4e3ff501c99e9718321b0e2"
+                  "fdaba2e331c6591561da31549ca43a76",
+    ("Q8xC3", 1): "ab458c9d598219aa13e6a860ab2e63c7"
+                  "e6b2048732adf27a3c735dc5b417d5c8",
+    ("D8", 0): "db0a339a5cd2b318b6a5ec79c07fdf04"
+               "029facc7ce4bea88c0f8a90a5c3105b7",
+    ("D8", 1): "a364314508a98c4aeb86ba3b817a387d"
+               "2d9b71af5e8c6059133a83d8d293604e",
+    ("C2^3", 0): "2c540ec4008412c0e89bf6200da454d4"
+                 "d65cebd9f5aeb6d59f9cb22fb17d1cdb",
+    ("C2^3", 1): "48300222748cf2ca94cf4382fc35d38a"
+                 "2c22fbc2546d2291ba9b0d31c77b79aa",
+}
+LATTICE_GROUPS = {
+    "PSL(2,11)": lambda: psl2(11),
+    "PSL(2,13)": lambda: psl2(13),
+    "S5": lambda: symmetric(5),
+    "A5": lambda: alternating(5),
+    "Q8xC3": lambda: direct_product(quaternion(), cyclic(3)),
+    "D8": lambda: dihedral(4),
+    "C2^3": lambda: elementary_abelian(2, 3),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(LATTICE_DIGESTS))
+def test_lattice_output_is_pinned(name, seed):
+    G = LATTICE_GROUPS[name]()
+    if seed:
+        G = relabelled(G, seed)
+    _, subs, classes = _lattice(G, ORDER_BOUND)
+    table = subgroup_classes(G)
+    payload = repr((subs, classes, table.class_sizes, table.depths,
+                    table.edges,
+                    sorted(sorted(s) for s in table.subgroup_sets)))
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == LATTICE_DIGESTS[name, seed]
+
+
+def test_skipped_cyclic_generators_extend_alike():
+    # Every x of an M-orbit gives ⟨M, x⟩ = ⟨M, first x of the orbit⟩, so
+    # extending only the first loses no subgroup.
+    G = symmetric(4)
+    ix, subs, _ = _lattice(G, ORDER_BOUND)
+    cyclic, listed = ix.cyclic_generators()
+    skipped = 0
+    for bits in subs:
+        members = _members(bits)
+        orbits = ix.cyclic_orbits(bits, members, cyclic, listed)
+        assert sorted(x for orbit in orbits for x in orbit) == [
+            x for x in cyclic if not bits >> x & 1]
+        for first, *rest in orbits:
+            want = ix.extend(members, members, first)
+            for x in rest:
+                assert ix.extend(members, members, x) == want
+            skipped += len(rest)
+        if bits == 1 << ix.identity:
+            assert all(len(orbit) == 1 for orbit in orbits)
+    assert skipped > 0
 
 
 def test_all_subgroup_sets_budget():
