@@ -167,25 +167,17 @@ class _Indexed:
 
     def _keys(self, q, images):
         """The keys of q's images of the points listed level by level:
-        images[j][i] is the j-th point of the i-th key."""
-        n = len(q)
-        if len(images) == 1:
-            return [q[a] for a in images[0]]
-        if len(images) == 2:
-            return [q[a] * n + q[b] for a, b in zip(*images)]
-        if len(images) == 3:
-            return [(q[a] * n + q[b]) * n + q[c]
-                    for a, b, c in zip(*images)]
-        # longer bases add one digit at a time over all keys, each digit
-        # read from q's images scaled by its place value
-        keys = [0] * len(self.elements)
+        images[j][i] is the j-th point of the i-th key.
+
+        The keys gain one digit at a time, each read from q's images
+        scaled by its place value."""
+        keys = itertools.repeat(0, len(self.elements))
         scale = 1
         for points in reversed(images):
             scaled = [v * scale for v in q]
-            keys = list(map(operator.add, keys,
-                            map(scaled.__getitem__, points)))
-            scale *= n
-        return keys
+            keys = map(operator.add, keys, map(scaled.__getitem__, points))
+            scale *= len(q)
+        return list(keys)
 
     def column(self, x):
         """The map i -> index of elements[i] * elements[x]."""
