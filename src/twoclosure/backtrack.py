@@ -19,10 +19,16 @@ leaf step.  It runs in two modes:
   inverses.
 - first hit: the walk returns the first passing leaf, or None.
 
-``subgroup_search`` (collect) and ``find_element`` (first hit) walk an
-ambient stabilizer chain; the 2-closure search in ``closure`` walks
-equitable partitions of the orbital colouring in collect mode, with K
-seeded by the input group.
+The 2-closure search in ``closure`` walks equitable partitions of the
+orbital colouring in collect mode, with K seeded by the input group; it
+is the walk's only caller in the decision pipeline.  ``find_element``
+(first hit) walks an ambient stabilizer chain for ``conjugating_element``,
+which ``basesize.qhat`` reaches.
+
+``subgroup_search`` (collect over a chain) and
+``conjugating_element_for_subgroup`` have no caller in the pipeline.
+The benchmark tracer names them as span targets, so they stay until the
+benchmark's target list drops them.
 """
 
 from __future__ import annotations

@@ -307,16 +307,6 @@ class StabilizerChain:
             else:
                 i = changed
 
-    def strong_generators(self):
-        seen = set()
-        out = []
-        for lvl in self.levels:
-            for g in lvl.gens:
-                if g.images not in seen:
-                    seen.add(g.images)
-                    out.append(g)
-        return out
-
     def level_generators(self, k):
         """Generators of the stabilizer of the first k base points."""
         if k >= len(self.levels):
@@ -468,13 +458,6 @@ class PermGroup:
     def tuple_stabilizer_order(self, points):
         return self.pointwise_stabilizer(points).order()
 
-    def conjugate_by(self, g):
-        """The group g^-1 * self * g."""
-        gi = g.inverse()
-        return PermGroup(self.degree,
-                         [gi * h * g for h in self.generators],
-                         seed=self.seed)
-
     def is_subgroup_of(self, other):
         return all(other.contains(g) for g in self.generators)
 
@@ -502,18 +485,6 @@ class PermGroup:
             for g in self.generators:
                 queue.append(g.inverse() * x * g)
         return sub
-
-    def derived_subgroup(self):
-        comms = []
-        gens = self.generators
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                comms.append(a.inverse() * b.inverse() * a * b)
-        return self.normal_closure(comms)
-
-    def is_perfect(self):
-        return not self.is_trivial \
-            and self.derived_subgroup().order() == self.order()
 
     def conjugacy_classes(self, budget=CLASS_BUDGET):
         """All conjugacy classes as (representative, size) pairs, ordered by

@@ -147,12 +147,6 @@ class Permutation:
     def support(self):
         return [a for a, v in enumerate(self.images) if v != a]
 
-    def fixed_points(self):
-        return [a for a, v in enumerate(self.images) if v == a]
-
-    def on_tuple(self, points):
-        return tuple(self.images[a] for a in points)
-
     def on_set(self, points):
         return frozenset(self.images[a] for a in points)
 

@@ -411,16 +411,9 @@ class SubgroupClassTable:
     def full_class(self):
         return max(range(len(self.orders)), key=lambda i: self.orders[i])
 
-    @property
-    def trivial_class(self):
-        return min(range(len(self.orders)), key=lambda i: self.orders[i])
-
     def proper_classes(self):
         full = self.full_class
         return [i for i in range(len(self.orders)) if i != full]
-
-    def is_normal(self, i):
-        return self.class_sizes[i] == 1
 
     def core_free(self, i):
         return self.cores[i].order() == 1

@@ -199,7 +199,7 @@ def _direct_sum(G, actions, order=None):
         images = []
         offset = 0
         for act in actions:
-            images.extend(offset + v for v in act._image_gens[gi].images)
+            images.extend(offset + v for v in act.image_gens[gi].images)
             offset += act.degree
         # shifted images of bijections on disjoint ranges: a bijection
         gens.append(Permutation._trusted(tuple(images)))
@@ -254,8 +254,8 @@ class _ClassData:
             for cj in assembled.classes:
                 block = self._blocks.get((ci, cj))
                 if block is None:
-                    block = OrbitalBlock(self.action(ci)._image_gens,
-                                         self.action(cj)._image_gens)
+                    block = OrbitalBlock(self.action(ci).image_gens,
+                                         self.action(cj).image_gens)
                     self._blocks[ci, cj] = block
                 row.append(block)
             rows.append(row)
@@ -265,9 +265,9 @@ class _ClassData:
 def assemble_action(G, table, class_indices, cache=None):
     """The direct sum of the coset actions for the given subgroup classes.
 
-    Repeated indices are allowed; the representation stream never emits
-    them, but appending an equivalent copy of an orbit is useful when
-    checking that duplicates do not change 2-closedness.  cache, if
+    Repeated indices are allowed; the sweep never assembles them, but
+    appending an equivalent copy of an orbit is useful when checking
+    that duplicates do not change 2-closedness.  cache, if
     given, is the table's _ClassData, which keeps the coset actions.  The
     group is told its order, |G| over the order of the intersection of
     the classes' cores, so its re-based chains stop there.
@@ -314,28 +314,6 @@ def _faithful_subsets(G, table, cache):
             if j > last:
                 heapq.heappush(heap, (degree + degrees[j], subset + (j,),
                                       kernel & core_sets[j]))
-
-
-def nonequivalent_faithful_representations(G, table=None):
-    """Every faithful action built from pairwise non-conjugate stabilizers.
-
-    Streams AssembledAction objects in nondecreasing total degree.  Each
-    subset of proper subgroup classes whose cores intersect trivially
-    appears exactly once; two orbits with conjugate stabilizers would be
-    permutationally equivalent, and dropping such a duplicate never
-    changes 2-closedness, so these actions suffice to decide total
-    2-closure.  The stream is finite but can be exponentially long in the
-    number of classes.
-    """
-    if table is None:
-        table = subgroup_classes(G)
-    if not table.complete:
-        raise GroupError(
-            "the representation stream needs a complete subgroup class "
-            "table")
-    cache = _ClassData(G, table)
-    for _, subset in _faithful_subsets(G, table, cache):
-        yield assemble_action(G, table, subset, cache)
 
 
 def factorization_disproof(G, budget=None, table=None):
@@ -499,16 +477,19 @@ def _maybe_prune(table, cls, assembled, budget, spent, pruned):
             pruned.setdefault(below, cls)
 
 
-def representation_sweep(G, budget=None, table=None, prune=True,
-                         completed=()):
+def representation_sweep(G, budget=None, table=None, completed=()):
     """Test every faithful pairwise-non-equivalent action of G.
 
-    Yes when each streamed action is certified 2-closed; No at the first
+    The actions are the direct sums over the class subsets of
+    _faithful_subsets, in nondecreasing degree.  Two orbits with
+    conjugate stabilizers are equivalent, and dropping such a duplicate
+    never changes 2-closedness, so these actions decide total 2-closure.
+    Yes when each such action is certified 2-closed; No at the first
     one whose closure strictly exceeds the image; Inconclusive when a
     budget stops the sweep or a search cannot certify, and when the group
-    is too large for a complete subgroup class table.  With prune on,
-    the base-size shortcut marks single-orbit actions below a core-free
-    2-closed base-2 stabilizer as settled without re-testing them.
+    is too large for a complete subgroup class table.  The base-size
+    shortcut marks single-orbit actions below a core-free 2-closed base-2
+    stabilizer as settled without re-testing them.
     completed lists class subsets already verified 2-closed by an earlier
     run (from a frontier's "completed" list); they are skipped, and the
     caller vouches for them.
@@ -520,19 +501,18 @@ def representation_sweep(G, budget=None, table=None, prune=True,
         return _unenumerated(G, "multi-orbit sweep", budget, _new_spent())
     cache = _ClassData(G, table)
     return _sweep(G, table, cache, _faithful_subsets(G, table, cache),
-                  budget, "multi-orbit sweep", prune,
+                  budget, "multi-orbit sweep",
                   frozenset(tuple(subset) for subset in completed))
 
 
-def _sweep(G, table, cache, items, budget, stage, prune=True,
-           done=frozenset()):
+def _sweep(G, table, cache, items, budget, stage, done=frozenset()):
     """Test the action of each (degree, class-subset) item in order.
 
     Items must come in nondecreasing degree; the first one above
     max_degree stops the sweep, as does reaching max_actions closure
-    runs.  Subsets in done count as resumed, and with prune on, the
-    base-size shortcut settles single classes below a core-free 2-closed
-    base-2 stabilizer.  The verdict is No at the first action whose
+    runs.  Subsets in done count as resumed, and the base-size shortcut
+    settles single classes below a core-free 2-closed base-2
+    stabilizer.  The verdict is No at the first action whose
     closure exceeds its image, Inconclusive on a stop or an uncertified
     search, and Yes otherwise.
 
@@ -585,7 +565,7 @@ def _sweep(G, table, cache, items, budget, stage, prune=True,
                 unresolved.append(entry)
             else:
                 entry["result"] = "closed"
-                if prune and len(subset) == 1:
+                if len(subset) == 1:
                     _maybe_prune(table, subset[0], assembled, budget, spent,
                                  pruned)
         tested.append(entry)
@@ -822,7 +802,7 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
         except (SectionObstructionError, BudgetExceededError):
             pass  # the reduction does not apply; the general sweep decides
     if verdict is None:
-        verdict = representation_sweep(G, budget, table=table, prune=True,
+        verdict = representation_sweep(G, budget, table=table,
                                        completed=completed)
     return replace(verdict,
                    budget_spent=_merge_spent(spent, verdict.budget_spent))

@@ -55,13 +55,6 @@ def oracle_contains(gens, p):
     return tuple(p) in mulclose(gens)
 
 
-def oracle_derived(gens):
-    elements = mulclose(gens)
-    comms = {compose(compose(inverse(x), inverse(y)), compose(x, y))
-             for x in elements for y in elements}
-    return mulclose(comms)
-
-
 def oracle_normal_closure(gens, seeds):
     elements = mulclose(gens)
     conj = {compose(compose(inverse(g), tuple(s)), g)
@@ -89,6 +82,29 @@ def oracle_core(g_elements, h_elements):
         gi = inverse(g)
         core &= {compose(compose(gi, h), g) for h in h_elements}
     return core
+
+
+def block_partition(gens, n, a, b):
+    """The finest partition of 0..n-1 that the generators preserve and
+    that puts a and b in one cell, as sorted tuples in order of their
+    least points (union-find closing the pair under the generators)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = [(a, b)]
+    while pairs:
+        x, y = (find(p) for p in pairs.pop())
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+            pairs += [(g[x], g[y]) for g in gens]
+    cells = {}
+    for p in range(n):
+        cells.setdefault(find(p), []).append(p)
+    return [tuple(cell) for cell in cells.values()]
 
 
 def oracle_pair_orbits(gens, n):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from twoclosure import PermGroup, Permutation
-from twoclosure.actions import coset_action, minimal_block_systems
+from twoclosure.actions import coset_action
 from twoclosure.backtrack import subgroup_search
 from twoclosure.closure import (closure_membership, individualize,
                                 root_partition, two_closure)
@@ -343,9 +343,12 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
     # The closure elements fixing every block are 1 and the swap, so the
     # swap and G generate the whole closure, of twice G's order.
     G = COUNTED_GROUPS[case]()
-    system = next(s for s in minimal_block_systems(G) if s.b == 2)
+    gens = [g.images for g in G.generators]
+    blocks = next(cells for cells in (
+        oracles.block_partition(gens, G.degree, 0, p)
+        for p in range(1, G.degree)) if len(cells[0]) == 2)
     img = list(range(G.degree))
-    for a, b in system.blocks:
+    for a, b in blocks:
         img[a], img[b] = b, a
     z = Permutation(img)
     assert closure_membership(G, z)

@@ -98,7 +98,7 @@ def test_psl2_orders():
     assert psl2(7).order() == 168
     assert psl2(11).order() == 660
     assert psl2(11).degree == 12
-    assert psl2(5).is_perfect()
+    assert psl2(5).is_simple()
 
 
 def test_psl2_two_transitive():

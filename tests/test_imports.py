@@ -5,7 +5,8 @@ The repository has no lint step, so this walks each module's syntax tree
 for names bound by an import and never read, and for private top-level
 functions, classes and constants that the module never reads outside
 their own definition.  A public top-level name of the package or of
-``tests/oracles.py`` must be read somewhere in the package, the tests,
+``tests/oracles.py``, and a public method or property of one of their
+top-level classes, must be read somewhere in the package, the tests,
 the tools or the benchmark.  Package ``__init__`` modules are skipped:
 their imports are the public re-exports, which are not reads.
 """
@@ -88,14 +89,30 @@ def dead_private_names(source):
             and name not in _reads(n for n in tree.body if n is not own)]
 
 
+def _outsides(tree):
+    """(label, name, the statements outside its definition) for each
+    top-level name, then for each method and property of each top-level
+    class, labelled "Class.name", in order."""
+    for name, own in _definitions(tree):
+        yield name, name, [n for n in tree.body if n is not own]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            outside = [n for n in tree.body if n is not cls] \
+                + cls.bases + cls.decorator_list
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield (f"{cls.name}.{node.name}", node.name,
+                           outside + [n for n in cls.body if n is not node])
+
+
 def orphan_public_names(source, used_elsewhere):
-    """Module-level names not starting with an underscore that neither
-    the module, outside their own definition, nor used_elsewhere (the
-    names other modules use) contains, in order."""
-    tree = ast.parse(source)
-    return [name for name, own in _definitions(tree)
+    """Module-level names, then methods and properties of top-level
+    classes as "Class.name", not starting with an underscore, that
+    neither the module, outside their own definition, nor used_elsewhere
+    (the names other modules use) contains, in order."""
+    return [label for label, name, outside in _outsides(ast.parse(source))
             if not name.startswith("_") and name not in used_elsewhere
-            and name not in _uses([n for n in tree.body if n is not own])]
+            and name not in _uses(outside)]
 
 
 @cache
@@ -128,12 +145,22 @@ def test_checker_flags_only_unread_public_names():
               "def called():\n    pass\n"
               "class Shape:\n    pass\n"
               "class Record:\n    pass\n"
-              "def _private():\n    pass\n")
+              "def _private():\n    pass\n"
+              "class Box:\n"
+              "    def __init__(self):\n        self.size = self.area()\n"
+              "    def area(self):\n        return 0\n"
+              "    def read(self):\n        pass\n"
+              "    def loop(self):\n        return self.loop()\n"
+              "    @property\n    def width(self):\n        pass\n"
+              "    @property\n    def depth(self):\n        pass\n"
+              "    def _own(self):\n        pass\n"
+              "print(Box().read)\n")
     reader = ("import mod\nfrom mod import Record\n"
-              "mod.called()\nTARGETS = ['mod.traced']\n")
+              "mod.called()\nTARGETS = ['mod.traced', 'Box.depth']\n")
     used = _uses([ast.parse(reader)])
     assert orphan_public_names(source, used) == ["UNREAD", "helper",
-                                                 "Shape", "Record"]
+                                                 "Shape", "Record",
+                                                 "Box.loop", "Box.width"]
 
 
 @pytest.mark.parametrize("path", MODULES,

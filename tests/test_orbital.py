@@ -267,8 +267,8 @@ def test_blocks_are_not_read_above_the_dense_limit(monkeypatch):
                                 cache)
     dense = OrbitalPartition(assembled.group)
     monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
-    blocks = [[OrbitalBlock(cache.action(i)._image_gens,
-                            cache.action(j)._image_gens)
+    blocks = [[OrbitalBlock(cache.action(i).image_gens,
+                            cache.action(j).image_gens)
                for j in assembled.classes] for i in assembled.classes]
     compressed = OrbitalPartition(assembled.group, blocks=blocks)
     assert not compressed.dense and compressed._blocks is None

@@ -189,7 +189,7 @@ def test_subgroup_classes_counts():
 def test_quaternion_classes_all_normal():
     table = subgroup_classes(quaternion())
     assert sorted(table.orders) == [1, 2, 4, 4, 4, 8]
-    assert all(table.is_normal(i) for i in range(len(table)))
+    assert all(size == 1 for size in table.class_sizes)
 
 
 def test_class_sizes_sum_to_subgroup_count():
@@ -220,7 +220,7 @@ def test_conjugate_subgroups_share_a_class():
 def test_depths_of_sym4():
     table = subgroup_classes(symmetric(4))
     assert table.depths[table.full_class] == 0
-    assert table.depths[table.trivial_class] == 3
+    assert table.depths[table.orders.index(1)] == 3
     by_order = {}
     for i, rep in enumerate(table.representatives):
         by_order.setdefault(rep.order(), []).append(i)
@@ -257,7 +257,7 @@ def test_cores():
     for i, rep in enumerate(table.representatives):
         core = table.cores[i]
         assert core.is_subgroup_of(rep)
-        if table.is_normal(i):
+        if table.class_sizes[i] == 1:
             assert core.order() == rep.order()
     by_order = {}
     for i, rep in enumerate(table.representatives):
@@ -290,7 +290,7 @@ def test_partial_table_flag():
     assert len(table) == 2
     assert "partial" in repr(table)
     assert table.depths[table.full_class] == 0
-    assert table.depths[table.trivial_class] is None
+    assert table.depths[table.orders.index(1)] is None
 
 
 def test_is_normal_in():

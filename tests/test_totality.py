@@ -14,10 +14,10 @@ from twoclosure.errors import (BudgetExceededError, GroupError,
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  YES, ActionWitness, TotalityBudget,
-                                 TotalityVerdict, assemble_action,
+                                 TotalityVerdict, _ClassData,
+                                 _faithful_subsets, assemble_action,
                                  factorization_disproof,
                                  is_totally_two_closed,
-                                 nonequivalent_faithful_representations,
                                  replay_witness, representation_sweep,
                                  transitive_reduction_check,
                                  two_transitive_disproof)
@@ -27,6 +27,16 @@ from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
 def psl213():
     G = psl2(13)
     return G, subgroup_classes(G)
+
+
+def faithful_actions(G, table=None):
+    """The actions the general sweep tests, in its order: the direct sums
+    over the class subsets with trivially meeting cores."""
+    if table is None:
+        table = subgroup_classes(G)
+    cache = _ClassData(G, table)
+    return [assemble_action(G, table, subset, cache)
+            for _, subset in _faithful_subsets(G, table, cache)]
 
 
 def brute_faithful_subsets(G, table):
@@ -165,7 +175,7 @@ def test_two_transitive_psl2_13(psl213):
 ])
 def test_stream_matches_brute_force(G):
     table = subgroup_classes(G)
-    acts = list(nonequivalent_faithful_representations(G, table))
+    acts = faithful_actions(G, table)
     got = {(a.degree, a.classes) for a in acts}
     assert got == brute_faithful_subsets(G, table)
     degrees = [a.degree for a in acts]
@@ -176,23 +186,16 @@ def test_stream_matches_brute_force(G):
 
 
 def test_stream_c4_exactly():
-    acts = list(nonequivalent_faithful_representations(cyclic(4)))
+    acts = faithful_actions(cyclic(4))
     assert [(a.classes, a.degree) for a in acts] == [((0,), 4), ((0, 1), 6)]
 
 
 def test_stream_q8_counts():
-    acts = list(nonequivalent_faithful_representations(quaternion()))
+    acts = faithful_actions(quaternion())
     assert len(acts) == 16
     # every nontrivial subgroup contains the centre, so faithful actions
     # all need a regular orbit
     assert all(a.classes[0] == 0 for a in acts)
-
-
-def test_stream_needs_complete_table():
-    partial = subgroup_classes(alternating(5), order_bound=10)
-    with pytest.raises(GroupError):
-        next(nonequivalent_faithful_representations(alternating(5),
-                                                    partial))
 
 
 def test_sweep_over_order_bound_is_inconclusive():
@@ -270,13 +273,15 @@ def test_sweep_base_size_pruning_observable():
     # the pentagon action is 2-closed with a base of two points, which
     # settles the regular action below it without another closure run
     D5 = dihedral(5)
-    pruned_run = representation_sweep(D5, completed=[(1, 2)])
-    entries = [e for e in pruned_run.tested if e["result"] == "pruned"]
+    run = representation_sweep(D5, completed=[(1, 2)])
+    entries = [e for e in run.tested if e["result"] == "pruned"]
     assert entries == [{"classes": [0], "degree": 10, "result": "pruned",
                         "via": 1}]
-    plain_run = representation_sweep(D5, completed=[(1, 2)], prune=False)
-    assert plain_run.budget_spent["closure_runs"] == \
-        pruned_run.budget_spent["closure_runs"] + 1
+    # six actions: one resumed, one pruned and four closure runs; without
+    # the shortcut the regular action would take a fifth run
+    spent = run.budget_spent
+    assert (spent["actions_enumerated"], spent["resumed_subsets"],
+            spent["pruned_subsets"], spent["closure_runs"]) == (6, 1, 1, 4)
     # the shortcut must agree with the direct computation it skipped
     table = subgroup_classes(D5)
     regular = assemble_action(D5, table, (0,))
@@ -373,9 +378,8 @@ def test_totality_yes_enumerates_tested(G, count):
     assert len(v.tested) == count
     assert all(e["result"] in ("closed", "pruned", "resumed")
                for e in v.tested)
-    stream = [list(a.classes)
-              for a in nonequivalent_faithful_representations(G)]
-    assert [e["classes"] for e in v.tested] == stream
+    assert [e["classes"] for e in v.tested] == \
+        [list(a.classes) for a in faithful_actions(G)]
 
 
 def test_totality_c2c2_witness():
