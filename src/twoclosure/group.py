@@ -154,8 +154,7 @@ class StabilizerChain:
         self.levels = []
 
     @classmethod
-    def build(cls, gens, degree, base_hint=(), seed=0, random_boost=True,
-              order=None):
+    def build(cls, gens, degree, base_hint=(), seed=0, order=None):
         """A verified chain of the group the generators generate.
 
         order, when given, is the group's order; the build stops as soon
@@ -182,8 +181,7 @@ class StabilizerChain:
             chain.levels.append(_Level(b, level_gens))
         if order is not None and chain._reached(order):
             return chain
-        if random_boost and len(gens) > 1 \
-                and chain._random_grow(gens, seed, order):
+        if len(gens) > 1 and chain._random_grow(gens, seed, order):
             return chain
         chain._schreier_sims()
         if order is not None and chain.order() != order:

@@ -26,8 +26,9 @@ The containment relation of the class table comes from one bitset per
 element, marking the subgroups that hold it: the overgroups of H are the
 AND of those bitsets over the members of H.
 
-Results leave this module as frozensets of image tuples, on which the
-section test and the callers outside take joins and intersections.
+The class table hands out the bitsets of its representatives and their
+cores, so the decision meets and counts subgroups as ANDs and bit counts.
+Frozensets of image tuples leave only for the section test and callers.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ class _Indexed:
             self._conjugations[x] = col
         return col
 
-    def conjugate(self, bits, conjugation):
+    def conjugate(self, members, conjugation):
         flags = bytearray(len(self.elements))
-        for i in _members(bits):
+        for i in members:
             flags[conjugation[i]] = 1
         return _from_flags(flags)
 
@@ -338,7 +339,8 @@ def _lattice(G, order_bound):
             f"order {order} exceeds subgroup enumeration bound {order_bound}")
     ix = _Indexed(G, order_bound)
     start = 1 << ix.identity
-    found = {start}
+    # every subgroup found, with its members
+    found = {start: [ix.identity]}
     classes = [[start]]
     cyclic, listed = ix.cyclic_generators()
     # The frontier keeps one representative per conjugacy class, with its
@@ -357,18 +359,18 @@ def _lattice(G, order_bound):
                 grown = ix.extend(members, gens, x)
                 if grown in found:
                     continue
-                found.add(grown)
-                new_reps.append((grown, _members(grown), gens + [x]))
+                found[grown] = _members(grown)
+                new_reps.append((grown, found[grown], gens + [x]))
                 orbit = [grown]
                 for s in orbit:
                     for c in ix.conjugations:
-                        t = ix.conjugate(s, c)
+                        t = ix.conjugate(found[s], c)
                         if t not in found:
-                            found.add(t)
+                            found[t] = _members(t)
                             orbit.append(t)
                 classes.append(orbit)
         reps = new_reps
-    subs = sorted(found, key=lambda b: (b.bit_count(), _members(b)))
+    subs = sorted(found, key=lambda b: (b.bit_count(), found[b]))
     return ix, subs, classes
 
 
@@ -384,20 +386,25 @@ def _as_set(ix, bits):
 
 
 class SubgroupClassTable:
-    """Conjugacy classes of subgroups with depth and inclusion data."""
+    """Conjugacy classes of subgroups with depth and inclusion data.
 
-    def __init__(self, group, representatives, class_sizes, depths, cores,
-                 edges, subgroup_sets, class_of_set, complete):
-        self.group = group
+    ``member_bits[i]`` and ``core_bits[i]`` are the bitsets of class i's
+    representative and of its core: bit k stands for the k-th element of
+    G in sorted image-tuple order.  ``orders`` are their bit counts.  A
+    partial table holds no bitsets.
+    """
+
+    def __init__(self, representatives, orders, class_sizes, depths, edges,
+                 subgroup_sets, member_bits, core_bits, complete):
         self.representatives = representatives
+        self.orders = orders
         self.class_sizes = class_sizes
         self.depths = depths
-        self.cores = cores
         self.edges = edges
         self.subgroup_sets = subgroup_sets
-        self.class_of_set = class_of_set
+        self.member_bits = member_bits
+        self.core_bits = core_bits
         self.complete = complete
-        self.orders = [rep.order() for rep in representatives]
 
     def __len__(self):
         return len(self.representatives)
@@ -416,7 +423,7 @@ class SubgroupClassTable:
         return [i for i in range(len(self.orders)) if i != full]
 
     def core_free(self, i):
-        return self.cores[i].order() == 1
+        return self.core_bits[i].bit_count() == 1
 
 
 def _to_group(elems, degree, seed=0):
@@ -433,10 +440,9 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
     n = G.degree
     if G.order() > order_bound:
         identity = frozenset([tuple(range(n))])
-        trivial = _to_group(identity, n, G.seed)
         return SubgroupClassTable(
-            G, [trivial, G], [1, 1], [None, 0], [trivial, G],
-            [], [identity], {identity: 0}, complete=False)
+            [_to_group(identity, n, G.seed), G], [1, G.order()], [1, 1],
+            [None, 0], [], [identity], [], [], complete=False)
     ix, subs, classes = _lattice(G, order_bound)
     index_of = {bits: i for i, bits in enumerate(subs)}
 
@@ -472,22 +478,17 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
         frontier = new
 
     sets = [_as_set(ix, bits) for bits in subs]
+    member_bits = [subs[members[0]] for members in class_members]
     normals = [subs[cm[0]] for cm in class_members if len(cm) == 1]
-    reps = []
-    sizes = []
-    depths = []
-    cores = []
-    for members in class_members:
-        rep = subs[members[0]]
-        core = max((b for b in normals if not b & ~rep), key=int.bit_count)
-        reps.append(_to_group(sets[members[0]], n, G.seed))
-        sizes.append(len(members))
-        depths.append(depth[members[0]])
-        cores.append(_to_group(sets[index_of[core]], n, G.seed))
+    core_bits = [max((b for b in normals if not b & ~rep), key=int.bit_count)
+                 for rep in member_bits]
     edges = {(class_of[i], class_of[j]) for (i, j) in covers}
-    class_of_set = {sets[i]: class_of[i] for i in range(len(subs))}
-    return SubgroupClassTable(G, reps, sizes, depths, cores, sorted(edges),
-                              sets, class_of_set, complete=True)
+    return SubgroupClassTable(
+        [_to_group(sets[members[0]], n, G.seed) for members in class_members],
+        [bits.bit_count() for bits in member_bits],
+        [len(members) for members in class_members],
+        [depth[members[0]] for members in class_members], sorted(edges),
+        sets, member_bits, core_bits, complete=True)
 
 
 def is_normal_in(inner, outer, degree):

@@ -13,15 +13,17 @@ enumerate, running cheap disproofs before full sweeps:
     node budget stops the closure search of that action.
 2.  A faithful 2-transitive action on n points with |G| < n! closes to the
     full symmetric group.  Verdict No.
-3.  For a direct product of nonabelian simple groups, none a section of
-    the others, total 2-closure is equivalent to every factor admitting no
-    nontrivial factorization and every transitive action on more than one
-    point, faithful or not, being 2-closed.  A transitive-only sweep
-    settles the question either way.
-4.  In general the group is totally 2-closed exactly when every faithful
+3.  In general the group is totally 2-closed exactly when every faithful
     action with pairwise non-equivalent orbits is 2-closed.  Such actions
     correspond to subsets of subgroup conjugacy classes whose cores
     intersect trivially, and the sweep tests them in degree order.
+
+The paper also reduces a direct product of nonabelian simple groups, none
+a section of the others: it is totally 2-closed exactly when no factor
+factorizes nontrivially and every transitive action on more than one
+point, faithful or not, is 2-closed.  The pipeline no longer runs this
+reduction (``transitive_reduction_check`` does): within the enumeration
+bound the two disproofs settle every such group first.
 
 Verdicts are "Yes", "No" with a replayable witness action, or
 "Inconclusive" with a frontier recording what was and was not tested.
@@ -34,8 +36,10 @@ first witness.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 from .actions import coset_action
@@ -91,14 +95,14 @@ class TotalityBudget:
 class ActionWitness:
     """An action of the group whose 2-closure strictly contains the image.
 
-    group is the image of the action on its points; for transitive-sweep
-    witnesses it may be a proper quotient of the group under test, which
-    is exactly what the semisimple reduction examines.  classes lists the
-    point-stabilizer conjugacy classes the action was assembled from,
-    when it came from a class table.  closure_order is the order of the
-    2-closure found; when certified is False the search hit its node
-    budget and closure_order is only a lower bound, though still strictly
-    above the image order.
+    group is the image of the action on its points; for the witnesses of
+    ``transitive_reduction_check`` it may be a proper quotient of the
+    group under test, which is exactly what that reduction examines.
+    classes lists the point-stabilizer conjugacy classes the action was
+    assembled from, when it came from a class table.  closure_order is
+    the order of the 2-closure found; when certified is False the search
+    hit its node budget and closure_order is only a lower bound, though
+    still strictly above the image order.
     """
 
     kind: str
@@ -209,16 +213,15 @@ def _direct_sum(G, actions, order=None):
 class _ClassData:
     """What the actions of one class table share, each built once.
 
-    Holds the coset action of each class, the element set of each core,
-    and the orbital block of each ordered pair of classes, which is the
-    same in every direct sum holding both classes.
+    Holds the coset action of each class and the orbital block of each
+    ordered pair of classes, which is the same in every direct sum
+    holding both classes.
     """
 
     def __init__(self, G, table):
         self.G = G
         self.table = table
         self._actions = {}
-        self._cores = {}
         self._blocks = {}
 
     def action(self, ci):
@@ -228,19 +231,12 @@ class _ClassData:
             self._actions[ci] = act
         return act
 
-    def core(self, ci):
-        """The elements of the core of class ci, as image tuples."""
-        got = self._cores.get(ci)
-        if got is None:
-            got = frozenset(p.images for p in self.table.cores[ci].elements())
-            self._cores[ci] = got
-        return got
-
     def image_order(self, classes):
         """|G| / |the intersection of the classes' cores|: the order of
         the direct sum of their coset actions."""
-        kernel = frozenset.intersection(*(self.core(ci) for ci in classes))
-        return self.G.order() // len(kernel)
+        kernel = functools.reduce(
+            operator.and_, map(self.table.core_bits.__getitem__, classes))
+        return self.G.order() // kernel.bit_count()
 
     def partition(self, assembled):
         """The orbital partition of an assembled action, from the blocks
@@ -289,31 +285,31 @@ def assemble_action(G, table, class_indices, cache=None):
     return AssembledAction(tuple(class_indices), group.degree, group)
 
 
-def _faithful_subsets(G, table, cache):
+def _faithful_subsets(G, table):
     """Class subsets with trivially intersecting cores, by total degree.
 
     Yields (degree, classes) pairs in nondecreasing total degree, ties
     broken by the class-index tuple.  Subsets whose cores still intersect
     nontrivially are extended but not yielded, since adding more orbits
     can shrink the kernel.  Extensions only use larger class indices, so
-    each subset appears exactly once.  The core element sets come from
-    cache, the table's _ClassData.
+    each subset appears exactly once.  A kernel is the AND of the
+    classes' core bitsets.
     """
     order = G.order()
     classes = sorted(table.proper_classes())
     degrees = {i: order // table.orders[i] for i in classes}
-    core_sets = {i: cache.core(i) for i in classes}
-    heap = [(degrees[i], (i,), core_sets[i]) for i in classes]
+    cores = table.core_bits
+    heap = [(degrees[i], (i,), cores[i]) for i in classes]
     heapq.heapify(heap)
     while heap:
         degree, subset, kernel = heapq.heappop(heap)
-        if len(kernel) == 1:
+        if kernel.bit_count() == 1:
             yield degree, subset
         last = subset[-1]
         for j in classes:
             if j > last:
                 heapq.heappush(heap, (degree + degrees[j], subset + (j,),
-                                      kernel & core_sets[j]))
+                                      kernel & cores[j]))
 
 
 def factorization_disproof(G, budget=None, table=None):
@@ -335,16 +331,8 @@ def factorization_disproof(G, budget=None, table=None):
             "the factorization search needs a complete subgroup class "
             "table")
     order = G.order()
-    element_sets = {}
-
-    def elements_of(i):
-        got = element_sets.get(i)
-        if got is None:
-            got = frozenset(
-                p.images for p in table.representatives[i].elements())
-            element_sets[i] = got
-        return got
-
+    members = table.member_bits
+    cores = table.core_bits
     candidates = [i for i in table.proper_classes() if table.orders[i] > 1]
     for a, i in enumerate(candidates):
         for j in candidates[a + 1:]:
@@ -353,21 +341,16 @@ def factorization_disproof(G, budget=None, table=None):
                 # |HK| = |H||K| / |H n K| can only reach |G| if |G|
                 # divides |H||K|
                 continue
-            meet = len(elements_of(i) & elements_of(j))
-            if product != order * meet:
+            if product != order * (members[i] & members[j]).bit_count():
                 continue
-            core_h = table.cores[i]
-            core_k = table.cores[j]
-            if core_h.order() * core_k.order() == order:
+            core_h = cores[i].bit_count()
+            core_k = cores[j].bit_count()
+            if core_h * core_k == order \
+                    or (cores[i] & cores[j]).bit_count() > 1:
                 continue
-            if core_h.order() > 1 and core_k.order() > 1:
-                shared = frozenset(p.images for p in core_h.elements()) & \
-                    frozenset(p.images for p in core_k.elements())
-                if len(shared) > 1:
-                    continue
             return FactorizationWitness(
                 table.representatives[i], table.representatives[j], i, j,
-                core_h.order(), core_k.order())
+                core_h, core_k)
     return None
 
 
@@ -500,12 +483,12 @@ def representation_sweep(G, budget=None, table=None, completed=()):
     if not table.complete:
         return _unenumerated(G, "multi-orbit sweep", budget, _new_spent())
     cache = _ClassData(G, table)
-    return _sweep(G, table, cache, _faithful_subsets(G, table, cache),
+    return _sweep(G, table, cache, _faithful_subsets(G, table),
                   budget, "multi-orbit sweep",
-                  frozenset(tuple(subset) for subset in completed))
+                  {tuple(subset) for subset in completed})
 
 
-def _sweep(G, table, cache, items, budget, stage, done=frozenset()):
+def _sweep(G, table, cache, items, budget, stage, done=()):
     """Test the action of each (degree, class-subset) item in order.
 
     Items must come in nondecreasing degree; the first one above
@@ -518,13 +501,13 @@ def _sweep(G, table, cache, items, budget, stage, done=frozenset()):
 
     Every action is a direct sum of coset actions of a few classes, so
     cache, the table's _ClassData, builds what the actions share once per
-    sweep: each class's coset action, each core's elements, and the
-    orbital block of each ordered pair of classes.  An action's orbital
-    partition is put together from its class pairs' blocks, and its group
-    is told its order, so the closure search's chain stops there.  An
-    action holding the trivial class has a regular orbit and closes
-    without a search, and comparing its closure with its image reads the
-    told order, so it builds no chain at all.
+    sweep: each class's coset action and the orbital block of each
+    ordered pair of classes.  An action's orbital partition is put
+    together from its class pairs' blocks, and its group is told its
+    order, so the closure search's chain stops there.  An action holding
+    the trivial class has a regular orbit and closes without a search,
+    and comparing its closure with its image reads the told order, so it
+    builds no chain at all.
     """
     spent = _new_spent()
     tested = []
@@ -682,6 +665,11 @@ def transitive_reduction_check(G, budget=None, assume_no_sections=False,
     transitive action on more than one point, faithful or not, is
     2-closed.  Condition (b) sweeps the coset action of every proper
     subgroup class in ascending degree.
+
+    The decision pipeline no longer calls this.  The benchmark tracer
+    spans it and the ``all_subgroup_sets``, ``has_section`` and
+    ``PermGroup.normal_closure`` it reaches, so they stay until the
+    benchmark's target list drops them.
     """
     budget = budget if budget is not None else TotalityBudget()
     if not G.is_semisimple_product():
@@ -743,14 +731,12 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
     """Decide whether every faithful action of G is 2-closed.
 
     Runs, in order: the factorization disproof, the 2-transitive
-    disproof, the transitive-only reduction when G is a direct product of
-    nonabelian simple groups, and finally the general sweep over faithful
-    actions with pairwise non-equivalent orbits.  Stops at the first No
-    witness; answers Yes only when a sweep completes; otherwise returns
-    Inconclusive with a frontier.  A factorization whose witness action
-    the node budget cannot certify also gives Inconclusive.  completed
-    feeds a previous frontier's "completed" list back into the general
-    sweep.
+    disproof, and the general sweep over faithful actions with pairwise
+    non-equivalent orbits.  Stops at the first No witness; answers Yes
+    only when the sweep completes; otherwise returns Inconclusive with a
+    frontier.  A factorization whose witness action the node budget
+    cannot certify also gives Inconclusive.  completed feeds a previous
+    frontier's "completed" list back into the general sweep.
     """
     budget = budget if budget is not None else TotalityBudget()
     if G.order() == 1:
@@ -795,14 +781,7 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
     if wit is not None:
         return _no(wit, spent)
 
-    verdict = None
-    if G.is_semisimple_product():
-        try:
-            verdict = transitive_reduction_check(G, budget, table=table)
-        except (SectionObstructionError, BudgetExceededError):
-            pass  # the reduction does not apply; the general sweep decides
-    if verdict is None:
-        verdict = representation_sweep(G, budget, table=table,
-                                       completed=completed)
+    verdict = representation_sweep(G, budget, table=table,
+                                   completed=completed)
     return replace(verdict,
                    budget_spent=_merge_spent(spent, verdict.budget_spent))

@@ -325,11 +325,14 @@ def test_known_order_below_the_orbit_product_raises(order):
         StabilizerChain.build(G.generators, G.degree, order=order)
 
 
-def test_known_order_out_of_reach_of_random_growth_ends_verified():
-    # no random phase runs: with it switched off, and for one generator
+def test_known_order_out_of_reach_of_random_growth_ends_verified(
+        monkeypatch):
+    # no random phase reaches the order: with it stubbed out, and for one
+    # generator
     G = sym(5)
-    chain = StabilizerChain.build(G.generators, G.degree, order=120,
-                                  random_boost=False)
+    monkeypatch.setattr(StabilizerChain, "_random_grow",
+                        lambda self, gens, seed, order=None: False)
+    chain = StabilizerChain.build(G.generators, G.degree, order=120)
     assert chain.order() == 120
     assert chain.contains(Permutation.from_cycles(5, [[1, 3]]))
     g = Permutation.from_cycles(5, [[0, 1], [2, 3, 4]])

@@ -199,7 +199,7 @@ def test_block_partition_matches_the_scan_on_every_sweep_action(name):
     cache = _ClassData(G, table)
     # the multi-orbit sweep's actions, then every transitive one, faithful
     # or not, as the 2-transitive scan and the transitive sweep take them
-    subsets = [s for _, s in _faithful_subsets(G, table, cache)]
+    subsets = [s for _, s in _faithful_subsets(G, table)]
     subsets += [(i,) for i in table.proper_classes()]
     for subset in subsets:
         assembled = assemble_action(G, table, subset, cache)
@@ -217,7 +217,7 @@ def test_block_pair_data_read_late_matches_the_scan(name):
     G = SWEPT[name]()
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
-    for _, subset in _faithful_subsets(G, table, cache):
+    for _, subset in _faithful_subsets(G, table):
         assembled = assemble_action(G, table, subset, cache)
         part = cache.partition(assembled)
         scan = OrbitalPartition(assembled.group)

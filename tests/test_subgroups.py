@@ -11,6 +11,7 @@ from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
                                       psl2, quaternion, symmetric)
 from twoclosure.errors import BudgetExceededError
+from twoclosure.group import StabilizerChain
 from twoclosure.subgroups import (ORDER_BOUND, _Indexed, _inv, _lattice,
                                   _members, _mul, all_subgroup_sets,
                                   generated_set, has_section, is_normal_in,
@@ -212,9 +213,19 @@ def test_representatives_pairwise_nonconjugate_by_backtrack():
 def test_conjugate_subgroups_share_a_class():
     G = symmetric(4)
     table = subgroup_classes(G)
+    g_elements = [g.images for g in G.elements()]
+
+    def classes_of(sub):
+        """The classes whose representative is conjugate to sub."""
+        conjugates = {frozenset(oracles.compose(oracles.compose(
+            oracles.inverse(g), h), g) for h in sub) for g in g_elements}
+        return [i for i, rep in enumerate(table.representatives)
+                if frozenset(h.images for h in rep.elements()) in conjugates]
+
     a = generated_set([(1, 0, 2, 3)], 4)
     b = generated_set([(0, 2, 1, 3)], 4)
-    assert table.class_of_set[a] == table.class_of_set[b]
+    assert classes_of(a) == classes_of(b)
+    assert len(classes_of(a)) == 1
 
 
 def test_depths_of_sym4():
@@ -251,19 +262,29 @@ def test_maximal_classes_have_depth_one():
                 assert table.depths[i] == 1
 
 
+def decoded(G, bits):
+    """The element set of a table bitset: bit k is the k-th element of G
+    in sorted image-tuple order."""
+    elements = sorted(g.images for g in G.elements())
+    return {p for k, p in enumerate(elements) if bits >> k & 1}
+
+
 def test_cores():
     G = symmetric(4)
     table = subgroup_classes(G)
     for i, rep in enumerate(table.representatives):
-        core = table.cores[i]
-        assert core.is_subgroup_of(rep)
+        assert decoded(G, table.member_bits[i]) == {
+            h.images for h in rep.elements()}
+        assert table.orders[i] == table.member_bits[i].bit_count()
+        core = table.core_bits[i]
+        assert not core & ~table.member_bits[i]
         if table.class_sizes[i] == 1:
-            assert core.order() == rep.order()
+            assert core == table.member_bits[i]
     by_order = {}
     for i, rep in enumerate(table.representatives):
         by_order.setdefault((rep.order(), table.class_sizes[i]), []).append(i)
     (d4,) = by_order[(8, 3)]
-    assert table.cores[d4].order() == 4
+    assert table.core_bits[d4].bit_count() == 4
     (s3,) = by_order[(6, 4)]
     assert table.core_free(s3)
 
@@ -275,7 +296,24 @@ def test_core_matches_oracle():
     for i, rep in enumerate(table.representatives):
         h_elements = [h.images for h in rep.elements()]
         want = oracles.oracle_core(g_elements, h_elements)
-        assert table.cores[i].order() == len(want)
+        assert decoded(G, table.core_bits[i]) == want
+
+
+def test_class_table_builds_no_chain_besides_the_groups(monkeypatch):
+    # orders and cores are read off the lattice's bitsets, so the only
+    # chain built is G's own, which indexes the elements
+    G = psl2(11)
+    build = StabilizerChain.build.__func__
+    builds = []
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "build", classmethod(counted))
+    table = subgroup_classes(G)
+    assert len(table) == 16
+    assert len(builds) == 1
 
 
 def test_edges_of_sym3():

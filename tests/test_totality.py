@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+import oracles
+from twoclosure import totality
 from twoclosure.closure import two_closure
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
                                       psl2, quaternion, symmetric)
 from twoclosure.errors import (BudgetExceededError, GroupError,
                                SectionObstructionError)
+from twoclosure.group import PermGroup
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  YES, ActionWitness, TotalityBudget,
@@ -36,14 +39,22 @@ def faithful_actions(G, table=None):
         table = subgroup_classes(G)
     cache = _ClassData(G, table)
     return [assemble_action(G, table, subset, cache)
-            for _, subset in _faithful_subsets(G, table, cache)]
+            for _, subset in _faithful_subsets(G, table)]
+
+
+def oracle_cores(G, table, classes):
+    """The core of each class's representative, as an element set, by
+    brute force."""
+    g_elements = [g.images for g in G.elements()]
+    return {i: frozenset(oracles.oracle_core(
+        g_elements, [h.images for h in table.representatives[i].elements()]))
+        for i in classes}
 
 
 def brute_faithful_subsets(G, table):
     """All class subsets with trivially meeting cores, by brute force."""
     classes = sorted(table.proper_classes())
-    core_sets = {i: frozenset(p.images for p in table.cores[i].elements())
-                 for i in classes}
+    core_sets = oracle_cores(G, table, classes)
     order = G.order()
     out = set()
     for size in range(1, len(classes) + 1):
@@ -420,6 +431,24 @@ def test_totality_psl2_13_two_transitive(psl213):
     assert v.witness.degree == 14
 
 
+def test_totality_runs_no_semisimple_stage(psl213, monkeypatch):
+    # the two disproofs and the sweep decide without the semisimple test
+    # or the transitive-only reduction
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran the semisimple stage")
+
+    monkeypatch.setattr(PermGroup, "is_semisimple_product", refuse)
+    monkeypatch.setattr(totality, "transitive_reduction_check", refuse)
+    cases = [(alternating(5), None, NO, "factorization"),
+             (*psl213, NO, "two-transitive"),
+             (direct_product(quaternion(), cyclic(3)), None, YES, None)]
+    for G, table, status, kind in cases:
+        v = is_totally_two_closed(G, TotalityBudget(max_actions=2000),
+                                  table=table)
+        assert v.status == status
+        assert (v.witness and v.witness.kind) == kind
+
+
 def test_totality_partial_table_uses_input_action():
     # with subgroup enumeration capped below the group order, the
     # defining 2-transitive action still settles the question
@@ -520,8 +549,7 @@ def faithful_multisets(G, table, degree_cap):
     classes = sorted(table.proper_classes())
     order = G.order()
     degrees = {i: order // table.orders[i] for i in classes}
-    core_sets = {i: frozenset(p.images for p in table.cores[i].elements())
-                 for i in classes}
+    core_sets = oracle_cores(G, table, classes)
     full = frozenset(p.images for p in G.elements())
 
     def extend(start, chosen, total, kernel):
