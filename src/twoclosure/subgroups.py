@@ -311,78 +311,83 @@ def _transpose(rows, width):
     return cols
 
 
-def _containment(subs, size):
-    """Bitsets above[i] and below[i] of the positions in subs of the
-    proper overgroups and proper subgroups of subs[i], for subgroups of
-    a group of the given order.
+def _containment(member_lists, size):
+    """Bitsets above[i] and below[i] of the positions in member_lists of
+    the proper overgroups and proper subgroups of the subgroup whose
+    members are member_lists[i], in a group of the given order.
 
     containers[e] marks the subgroups holding element e, so the AND of
-    it over the members of subs[i] marks the overgroups of subs[i];
+    it over member_lists[i] marks the overgroups of subgroup i;
     below is the transposed relation.
     """
-    member_lists = [_members(bits) for bits in subs]
     containers = _transpose(member_lists, size)
     above = [functools.reduce(operator.and_,
                               map(containers.__getitem__, members))
              & ~(1 << i) for i, members in enumerate(member_lists)]
-    below = _transpose(map(_members, above), len(subs))
+    below = _transpose(map(_members, above), len(member_lists))
     return above, below
 
 
 def _lattice(G, order_bound):
     """The indexed elements of G, every subgroup as a bitset in the
-    order (size, sorted members), and the conjugacy classes of
-    subgroups as lists of bitsets."""
+    order (size, sorted members), the conjugacy classes of subgroups as
+    lists of bitsets, and dicts from each subgroup's bitset to its
+    members and to the indices of elements generating it."""
     order = G.order()
     if order > order_bound:
         raise BudgetExceededError(
             f"order {order} exceeds subgroup enumeration bound {order_bound}")
     ix = _Indexed(G, order_bound)
     start = 1 << ix.identity
-    # every subgroup found, with its members
+    # every subgroup found, with its members and generators
     found = {start: [ix.identity]}
+    gens_of = {start: []}
     classes = [[start]]
     cyclic, listed = ix.cyclic_generators()
-    # The frontier keeps one representative per conjugacy class, with its
-    # members and generators: an extension of a conjugate is the matching
-    # conjugate of an extension, so growing only representatives still
-    # reaches every class, and each new set is closed under conjugation
-    # on arrival.  A representative M extends one x per orbit of M on
-    # the cyclic subgroups outside it: for m in M, ⟨M, x^m⟩ = ⟨M, x⟩^m =
-    # ⟨M, x⟩, so the rest of the orbit would only find that set again.
-    reps = [(start, [ix.identity], [])]
+    # The frontier keeps one representative per conjugacy class: an
+    # extension of a conjugate is the matching conjugate of an extension,
+    # so growing only representatives still reaches every class, and each
+    # new set is closed under conjugation on arrival, its generators
+    # conjugated along with it.  A representative M extends one x per
+    # orbit of M on the cyclic subgroups outside it: for m in M,
+    # ⟨M, x^m⟩ = ⟨M, x⟩^m = ⟨M, x⟩, so the rest of the orbit would only
+    # find that set again.
+    reps = [start]
     while reps:
         new_reps = []
-        for bits, members, gens in reps:
+        for bits in reps:
+            gens = gens_of[bits]
             for orbit in ix.cyclic_orbits(bits, gens, cyclic, listed):
                 x = orbit[0]
-                grown = ix.extend(members, gens, x)
+                grown = ix.extend(found[bits], gens, x)
                 if grown in found:
                     continue
                 found[grown] = _members(grown)
-                new_reps.append((grown, found[grown], gens + [x]))
+                gens_of[grown] = gens + [x]
+                new_reps.append(grown)
                 orbit = [grown]
                 for s in orbit:
                     for c in ix.conjugations:
                         t = ix.conjugate(found[s], c)
                         if t not in found:
                             found[t] = _members(t)
+                            gens_of[t] = [c[y] for y in gens_of[s]]
                             orbit.append(t)
                 classes.append(orbit)
         reps = new_reps
     subs = sorted(found, key=lambda b: (b.bit_count(), found[b]))
-    return ix, subs, classes
+    return ix, subs, classes, found, gens_of
 
 
 def all_subgroup_sets(G, order_bound=ORDER_BOUND):
     """Every subgroup of G as a frozenset of image tuples, ordered by
     size and then by sorted elements."""
-    ix, subs, _ = _lattice(G, order_bound)
-    return [_as_set(ix, b) for b in subs]
+    ix, subs, _, members, _ = _lattice(G, order_bound)
+    return [_as_set(ix, members[b]) for b in subs]
 
 
-def _as_set(ix, bits):
-    return frozenset(ix.elements[i] for i in _members(bits))
+def _as_set(ix, members):
+    return frozenset(ix.elements[i] for i in members)
 
 
 class SubgroupClassTable:
@@ -426,11 +431,6 @@ class SubgroupClassTable:
         return self.core_bits[i].bit_count() == 1
 
 
-def _to_group(elems, degree, seed=0):
-    gens = [Permutation(g) for g in small_generating_set(elems, degree)]
-    return PermGroup(degree, gens, seed=seed)
-
-
 def subgroup_classes(G, order_bound=ORDER_BOUND):
     """The table of all subgroup conjugacy classes of G.
 
@@ -441,9 +441,9 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
     if G.order() > order_bound:
         identity = frozenset([tuple(range(n))])
         return SubgroupClassTable(
-            [_to_group(identity, n, G.seed), G], [1, G.order()], [1, 1],
+            [PermGroup(n, [], seed=G.seed), G], [1, G.order()], [1, 1],
             [None, 0], [], [identity], [], [], complete=False)
-    ix, subs, classes = _lattice(G, order_bound)
+    ix, subs, classes, members_of, gens_of = _lattice(G, order_bound)
     index_of = {bits: i for i, bits in enumerate(subs)}
 
     # classes are numbered by their first member in the sorted order
@@ -456,7 +456,8 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
 
     # covering relation: i is maximal in j when nothing strictly between
     # meets
-    above, below = _containment(subs, len(ix.elements))
+    member_lists = [members_of[bits] for bits in subs]
+    above, below = _containment(member_lists, len(ix.elements))
     covers = [(i, j) for j in range(len(subs)) for i in _members(below[j])
               if not above[i] & below[j]]
 
@@ -477,14 +478,15 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
                     new.append(i)
         frontier = new
 
-    sets = [_as_set(ix, bits) for bits in subs]
+    sets = [_as_set(ix, members) for members in member_lists]
     member_bits = [subs[members[0]] for members in class_members]
     normals = [subs[cm[0]] for cm in class_members if len(cm) == 1]
     core_bits = [max((b for b in normals if not b & ~rep), key=int.bit_count)
                  for rep in member_bits]
     edges = {(class_of[i], class_of[j]) for (i, j) in covers}
     return SubgroupClassTable(
-        [_to_group(sets[members[0]], n, G.seed) for members in class_members],
+        [PermGroup(n, [Permutation(ix.elements[y]) for y in gens_of[bits]],
+                   seed=G.seed) for bits in member_bits],
         [bits.bit_count() for bits in member_bits],
         [len(members) for members in class_members],
         [depth[members[0]] for members in class_members], sorted(edges),

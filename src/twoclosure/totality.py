@@ -16,7 +16,8 @@ enumerate, running cheap disproofs before full sweeps:
 3.  In general the group is totally 2-closed exactly when every faithful
     action with pairwise non-equivalent orbits is 2-closed.  Such actions
     correspond to subsets of subgroup conjugacy classes whose cores
-    intersect trivially, and the sweep tests them in degree order.
+    intersect trivially, and the sweep runs the closure search of each
+    in degree order.
 
 The paper also reduces a direct product of nonabelian simple groups, none
 a section of the others: it is totally 2-closed exactly when no factor
@@ -25,8 +26,8 @@ point, faithful or not, is 2-closed.  The pipeline no longer runs this
 reduction (``transitive_reduction_check`` does): within the enumeration
 bound the two disproofs settle every such group first.
 
-Verdicts are "Yes", "No" with a replayable witness action, or
-"Inconclusive" with a frontier recording what was and was not tested.
+Verdicts are "Yes", "No" with a witness action, or "Inconclusive" with
+a frontier recording what was and was not tested.
 Budgets count work units (actions, search nodes, subgroup orders), never
 wall time, so verdicts are reproducible.  Sweep items are independent and
 could be tested concurrently; this implementation tests them in
@@ -40,10 +41,9 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .actions import coset_action
-from .basesize import exact_base_size
 from .closure import two_closure
 from .errors import BudgetExceededError, GroupError, SectionObstructionError
 from .group import PermGroup
@@ -72,8 +72,8 @@ class TotalityBudget:
     """Work-unit limits for the decision procedure.
 
     max_actions caps how many closure computations a sweep may run,
-    max_degree caps the degree of any assembled action, node_budget is
-    passed to each backtrack search, and subgroup_order_bound limits the
+    max_degree caps the degree of any assembled action, node_budget
+    bounds closure searches only, and subgroup_order_bound limits the
     group orders whose subgroups are enumerated.
     """
 
@@ -118,11 +118,6 @@ class ActionWitness:
         return self.closure_order // self.group.order()
 
 
-def replay_witness(witness, node_budget=None):
-    """Recompute the 2-closure of a witness action from scratch."""
-    return two_closure(witness.group, node_budget=node_budget)
-
-
 @dataclass(frozen=True)
 class TotalityVerdict:
     """The outcome of a total-2-closure decision.
@@ -132,10 +127,11 @@ class TotalityVerdict:
     verdicts carry a frontier dict with "completed", "unresolved", and
     "pending" class subsets so a later run can resume.  tested enumerates
     every representation the sweep accounted for, each entry a dict with
-    the classes involved, the degree, and how it was settled.  A
-    factorization whose witness action the node budget stops is
-    Inconclusive, with frontier stage "factorization witness" and
-    stopped_by "nodes".
+    the classes involved, the degree, and its result: "closed" or
+    "unresolved" by its closure search, "resumed" from a frontier, or
+    "witness".  A factorization whose witness action the node budget
+    stops is Inconclusive, with frontier stage "factorization witness"
+    and stopped_by "nodes".
     """
 
     status: str
@@ -175,19 +171,6 @@ class FactorizationWitness:
     k_class: int
     core_h_order: int
     core_k_order: int
-
-
-@dataclass(frozen=True)
-class AssembledAction:
-    """A direct sum of coset actions, as a permutation group.
-
-    classes records the table indices of the point stabilizers, one per
-    orbit in order; degree is the total number of points.
-    """
-
-    classes: tuple
-    degree: int
-    group: PermGroup
 
 
 def _direct_sum(G, actions, order=None):
@@ -238,16 +221,16 @@ class _ClassData:
             operator.and_, map(self.table.core_bits.__getitem__, classes))
         return self.G.order() // kernel.bit_count()
 
-    def partition(self, assembled):
-        """The orbital partition of an assembled action, from the blocks
-        of its class pairs; None above DENSE_LIMIT, where two_closure
-        builds the compressed one itself."""
-        if assembled.degree > DENSE_LIMIT:
+    def partition(self, group, classes):
+        """The orbital partition of group, the action assembled from
+        classes, from the blocks of its class pairs; None above
+        DENSE_LIMIT, where two_closure builds the compressed one itself."""
+        if group.degree > DENSE_LIMIT:
             return None
         rows = []
-        for ci in assembled.classes:
+        for ci in classes:
             row = []
-            for cj in assembled.classes:
+            for cj in classes:
                 block = self._blocks.get((ci, cj))
                 if block is None:
                     block = OrbitalBlock(self.action(ci).image_gens,
@@ -255,11 +238,12 @@ class _ClassData:
                     self._blocks[ci, cj] = block
                 row.append(block)
             rows.append(row)
-        return OrbitalPartition(assembled.group, blocks=rows)
+        return OrbitalPartition(group, blocks=rows)
 
 
 def assemble_action(G, table, class_indices, cache=None):
-    """The direct sum of the coset actions for the given subgroup classes.
+    """The direct sum of the coset actions for the given subgroup classes,
+    as a permutation group on the disjoint union of the coset spaces.
 
     Repeated indices are allowed; the sweep never assembles them, but
     appending an equivalent copy of an orbit is useful when checking
@@ -280,9 +264,8 @@ def assemble_action(G, table, class_indices, cache=None):
                 "not an orbit")
     if cache is None:
         cache = _ClassData(G, table)
-    group = _direct_sum(G, [cache.action(ci) for ci in class_indices],
-                        cache.image_order(class_indices))
-    return AssembledAction(tuple(class_indices), group.degree, group)
+    return _direct_sum(G, [cache.action(ci) for ci in class_indices],
+                       cache.image_order(class_indices))
 
 
 def _faithful_subsets(G, table):
@@ -390,31 +373,22 @@ def two_transitive_disproof(G, budget=None, table=None, _spent=None):
         if order >= math.factorial(degree):
             # the image would have to be all of Sym(degree)
             continue
-        assembled = assemble_action(G, table, (i,), cache)
-        if not _is_two_transitive(assembled.group):
+        image = assemble_action(G, table, (i,), cache)
+        if not _is_two_transitive(image):
             continue
-        res = _run_closure(assembled.group, budget, spent,
-                           cache.partition(assembled))
+        res = _run_closure(image, budget, spent,
+                           cache.partition(image, (i,)))
         return ActionWitness(
             "two-transitive",
             f"2-transitive coset action of degree {degree} for stabilizer "
             f"class {i}; the closure is the full symmetric group",
-            (i,), degree, assembled.group, res.closure.order(),
-            res.certified)
+            (i,), degree, image, res.closure.order(), res.certified)
     return None
 
 
 def _new_spent():
     return {"closure_runs": 0, "closure_nodes": 0, "actions_enumerated": 0,
-            "base_size_checks": 0, "pruned_subsets": 0,
             "resumed_subsets": 0}
-
-
-def _merge_spent(first, second):
-    merged = dict(first)
-    for key, value in second.items():
-        merged[key] = merged.get(key, 0) + value
-    return merged
 
 
 def _run_closure(group, budget, spent, partition=None):
@@ -424,40 +398,6 @@ def _run_closure(group, budget, spent, partition=None):
                       partition=partition)
     spent["closure_nodes"] += res.nodes
     return res
-
-
-def _descendant_classes(table, cls):
-    """Classes strictly below cls in the covering relation."""
-    children = {}
-    for lo, hi in table.edges:
-        children.setdefault(hi, set()).add(lo)
-    out = set()
-    stack = [cls]
-    while stack:
-        for child in children.get(stack.pop(), ()):
-            if child not in out:
-                out.add(child)
-                stack.append(child)
-    return out
-
-
-def _maybe_prune(table, cls, assembled, budget, spent, pruned):
-    """Record classes below cls as settled when the shortcut applies.
-
-    If the coset action for a core-free class is 2-closed with base size
-    at most 2, then the coset action of every subgroup below it is also
-    2-closed: the larger cosets form an invariant partition on which the
-    induced image is the 2-closed base-2 action, and that pins the
-    closure down to the group itself.  Every subgroup of a core-free
-    subgroup is core-free, so the skipped actions stay faithful.
-    """
-    if not table.core_free(cls):
-        return
-    spent["base_size_checks"] += 1
-    report = exact_base_size(assembled.group, node_budget=budget.node_budget)
-    if report.exact is not None and report.exact <= 2:
-        for below in _descendant_classes(table, cls):
-            pruned.setdefault(below, cls)
 
 
 def representation_sweep(G, budget=None, table=None, completed=()):
@@ -470,9 +410,7 @@ def representation_sweep(G, budget=None, table=None, completed=()):
     Yes when each such action is certified 2-closed; No at the first
     one whose closure strictly exceeds the image; Inconclusive when a
     budget stops the sweep or a search cannot certify, and when the group
-    is too large for a complete subgroup class table.  The base-size
-    shortcut marks single-orbit actions below a core-free 2-closed base-2
-    stabilizer as settled without re-testing them.
+    is too large for a complete subgroup class table.
     completed lists class subsets already verified 2-closed by an earlier
     run (from a frontier's "completed" list); they are skipped, and the
     caller vouches for them.
@@ -493,11 +431,10 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
 
     Items must come in nondecreasing degree; the first one above
     max_degree stops the sweep, as does reaching max_actions closure
-    runs.  Subsets in done count as resumed, and the base-size shortcut
-    settles single classes below a core-free 2-closed base-2
-    stabilizer.  The verdict is No at the first action whose
-    closure exceeds its image, Inconclusive on a stop or an uncertified
-    search, and Yes otherwise.
+    runs.  Subsets in done count as resumed; every other action is
+    settled by its own closure search.  The verdict is No at the first
+    action whose closure exceeds its image, Inconclusive on a stop or an
+    uncertified search, and Yes otherwise.
 
     Every action is a direct sum of coset actions of a few classes, so
     cache, the table's _ClassData, builds what the actions share once per
@@ -512,7 +449,6 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
     spent = _new_spent()
     tested = []
     unresolved = []
-    pruned = {}
     for degree, subset in items:
         spent["actions_enumerated"] += 1
         entry = {"classes": list(subset), "degree": degree}
@@ -522,25 +458,21 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
         if subset in done:
             entry["result"] = "resumed"
             spent["resumed_subsets"] += 1
-        elif len(subset) == 1 and subset[0] in pruned:
-            entry["result"] = "pruned"
-            entry["via"] = pruned[subset[0]]
-            spent["pruned_subsets"] += 1
         elif spent["closure_runs"] >= budget.max_actions:
             return _inconclusive(stage, "actions", tested, unresolved,
                                  [entry], spent)
         else:
-            assembled = assemble_action(G, table, subset, cache)
-            res = _run_closure(assembled.group, budget, spent,
-                               cache.partition(assembled))
-            if res.closure.order() > assembled.group.order():
+            image = assemble_action(G, table, subset, cache)
+            res = _run_closure(image, budget, spent,
+                               cache.partition(image, subset))
+            if res.closure.order() > image.order():
                 entry["result"] = "witness"
                 tested.append(entry)
                 witness = ActionWitness(
                     "multi-orbit" if len(subset) > 1 else "transitive",
                     f"the action on stabilizer classes {list(subset)} of "
                     f"degree {degree} is not 2-closed",
-                    subset, degree, assembled.group, res.closure.order(),
+                    subset, degree, image, res.closure.order(),
                     res.certified)
                 return _no(witness, spent, tested)
             if not res.certified:
@@ -548,9 +480,6 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
                 unresolved.append(entry)
             else:
                 entry["result"] = "closed"
-                if len(subset) == 1:
-                    _maybe_prune(table, subset[0], assembled, budget, spent,
-                                 pruned)
         tested.append(entry)
     if unresolved:
         return _inconclusive(stage, None, tested, unresolved, [], spent)
@@ -580,7 +509,7 @@ def _inconclusive(stage, stopped_by, tested, unresolved, pending, spent,
         "stage": stage,
         "stopped_by": stopped_by,
         "completed": [entry["classes"] for entry in tested
-                      if entry["result"] in ("closed", "resumed", "pruned")],
+                      if entry["result"] in ("closed", "resumed")],
         "unresolved": [entry["classes"] for entry in unresolved],
         "pending": [entry["classes"] for entry in pending],
         "note": note,
@@ -760,15 +689,15 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
     fact = factorization_disproof(G, budget, table=table)
     if fact is not None:
         classes = (fact.h_class, fact.k_class)
-        assembled = assemble_action(G, table, classes)
+        image = assemble_action(G, table, classes)
         witness = _certified_witness(
             "factorization",
             f"the group is the product of subgroup classes {fact.h_class} "
             f"and {fact.k_class} with trivially meeting cores; the paired "
             "coset action is not 2-closed",
-            classes, assembled.group, budget, spent)
+            classes, image, budget, spent)
         if witness is None:
-            entry = {"classes": list(classes), "degree": assembled.degree,
+            entry = {"classes": list(classes), "degree": image.degree,
                      "result": "unresolved"}
             return _inconclusive(
                 "factorization witness", "nodes", [entry], [entry], [],
@@ -781,7 +710,5 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
     if wit is not None:
         return _no(wit, spent)
 
-    verdict = representation_sweep(G, budget, table=table,
-                                   completed=completed)
-    return replace(verdict,
-                   budget_spent=_merge_spent(spent, verdict.budget_spent))
+    # the disproofs charge a closure only on the way to a witness
+    return representation_sweep(G, budget, table=table, completed=completed)

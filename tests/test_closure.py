@@ -394,12 +394,12 @@ def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
     classes = (table.orders.index(1), table.orders.index(4))
-    built = assemble_action(G, table, classes, cache)
-    part = cache.partition(built)
+    image = assemble_action(G, table, classes, cache)
+    part = cache.partition(image, classes)
     chain_builds.clear()
-    res = two_closure(built.group, partition=part)
+    res = two_closure(image, partition=part)
     assert res.method == "certified-equal"
-    assert res.closure.order() == built.group.order() == 24
+    assert res.closure.order() == image.order() == 24
     assert chain_builds == []
 
 
@@ -424,9 +424,9 @@ def test_prebuilt_partition_gives_the_same_result(case, classes):
          "S4": lambda: symmetric(4)}[case]()
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
-    built = assemble_action(G, table, classes, cache)
-    inside = two_closure(assemble_action(G, table, classes).group)
-    given = two_closure(built.group, partition=cache.partition(built))
+    image = assemble_action(G, table, classes, cache)
+    inside = two_closure(assemble_action(G, table, classes))
+    given = two_closure(image, partition=cache.partition(image, classes))
     assert (given.closure.order(), given.nodes, given.certified,
             given.method) == (inside.closure.order(), inside.nodes,
                               inside.certified, inside.method)

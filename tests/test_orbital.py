@@ -202,12 +202,12 @@ def test_block_partition_matches_the_scan_on_every_sweep_action(name):
     subsets = [s for _, s in _faithful_subsets(G, table)]
     subsets += [(i,) for i in table.proper_classes()]
     for subset in subsets:
-        assembled = assemble_action(G, table, subset, cache)
-        part = cache.partition(assembled)
+        image = assemble_action(G, table, subset, cache)
+        part = cache.partition(image, subset)
         assert part._blocks is not None
-        assert_same_partition(part, OrbitalPartition(assembled.group))
+        assert_same_partition(part, OrbitalPartition(image))
         # the order the group is told is the order of its plain chain
-        assert cache.image_order(subset) == assembled.group.chain.order()
+        assert cache.image_order(subset) == image.chain.order()
 
 
 @pytest.mark.parametrize("name", ["D8", "Q8xC3"])
@@ -218,10 +218,10 @@ def test_block_pair_data_read_late_matches_the_scan(name):
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
     for _, subset in _faithful_subsets(G, table):
-        assembled = assemble_action(G, table, subset, cache)
-        part = cache.partition(assembled)
-        scan = OrbitalPartition(assembled.group)
-        two_closure(assembled.group, partition=part)
+        image = assemble_action(G, table, subset, cache)
+        part = cache.partition(image, subset)
+        scan = OrbitalPartition(image)
+        two_closure(image, partition=part)
         for a in range(part.degree):
             assert list(part.row(a)) == list(scan.row(a))
         assert part.row_ranks() == scan.row_ranks()
@@ -253,9 +253,10 @@ def test_block_partition_with_a_repeated_class():
     cache = _ClassData(G, table)
     cls = min(table.proper_classes(), key=lambda i: table.orders[i])
     other = max(table.proper_classes(), key=lambda i: table.orders[i])
-    assembled = assemble_action(G, table, (other, cls, other), cache)
-    assert_same_partition(cache.partition(assembled),
-                          OrbitalPartition(assembled.group))
+    classes = (other, cls, other)
+    image = assemble_action(G, table, classes, cache)
+    assert_same_partition(cache.partition(image, classes),
+                          OrbitalPartition(image))
 
 
 def test_blocks_are_not_read_above_the_dense_limit(monkeypatch):
@@ -263,14 +264,14 @@ def test_blocks_are_not_read_above_the_dense_limit(monkeypatch):
     G = dihedral(4)
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
-    assembled = assemble_action(G, table, tuple(table.proper_classes()[:2]),
-                                cache)
-    dense = OrbitalPartition(assembled.group)
+    classes = table.proper_classes()[:2]
+    image = assemble_action(G, table, classes, cache)
+    dense = OrbitalPartition(image)
     monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
     blocks = [[OrbitalBlock(cache.action(i).image_gens,
                             cache.action(j).image_gens)
-               for j in assembled.classes] for i in assembled.classes]
-    compressed = OrbitalPartition(assembled.group, blocks=blocks)
+               for j in classes] for i in classes]
+    compressed = OrbitalPartition(image, blocks=blocks)
     assert not compressed.dense and compressed._blocks is None
     assert_same_partition(compressed, dense)
 

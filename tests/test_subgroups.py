@@ -137,7 +137,7 @@ def test_lattice_output_is_pinned(name, seed, monkeypatch):
 
     monkeypatch.setattr("twoclosure.subgroups._lattice", keep)
     table = subgroup_classes(G)
-    [(_, subs, classes)] = built
+    [(_, subs, classes, _, _)] = built
     payload = repr((subs, classes, table.class_sizes, table.depths,
                     table.edges,
                     sorted(sorted(s) for s in table.subgroup_sets)))
@@ -149,7 +149,7 @@ def test_skipped_cyclic_generators_extend_alike():
     # Every x of an M-orbit gives ⟨M, x⟩ = ⟨M, first x of the orbit⟩, so
     # extending only the first loses no subgroup.
     G = symmetric(4)
-    ix, subs, _ = _lattice(G, ORDER_BOUND)
+    ix, subs, _, _, _ = _lattice(G, ORDER_BOUND)
     cyclic, listed = ix.cyclic_generators()
     skipped = 0
     for bits in subs:
@@ -314,6 +314,21 @@ def test_class_table_builds_no_chain_besides_the_groups(monkeypatch):
     table = subgroup_classes(G)
     assert len(table) == 16
     assert len(builds) == 1
+
+
+def test_class_table_keeps_the_lattice_generators(monkeypatch):
+    # each representative is generated by the elements the lattice
+    # extended or conjugated it by, so no element set is closed again
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated_set called")
+
+    monkeypatch.setattr("twoclosure.subgroups.generated_set", refuse)
+    G = psl2(11)
+    table = subgroup_classes(G)
+    for i, rep in enumerate(table.representatives):
+        assert rep.order() == table.orders[i]
+        assert {h.images for h in rep.elements()} == \
+            decoded(G, table.member_bits[i])
 
 
 def test_edges_of_sym3():

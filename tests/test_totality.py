@@ -20,8 +20,7 @@ from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  TotalityVerdict, _ClassData,
                                  _faithful_subsets, assemble_action,
                                  factorization_disproof,
-                                 is_totally_two_closed,
-                                 replay_witness, representation_sweep,
+                                 is_totally_two_closed, representation_sweep,
                                  transitive_reduction_check,
                                  two_transitive_disproof)
 
@@ -34,11 +33,12 @@ def psl213():
 
 def faithful_actions(G, table=None):
     """The actions the general sweep tests, in its order: the direct sums
-    over the class subsets with trivially meeting cores."""
+    over the class subsets with trivially meeting cores, as (classes,
+    image) pairs."""
     if table is None:
         table = subgroup_classes(G)
     cache = _ClassData(G, table)
-    return [assemble_action(G, table, subset, cache)
+    return [(subset, assemble_action(G, table, subset, cache))
             for _, subset in _faithful_subsets(G, table)]
 
 
@@ -140,8 +140,7 @@ def test_factorization_witness_is_valid(G):
     meet = len(h_set & k_set)
     assert w.H.order() * w.K.order() == G.order() * meet
     assert w.core_h_order * w.core_k_order != G.order()
-    assembled = assemble_action(G, table, (w.h_class, w.k_class))
-    res = two_closure(assembled.group)
+    res = two_closure(assemble_action(G, table, (w.h_class, w.k_class)))
     assert res.certified and res.index > 1
 
 
@@ -172,7 +171,7 @@ def test_two_transitive_psl2_13(psl213):
     w = two_transitive_disproof(G, table=table)
     assert w.degree == 14
     assert w.closure_order > G.order()
-    assert replay_witness(w).index == w.closure_index
+    assert two_closure(w.group).index == w.closure_index
 
 
 @pytest.mark.parametrize("G", [
@@ -187,18 +186,19 @@ def test_two_transitive_psl2_13(psl213):
 def test_stream_matches_brute_force(G):
     table = subgroup_classes(G)
     acts = faithful_actions(G, table)
-    got = {(a.degree, a.classes) for a in acts}
+    got = {(image.degree, classes) for classes, image in acts}
     assert got == brute_faithful_subsets(G, table)
-    degrees = [a.degree for a in acts]
+    degrees = [image.degree for _, image in acts]
     assert degrees == sorted(degrees)
-    assert len({a.classes for a in acts}) == len(acts)
-    for a in acts[:4]:
-        assert a.group.order() == G.order()
+    assert len({classes for classes, _ in acts}) == len(acts)
+    for _, image in acts[:4]:
+        assert image.order() == G.order()
 
 
 def test_stream_c4_exactly():
     acts = faithful_actions(cyclic(4))
-    assert [(a.classes, a.degree) for a in acts] == [((0,), 4), ((0, 1), 6)]
+    assert [(classes, image.degree) for classes, image in acts] == \
+        [((0,), 4), ((0, 1), 6)]
 
 
 def test_stream_q8_counts():
@@ -206,7 +206,7 @@ def test_stream_q8_counts():
     assert len(acts) == 16
     # every nontrivial subgroup contains the centre, so faithful actions
     # all need a regular orbit
-    assert all(a.classes[0] == 0 for a in acts)
+    assert all(classes[0] == 0 for classes, _ in acts)
 
 
 def test_sweep_over_order_bound_is_inconclusive():
@@ -248,8 +248,8 @@ def test_duplicate_orbit_keeps_closedness(G, classes):
     table = subgroup_classes(G)
     base = assemble_action(G, table, classes)
     doubled = assemble_action(G, table, classes + classes[-1:])
-    r1 = two_closure(base.group)
-    r2 = two_closure(doubled.group)
+    r1 = two_closure(base)
+    r2 = two_closure(doubled)
     assert r1.certified and r2.certified
     assert (r1.index == 1) == (r2.index == 1)
 
@@ -279,24 +279,18 @@ def test_sweep_budget_then_resume():
     assert second.budget_spent["resumed_subsets"] == 1
 
 
-def test_sweep_base_size_pruning_observable():
+def test_sweep_settles_every_action_by_closure():
     # vouch for the one witness subset so the sweep runs to completion;
-    # the pentagon action is 2-closed with a base of two points, which
-    # settles the regular action below it without another closure run
+    # every other action, the regular one included, takes its own
+    # closure run
     D5 = dihedral(5)
     run = representation_sweep(D5, completed=[(1, 2)])
-    entries = [e for e in run.tested if e["result"] == "pruned"]
-    assert entries == [{"classes": [0], "degree": 10, "result": "pruned",
-                        "via": 1}]
-    # six actions: one resumed, one pruned and four closure runs; without
-    # the shortcut the regular action would take a fifth run
+    assert run.status == YES
     spent = run.budget_spent
     assert (spent["actions_enumerated"], spent["resumed_subsets"],
-            spent["pruned_subsets"], spent["closure_runs"]) == (6, 1, 1, 4)
-    # the shortcut must agree with the direct computation it skipped
-    table = subgroup_classes(D5)
-    regular = assemble_action(D5, table, (0,))
-    assert two_closure(regular.group).index == 1
+            spent["closure_runs"]) == (6, 1, 5)
+    assert {"classes": [0], "degree": 10, "result": "closed"} in run.tested
+    assert all(e["result"] in ("closed", "resumed") for e in run.tested)
 
 
 def test_sweep_is_deterministic():
@@ -313,7 +307,7 @@ def test_reduction_a5_fails_factorization():
     v = transitive_reduction_check(alternating(5))
     assert v.status == NO
     assert v.witness.kind == "factorization"
-    assert replay_witness(v.witness).index > 1
+    assert two_closure(v.witness.group).index > 1
 
 
 def test_reduction_psl2_7_fails_factorization():
@@ -366,7 +360,7 @@ def test_reduction_asserted_sections_lifts_witness():
     assert v.status == NO
     assert v.witness.kind == "factorization"
     assert v.witness.degree == 377
-    replayed = replay_witness(v.witness)
+    replayed = two_closure(v.witness.group)
     assert replayed.certified
     assert replayed.closure.order() == v.witness.closure_order
     assert v.witness.closure_index == 240
@@ -387,10 +381,9 @@ def test_totality_yes_enumerates_tested(G, count):
     v = is_totally_two_closed(G)
     assert v.status == YES
     assert len(v.tested) == count
-    assert all(e["result"] in ("closed", "pruned", "resumed")
-               for e in v.tested)
+    assert all(e["result"] in ("closed", "resumed") for e in v.tested)
     assert [e["classes"] for e in v.tested] == \
-        [list(a.classes) for a in faithful_actions(G)]
+        [list(classes) for classes, _ in faithful_actions(G)]
 
 
 def test_totality_c2c2_witness():
@@ -509,7 +502,7 @@ def test_tiny_node_budget_gives_a_verdict(G, node_budget, max_actions):
 def test_no_witness_replays(G):
     v = is_totally_two_closed(G, TotalityBudget(max_actions=2000))
     assert v.status == NO
-    res = replay_witness(v.witness)
+    res = two_closure(v.witness.group)
     assert res.closure.order() > v.witness.group.order()
     assert res.closure.order() == v.witness.closure_order
 
@@ -580,8 +573,7 @@ def test_desk_scale_multiset_sweep_agrees(G, want):
     seen = 0
     for combo in faithful_multisets(G, table, 2 * G.order()):
         seen += 1
-        act = assemble_action(G, table, combo)
-        res = two_closure(act.group)
+        res = two_closure(assemble_action(G, table, combo))
         assert res.certified
         if res.index > 1:
             all_closed = False

@@ -47,11 +47,13 @@ def test_trace_target_resolves(module, path):
 
 
 # Tracer targets that no package module reads outside their own
-# definition; they stay only while the tracer names them.  The decision's
-# entry point is read by the package's callers, not by the package.
+# definition; they stay only while the tracer names them.  The entry
+# points are read by the package's callers, not by the package: the
+# decision by its users, and the exact base size by the J1 workload and
+# tests/test_j1.py.
 HELD_FOR_THE_TRACER = {"subgroup_search", "conjugating_element_for_subgroup",
                        "transitive_reduction_check"}
-ENTRY_POINTS = {"is_totally_two_closed"}
+ENTRY_POINTS = {"is_totally_two_closed", "exact_base_size"}
 
 
 def test_targets_held_only_for_the_tracer():
