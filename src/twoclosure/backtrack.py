@@ -65,7 +65,7 @@ def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
     candidates(level, state) yields (image, token) pairs in search order,
     descend(level, state, token) gives the child state of a kept
     candidate, or PRUNE to cut it, and leaf(state) gives the leaf
-    permutation, or None when the leaf has none; test(g) decides it.
+    permutation; test(g) decides it.
     With K a group, the walk collects and returns a SearchResult whose
     group is the grown K and whose complete flag is False when the node
     budget ran out.  The leaf membership tests and the orbit minima read
@@ -94,8 +94,6 @@ def _walk(base, candidates, descend, leaf, test, root, node_budget, K):
                 f"search node budget {node_budget} exhausted")
         if level == depth:
             g = leaf(state)
-            if g is None:
-                return None
             if K is not None and K.chain_with_base(base).contains(g):
                 return _FOUND
             if not test(g):

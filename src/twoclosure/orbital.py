@@ -22,7 +22,7 @@ subgroup classes and reuses it in every direct sum that holds both.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from .errors import DegreeMismatchError, NotTransitiveError
 from .group import orbits_of
@@ -88,7 +88,8 @@ class OrbitalPartition:
     compressed as for any group.  A block-built partition holds the
     blocks and the color offsets of each; its pair_reps are put together
     from the blocks when first read, which the totality sweep never does.
-    paired is computed when first read in every mode.
+    paired is computed when first read in every mode, and subdegrees,
+    from row 0, each time it is read.
     """
 
     def __init__(self, G, blocks=None):
@@ -110,15 +111,6 @@ class OrbitalPartition:
         else:
             self._build_compressed()
         self.rank = len(self._pair_reps)
-        if G.is_transitive():
-            sizes = {}
-            base_row = self.row(0)
-            for b in range(self.degree):
-                c = base_row[b]
-                sizes[c] = sizes.get(c, 0) + 1
-            self.subdegrees = sorted(sizes.values())
-        else:
-            self.subdegrees = None
 
     def _build_from_blocks(self, blocks):
         sizes = [len(row[0].rows) for row in blocks]
@@ -138,13 +130,13 @@ class OrbitalPartition:
                 rank += len(block.reps)
             self._offsets.append(offsets)
         self.rank = rank
-        if len(blocks) == 1:
-            counts = {}
-            for c in blocks[0][0].rows[0]:
-                counts[c] = counts.get(c, 0) + 1
-            self.subdegrees = sorted(counts.values())
-        else:
-            self.subdegrees = None
+
+    @property
+    def subdegrees(self):
+        """The sorted suborbit lengths when G is transitive, else None."""
+        if not self.group.is_transitive():
+            return None
+        return sorted(Counter(self.row(0)).values())
 
     @property
     def pair_reps(self):

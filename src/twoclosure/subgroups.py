@@ -22,10 +22,6 @@ closed by a breadth-first search seeded with M.  One x per orbit of M,
 acting by conjugation on those cyclic subgroups, is enough: for m in M,
 ⟨M, x^m⟩ = ⟨M, x⟩^m = ⟨M, x⟩.
 
-The containment relation of the class table comes from one bitset per
-element, marking the subgroups that hold it: the overgroups of H are the
-AND of those bitsets over the members of H.
-
 The class table hands out the bitsets of its representatives and their
 cores, so the decision meets and counts subgroups as ANDs and bit counts.
 Frozensets of image tuples leave only for the section test and callers.
@@ -33,7 +29,6 @@ Frozensets of image tuples leave only for the section test and callers.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -300,34 +295,6 @@ def _key(points, n):
     return key
 
 
-def _transpose(rows, width):
-    """The transposed relation: rows[i] lists positions below width, and
-    bit i of the j-th bitset returned is set when rows[i] holds j."""
-    cols = [0] * width
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for j in row:
-            cols[j] |= bit
-    return cols
-
-
-def _containment(member_lists, size):
-    """Bitsets above[i] and below[i] of the positions in member_lists of
-    the proper overgroups and proper subgroups of the subgroup whose
-    members are member_lists[i], in a group of the given order.
-
-    containers[e] marks the subgroups holding element e, so the AND of
-    it over member_lists[i] marks the overgroups of subgroup i;
-    below is the transposed relation.
-    """
-    containers = _transpose(member_lists, size)
-    above = [functools.reduce(operator.and_,
-                              map(containers.__getitem__, members))
-             & ~(1 << i) for i, members in enumerate(member_lists)]
-    below = _transpose(map(_members, above), len(member_lists))
-    return above, below
-
-
 def _lattice(G, order_bound):
     """The indexed elements of G, every subgroup as a bitset in the
     order (size, sorted members), the conjugacy classes of subgroups as
@@ -391,7 +358,8 @@ def _as_set(ix, members):
 
 
 class SubgroupClassTable:
-    """Conjugacy classes of subgroups with depth and inclusion data.
+    """Conjugacy classes of subgroups: representatives, orders, class
+    sizes and cores.
 
     ``member_bits[i]`` and ``core_bits[i]`` are the bitsets of class i's
     representative and of its core: bit k stands for the k-th element of
@@ -399,13 +367,11 @@ class SubgroupClassTable:
     partial table holds no bitsets.
     """
 
-    def __init__(self, representatives, orders, class_sizes, depths, edges,
-                 subgroup_sets, member_bits, core_bits, complete):
+    def __init__(self, representatives, orders, class_sizes, subgroup_sets,
+                 member_bits, core_bits, complete):
         self.representatives = representatives
         self.orders = orders
         self.class_sizes = class_sizes
-        self.depths = depths
-        self.edges = edges
         self.subgroup_sets = subgroup_sets
         self.member_bits = member_bits
         self.core_bits = core_bits
@@ -442,55 +408,25 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
         identity = frozenset([tuple(range(n))])
         return SubgroupClassTable(
             [PermGroup(n, [], seed=G.seed), G], [1, G.order()], [1, 1],
-            [None, 0], [], [identity], [], [], complete=False)
+            [identity], [], [], complete=False)
     ix, subs, classes, members_of, gens_of = _lattice(G, order_bound)
     index_of = {bits: i for i, bits in enumerate(subs)}
 
     # classes are numbered by their first member in the sorted order
     class_members = sorted(sorted(index_of[b] for b in orbit)
                            for orbit in classes)
-    class_of = [None] * len(subs)
-    for cls, members in enumerate(class_members):
-        for i in members:
-            class_of[i] = cls
 
-    # covering relation: i is maximal in j when nothing strictly between
-    # meets
-    member_lists = [members_of[bits] for bits in subs]
-    above, below = _containment(member_lists, len(ix.elements))
-    covers = [(i, j) for j in range(len(subs)) for i in _members(below[j])
-              if not above[i] & below[j]]
-
-    # depth: shortest maximal chain down from G
-    children = {}
-    for (i, j) in covers:
-        children.setdefault(j, []).append(i)
-    top = len(subs) - 1
-    depth = [None] * len(subs)
-    depth[top] = 0
-    frontier = [top]
-    while frontier:
-        new = []
-        for j in frontier:
-            for i in children.get(j, ()):
-                if depth[i] is None:
-                    depth[i] = depth[j] + 1
-                    new.append(i)
-        frontier = new
-
-    sets = [_as_set(ix, members) for members in member_lists]
     member_bits = [subs[members[0]] for members in class_members]
     normals = [subs[cm[0]] for cm in class_members if len(cm) == 1]
     core_bits = [max((b for b in normals if not b & ~rep), key=int.bit_count)
                  for rep in member_bits]
-    edges = {(class_of[i], class_of[j]) for (i, j) in covers}
     return SubgroupClassTable(
         [PermGroup(n, [Permutation(ix.elements[y]) for y in gens_of[bits]],
                    seed=G.seed) for bits in member_bits],
         [bits.bit_count() for bits in member_bits],
         [len(members) for members in class_members],
-        [depth[members[0]] for members in class_members], sorted(edges),
-        sets, member_bits, core_bits, complete=True)
+        [_as_set(ix, members_of[bits]) for bits in subs],
+        member_bits, core_bits, complete=True)
 
 
 def is_normal_in(inner, outer, degree):

@@ -108,10 +108,13 @@ class ActionWitness:
     kind: str
     description: str
     classes: tuple
-    degree: int
     group: PermGroup
     closure_order: int
     certified: bool = True
+
+    @property
+    def degree(self):
+        return self.group.degree
 
     @property
     def closure_index(self):
@@ -337,13 +340,6 @@ def factorization_disproof(G, budget=None, table=None):
     return None
 
 
-def _is_two_transitive(image):
-    n = image.degree
-    if n < 2 or not image.is_transitive():
-        return False
-    return len(image.point_stabilizer(0).orbit(1)) == n - 1
-
-
 def two_transitive_disproof(G, budget=None, table=None, _spent=None):
     """A faithful 2-transitive action strictly below the symmetric group.
 
@@ -374,15 +370,16 @@ def two_transitive_disproof(G, budget=None, table=None, _spent=None):
             # the image would have to be all of Sym(degree)
             continue
         image = assemble_action(G, table, (i,), cache)
-        if not _is_two_transitive(image):
+        # a transitive group is 2-transitive exactly when its rank is 2
+        part = cache.partition(image, (i,)) or OrbitalPartition(image)
+        if part.rank != 2:
             continue
-        res = _run_closure(image, budget, spent,
-                           cache.partition(image, (i,)))
+        res = _run_closure(image, budget, spent, part)
         return ActionWitness(
             "two-transitive",
             f"2-transitive coset action of degree {degree} for stabilizer "
             f"class {i}; the closure is the full symmetric group",
-            (i,), degree, image, res.closure.order(), res.certified)
+            (i,), image, res.closure.order(), res.certified)
     return None
 
 
@@ -472,8 +469,7 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
                     "multi-orbit" if len(subset) > 1 else "transitive",
                     f"the action on stabilizer classes {list(subset)} of "
                     f"degree {degree} is not 2-closed",
-                    subset, degree, image, res.closure.order(),
-                    res.certified)
+                    subset, image, res.closure.order(), res.certified)
                 return _no(witness, spent, tested)
             if not res.certified:
                 entry["result"] = "unresolved"
@@ -540,7 +536,7 @@ def _certified_witness(kind, description, classes, group, budget, spent):
         raise GroupError(
             f"internal inconsistency: a {kind} witness action computed as "
             "2-closed")
-    return ActionWitness(kind, description, classes, group.degree, group,
+    return ActionWitness(kind, description, classes, group,
                          res.closure.order(), res.certified)
 
 
@@ -683,7 +679,7 @@ def is_totally_two_closed(G, budget=None, completed=(), table=None):
             return _no(ActionWitness(
                 "input-action",
                 "the defining action of the group is not 2-closed",
-                (), G.degree, G, res.closure.order(), res.certified), spent)
+                (), G, res.closure.order(), res.certified), spent)
         return _unenumerated(G, "subgroup enumeration", budget, spent)
 
     fact = factorization_disproof(G, budget, table=table)

@@ -5,10 +5,12 @@ The repository has no lint step, so this walks each module's syntax tree
 for names bound by an import and never read, and for private top-level
 functions, classes and constants that the module never reads outside
 their own definition.  A public top-level name of the package or of
-``tests/oracles.py``, and a public method or property of one of their
-top-level classes, must be read somewhere in the package, the tests,
-the tools or the benchmark.  Package ``__init__`` modules are skipped:
-their imports are the public re-exports, which are not reads.
+``tests/oracles.py``, and a public method, property, field or attribute
+assigned to self of one of their top-level classes, must be read
+somewhere in the package, the tests, the tools or the benchmark; class
+members count only when read as an attribute.  Package ``__init__``
+modules are skipped: their imports are the public re-exports, which are
+not reads.
 """
 
 import ast
@@ -48,19 +50,21 @@ def _reads(nodes):
 
 
 def _uses(nodes):
-    """The names read inside the given syntax trees, as a name, as an
-    attribute, or as a part of a dotted string such as the benchmark
-    tracer's "StabilizerChain.build"."""
+    """The names read inside the given syntax trees: "name" for a read as
+    a name, ".name" for a read as an attribute or as a part of a dotted
+    string such as the benchmark tracer's "StabilizerChain.build".
+    Assigning an attribute is not reading it."""
     out = _reads(nodes)
     for top in nodes:
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute):
-                out.add(node.attr)
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                out.add("." + node.attr)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)):
                 parts = node.value.split(".")
                 if all(part.isidentifier() for part in parts):
-                    out.update(parts)
+                    out.update("." + part for part in parts)
     return out
 
 
@@ -89,30 +93,58 @@ def dead_private_names(source):
             and name not in _reads(n for n in tree.body if n is not own)]
 
 
+def _attributes(cls):
+    """The names of the annotated fields in the class body, as of a
+    dataclass, then of the attributes its methods assign to self, each
+    once, in order."""
+    fields = [node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)]
+    assigned = [node.attr for method in cls.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(method)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"]
+    return list(dict.fromkeys(fields + assigned))
+
+
 def _outsides(tree):
-    """(label, name, the statements outside its definition) for each
-    top-level name, then for each method and property of each top-level
-    class, labelled "Class.name", in order."""
+    """(label, the reads of it that count, the statements outside its
+    definition) for each top-level name, read as a name or as an
+    attribute; then for each method and property of each top-level
+    class, labelled "Class.name"; then for each of the class's fields and
+    attributes assigned to self, whose assignments are no reads, so the
+    whole module is outside them.  Class members count only when read as
+    an attribute.  In order."""
     for name, own in _definitions(tree):
-        yield name, name, [n for n in tree.body if n is not own]
+        yield (name, {name, "." + name},
+               [n for n in tree.body if n is not own])
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef):
             outside = [n for n in tree.body if n is not cls] \
                 + cls.bases + cls.decorator_list
+            methods = []
             for node in cls.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield (f"{cls.name}.{node.name}", node.name,
+                    methods.append(node.name)
+                    yield (f"{cls.name}.{node.name}", {"." + node.name},
                            outside + [n for n in cls.body if n is not node])
+            for name in _attributes(cls):
+                if name not in methods:
+                    yield f"{cls.name}.{name}", {"." + name}, tree.body
 
 
 def orphan_public_names(source, used_elsewhere):
-    """Module-level names, then methods and properties of top-level
-    classes as "Class.name", not starting with an underscore, that
-    neither the module, outside their own definition, nor used_elsewhere
-    (the names other modules use) contains, in order."""
-    return [label for label, name, outside in _outsides(ast.parse(source))
-            if not name.startswith("_") and name not in used_elsewhere
-            and name not in _uses(outside)]
+    """Module-level names, then methods, properties, fields and attributes
+    assigned to self of top-level classes as "Class.name", not starting
+    with an underscore, that neither the module, outside their own
+    definition, nor used_elsewhere (what _uses gives for the other
+    modules) reads, in order."""
+    return [label for label, reads, outside in _outsides(ast.parse(source))
+            if not label.rpartition(".")[2].startswith("_")
+            and not reads & used_elsewhere and not reads & _uses(outside)]
 
 
 @cache
@@ -147,20 +179,28 @@ def test_checker_flags_only_unread_public_names():
               "class Record:\n    pass\n"
               "def _private():\n    pass\n"
               "class Box:\n"
-              "    def __init__(self):\n        self.size = self.area()\n"
+              "    def __init__(self):\n"
+              "        self.size = self.area()\n"
+              "        self.kept, self.unread = 1, 2\n"
+              "        self.unread = self.kept\n"
               "    def area(self):\n        return 0\n"
               "    def read(self):\n        pass\n"
               "    def loop(self):\n        return self.loop()\n"
               "    @property\n    def width(self):\n        pass\n"
               "    @property\n    def depth(self):\n        pass\n"
               "    def _own(self):\n        pass\n"
-              "print(Box().read)\n")
+              "class Point:\n    x: int\n    y: int\n    _z: int\n"
+              "print(Box().read, Point(1, 2, 3).x)\n")
+    # a field or an attribute assigned to self counts only when read as
+    # an attribute: size is read as a name below, and unread is assigned
+    # twice but never read
     reader = ("import mod\nfrom mod import Record\n"
-              "mod.called()\nTARGETS = ['mod.traced', 'Box.depth']\n")
+              "mod.called()\nTARGETS = ['mod.traced', 'Box.depth']\n"
+              "size = y = 0\nprint(size, y)\n")
     used = _uses([ast.parse(reader)])
-    assert orphan_public_names(source, used) == ["UNREAD", "helper",
-                                                 "Shape", "Record",
-                                                 "Box.loop", "Box.width"]
+    assert orphan_public_names(source, used) == [
+        "UNREAD", "helper", "Shape", "Record", "Box.loop", "Box.width",
+        "Box.size", "Box.unread", "Point.y"]
 
 
 @pytest.mark.parametrize("path", MODULES,

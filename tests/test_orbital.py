@@ -146,6 +146,7 @@ def test_compressed_mode_matches_dense():
     assert compressed.rank == dense.rank
     assert compressed.paired == dense.paired
     assert compressed.pair_reps == dense.pair_reps
+    assert compressed.subdegrees == dense.subdegrees == [1, 2, 2, 2, 2]
     for a in range(G.degree):
         assert list(compressed.row(a)) == list(dense.row(a))
     for c in range(dense.rank):
@@ -166,6 +167,7 @@ def test_compressed_mode_matches_dense_intransitive():
         orbital_mod.DENSE_LIMIT = old
     assert compressed.rank == dense.rank
     assert compressed.pair_reps == dense.pair_reps
+    assert compressed.subdegrees is dense.subdegrees is None
     for a in range(G.degree):
         assert list(compressed.row(a)) == list(dense.row(a))
 

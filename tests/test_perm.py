@@ -138,6 +138,13 @@ def test_parse_errors():
         Permutation.parse(4, "(1 2 2)")
 
 
+def test_parse_error_reports_its_position():
+    with pytest.raises(ParseError) as info:
+        Permutation.parse(3, "(1 2) x", line=5)
+    assert info.value.line == 5
+    assert info.value.column == 7
+
+
 def test_parse_identity_forms():
     assert Permutation.parse(4, "()").is_identity
     assert Permutation.parse(4, "").is_identity

@@ -79,38 +79,39 @@ def test_indexed_products_from_base_images(make, base_length):
 
 
 # SHA-256 of _lattice's (subs, classes) and of subgroup_classes'
-# class_sizes, depths, edges and sorted subgroup_sets, taken before
-# products went through base images, M-orbits of cyclic subgroups and
-# container bitsets.  Relabelling seed 0 keeps the points.
+# class_sizes and sorted subgroup_sets.  A one-off script computed them
+# with this payload on the code as it stood before the class table
+# stopped building the containment lattice; the code after gives the same
+# digests.  Relabelling seed 0 keeps the points.
 LATTICE_DIGESTS = {
-    ("PSL(2,11)", 0): "7824793bf78c53dfc9d74213ef593d00"
-                      "0cc88d68a0364b6b70d65bb4466179b7",
-    ("PSL(2,11)", 1): "b5e873c428ae8c154fab5c887935e9b8"
-                      "003348ea59562914029c46b1ea60254e",
-    ("PSL(2,13)", 0): "2d80980be0ef123a6ba83c3a9b2ed7e5"
-                      "0d9f2f4d6967fb21acf781dd23988935",
-    ("PSL(2,13)", 1): "0f47a63283f12a6d87f0f0da957eb977"
-                      "35fc19107ad1d678c739714a37b01026",
-    ("S5", 0): "4c4d1a3ff94f9417015340f2d775f1ab"
-               "9d164bbd13d9f9558e9cd4020b2fe4d9",
-    ("S5", 1): "fd61781f772f7cfe0ae9c505d445091f"
-               "b6703ee9d35e65cef84c1b14ece66898",
-    ("A5", 0): "8dd9a32b5dd14d13526b320b8c3548f8"
-               "8f49f665989d0a79d22443c360816128",
-    ("A5", 1): "bf45d71154868442009988c3c845f117"
-               "7a86b15f39a4e6ef4ef0c0879c234820",
-    ("Q8xC3", 0): "45d7cc0bb4e3ff501c99e9718321b0e2"
-                  "fdaba2e331c6591561da31549ca43a76",
-    ("Q8xC3", 1): "ab458c9d598219aa13e6a860ab2e63c7"
-                  "e6b2048732adf27a3c735dc5b417d5c8",
-    ("D8", 0): "db0a339a5cd2b318b6a5ec79c07fdf04"
-               "029facc7ce4bea88c0f8a90a5c3105b7",
-    ("D8", 1): "a364314508a98c4aeb86ba3b817a387d"
-               "2d9b71af5e8c6059133a83d8d293604e",
-    ("C2^3", 0): "2c540ec4008412c0e89bf6200da454d4"
-                 "d65cebd9f5aeb6d59f9cb22fb17d1cdb",
-    ("C2^3", 1): "48300222748cf2ca94cf4382fc35d38a"
-                 "2c22fbc2546d2291ba9b0d31c77b79aa",
+    ("PSL(2,11)", 0): "efcbfc152d88aa82e1a0a1f5b0d424ed"
+                      "c271b79c81cc8e2d15267bc31b804993",
+    ("PSL(2,11)", 1): "496071e125ca732d2bbdd3d8988c3bb0"
+                      "be9e4c1f9ffa8f76c666e57e03a87dfd",
+    ("PSL(2,13)", 0): "78f4c93ea651fd131b8b31be216301f6"
+                      "e85522fb354e77b96aa23bdebfac889d",
+    ("PSL(2,13)", 1): "09bef30257af76e447fda96468208e87"
+                      "c351efbccb1937052b4408deeb2dcfd0",
+    ("S5", 0): "cf1932df174d4c095488d56c35c5cff3"
+               "4e536645c9104b510e48339057085a0f",
+    ("S5", 1): "cd248cdc6eea68e0d2139a162f500c04"
+               "a74eae55c5f20b8cea20ffa2ab3f045c",
+    ("A5", 0): "154a2fd202b621b5741aa4866a6a2df1"
+               "90dbe24238f2c72493f758e3991293a9",
+    ("A5", 1): "5b1d0c34fc4782776b4167fa6effdfa1"
+               "7c054b9cc5015d874605be57684bc4c4",
+    ("Q8xC3", 0): "82ae30bb0f7e15302ac270da5bc5781f"
+                  "dfc001f074c0d654b7ae3f99fbfb9d42",
+    ("Q8xC3", 1): "5fa5036b558855457b1bfedc0eecb2de"
+                  "80340d4b4a77f4c99fefddb8ce86ae45",
+    ("D8", 0): "04bab7a8c2c8ec9f60b47261037ebcfd"
+               "0e94fbf7d39d45a4430fcc5d04f5786e",
+    ("D8", 1): "23dc48377443850b836414d72b6acc47"
+               "fd9c2fa96e51107aaf289a261fc0d918",
+    ("C2^3", 0): "f3e0e9c699fbb152eb59766b118d2212"
+                 "d25888e6939330f1aff914d54d1f5236",
+    ("C2^3", 1): "4e49abb89f14d178e314508f7b8ea235"
+                 "1db7de4b88347d12c56d8645f0977e38",
 }
 LATTICE_GROUPS = {
     "PSL(2,11)": lambda: psl2(11),
@@ -138,8 +139,7 @@ def test_lattice_output_is_pinned(name, seed, monkeypatch):
     monkeypatch.setattr("twoclosure.subgroups._lattice", keep)
     table = subgroup_classes(G)
     [(_, subs, classes, _, _)] = built
-    payload = repr((subs, classes, table.class_sizes, table.depths,
-                    table.edges,
+    payload = repr((subs, classes, table.class_sizes,
                     sorted(sorted(s) for s in table.subgroup_sets)))
     digest = hashlib.sha256(payload.encode()).hexdigest()
     assert digest == LATTICE_DIGESTS[name, seed]
@@ -228,40 +228,6 @@ def test_conjugate_subgroups_share_a_class():
     assert len(classes_of(a)) == 1
 
 
-def test_depths_of_sym4():
-    table = subgroup_classes(symmetric(4))
-    assert table.depths[table.full_class] == 0
-    assert table.depths[table.orders.index(1)] == 3
-    by_order = {}
-    for i, rep in enumerate(table.representatives):
-        by_order.setdefault(rep.order(), []).append(i)
-    # the three maximal classes: A4 (order 12), D4 (8), S3 (6)
-    for order in (12, 8, 6):
-        (i,) = by_order[order]
-        assert table.depths[i] == 1
-    # both order-2 classes: a transposition sits below S3, a double
-    # transposition needs three steps
-    twos = sorted(table.depths[i] for i in by_order[2])
-    assert twos == [2, 3]
-
-
-def test_depth_respects_covering_edges():
-    for G in (symmetric(4), cyclic(12), dihedral(6)):
-        table = subgroup_classes(G)
-        for i, j in table.edges:
-            assert table.depths[i] <= table.depths[j] + 1
-            assert table.orders[i] < table.orders[j]
-
-
-def test_maximal_classes_have_depth_one():
-    for G in (symmetric(4), alternating(5), quaternion()):
-        table = subgroup_classes(G)
-        full = table.full_class
-        for i, j in table.edges:
-            if j == full:
-                assert table.depths[i] == 1
-
-
 def decoded(G, bits):
     """The element set of a table bitset: bit k is the k-th element of G
     in sorted image-tuple order."""
@@ -331,19 +297,11 @@ def test_class_table_keeps_the_lattice_generators(monkeypatch):
             decoded(G, table.member_bits[i])
 
 
-def test_edges_of_sym3():
-    table = subgroup_classes(symmetric(3))
-    assert table.orders == [1, 2, 3, 6]
-    assert table.edges == [(0, 1), (0, 2), (1, 3), (2, 3)]
-
-
 def test_partial_table_flag():
     table = subgroup_classes(symmetric(7), order_bound=2000)
     assert not table.complete
     assert len(table) == 2
     assert "partial" in repr(table)
-    assert table.depths[table.full_class] == 0
-    assert table.depths[table.orders.index(1)] is None
 
 
 def test_is_normal_in():

@@ -174,6 +174,19 @@ def test_two_transitive_psl2_13(psl213):
     assert two_closure(w.group).index == w.closure_index
 
 
+def test_two_transitive_scan_reads_the_rank(monkeypatch):
+    # 2-transitivity is read off the orbital partition's rank, so the
+    # scan builds no point stabilizer
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointwise_stabilizer called")
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", refuse)
+    w = two_transitive_disproof(psl2(13))
+    assert w.kind == "two-transitive"
+    assert w.degree == 14
+    assert two_transitive_disproof(dihedral(5)) is None
+
+
 @pytest.mark.parametrize("G", [
     cyclic(4),
     cyclic(6),

@@ -66,9 +66,9 @@ def test_targets_held_only_for_the_tracer():
         name = path.split(".")[-1]
         if name.startswith("__"):
             continue  # dunder methods are called by syntax, not by name
-        own = next(outside for label, _, outside in _outsides(trees[module])
-                   if label == path)
+        reads, own = next((reads, outside) for label, reads, outside
+                          in _outsides(trees[module]) if label == path)
         elsewhere = [tree for other, tree in trees.items() if other != module]
-        if name not in _uses(own + elsewhere):
+        if not reads & _uses(own + elsewhere):
             unread.add(name)
     assert unread - ENTRY_POINTS == HELD_FOR_THE_TRACER
