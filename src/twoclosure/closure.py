@@ -61,15 +61,28 @@ class ClosureResult:
                 f"index={self.index}, method={self.method!r}, {tag})")
 
 
+def _check_partition(G, partition):
+    """Raise unless partition is None or was built for G itself."""
+    if partition is None:
+        return
+    if partition.degree != G.degree:
+        raise DegreeMismatchError(
+            f"partition degree {partition.degree} != group degree {G.degree}")
+    if partition.group is not G:
+        raise GroupError("the partition was built for another group")
+
+
 def closure_membership(G, x, partition=None):
     """Whether x preserves every G-orbit on ordered pairs.
 
     By the orbit criterion this decides membership in the 2-closure
-    without computing it.
+    without computing it.  partition, when given, must have been built
+    for G itself.
     """
     if x.degree != G.degree:
         raise DegreeMismatchError(
             f"element degree {x.degree} != group degree {G.degree}")
+    _check_partition(G, partition)
     part = partition if partition is not None else OrbitalPartition(G)
     n = G.degree
     xi = x.images
@@ -100,12 +113,7 @@ def two_closure(G, node_budget=None, partition=None):
     Hence y = 1 and x = g.
     """
     n = G.degree
-    if partition is not None:
-        if partition.degree != n:
-            raise DegreeMismatchError(
-                f"partition degree {partition.degree} != group degree {n}")
-        if partition.group is not G:
-            raise GroupError("the partition was built for another group")
+    _check_partition(G, partition)
     if G.is_trivial:
         return ClosureResult(G, G, "certified-equal")
     part = partition if partition is not None else OrbitalPartition(G)

@@ -106,15 +106,18 @@ class _Level:
             return None
         u = self._reps.get(point)
         if u is None:
+            # extend the nearest representative held up the tree, keeping
+            # those built on the way: one product per point of the orbit
             path = []
             a = point
-            while self.tree[a] is not None:
-                prev, gi = self.tree[a]
-                path.append(gi)
-                a = prev
-            for gi in reversed(path):
-                u = self.gens[gi] if u is None else u * self.gens[gi]
-            self._reps[point] = u
+            while self.tree[a] is not None and a not in self._reps:
+                path.append(a)
+                a = self.tree[a][0]
+            u = self._reps.get(a)
+            for a in reversed(path):
+                g = self.gens[self.tree[a][1]]
+                u = g if u is None else u * g
+                self._reps[a] = u
         return u
 
     def rep_inv(self, point):

@@ -5,6 +5,15 @@ Colors are integers assigned in order of first discovery scanning pairs
 identical in all three storage modes: the dense table (degree <= 2048),
 the row-compressed representation used above that, and blocks.
 
+The compressed mode stores one row per G-orbit, that of its least point
+r, colored by the orbits of the point stabilizer G_r.  Level 0 of the
+stabilizer chain that G_r comes from holds a Schreier tree of r's orbit
+(Seress, Permutation Group Algorithms, 2003, ch. 4), and every other row
+is built from its parent's along that tree: if a = p^g, the color of
+(a, b) is that of (p, b^(g^-1)), so row(a) is row(p) relabelled by the
+inverse images of g.  A row is built by walking up the tree to the
+nearest row held and relabelling back down.
+
 The block mode serves a direct sum of transitive actions whose orbits
 D_0, D_1, ... are contiguous, as the totality sweep assembles them.  The
 pairs in D_i x D_j form one block, a union of G-orbits.  G is transitive
@@ -22,6 +31,7 @@ subgroup classes and reuses it in every direct sum that holds both.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter, OrderedDict
 
 from .errors import DegreeMismatchError, NotTransitiveError
@@ -81,6 +91,10 @@ class OrbitalPartition:
     and pair representatives per color.  color_of(a, b), row(a) and
     row_ranks() work in every storage mode.
 
+    The dense mode holds the whole table.  The compressed mode holds the
+    row of each orbit's least point and builds the others from it along
+    the Schreier tree of the chain that point_stabilizer builds.
+
     blocks, when given, is the square table of the OrbitalBlocks of G's
     orbits, each transitive, contiguous and in order: blocks[i][j] holds
     the pairs of orbit i by orbit j.  The caller vouches that they belong
@@ -99,8 +113,6 @@ class OrbitalPartition:
         self.colors = None
         self._blocks = None
         self._rows = OrderedDict()
-        self._transversals = OrderedDict()
-        self.reps = []
         self._pair_reps = None
         self._paired = None
         if blocks is not None and self.dense:
@@ -119,8 +131,6 @@ class OrbitalPartition:
                 f"blocks cover {sum(sizes)} points, not {self.degree}")
         self._blocks = blocks
         self._starts = [sum(sizes[:i]) for i in range(len(sizes))]
-        self._orbit_index = [i for i, size in enumerate(sizes)
-                             for _ in range(size)]
         self._offsets = []
         rank = 0
         for row in blocks:
@@ -170,7 +180,7 @@ class OrbitalPartition:
         return list(counts.values())
 
     def _block_row(self, a):
-        i = self._orbit_index[a]
+        i = bisect_right(self._starts, a) - 1
         local = a - self._starts[i]
         row = []
         for offset, block in zip(self._offsets[i], self._blocks[i]):
@@ -208,33 +218,21 @@ class OrbitalPartition:
 
     def _build_compressed(self):
         n = self.degree
-        self._orbit_of = [0] * n
-        for orb in self.group.orbits():
-            for a in orb:
-                self._orbit_of[a] = orb[0]
-        self._trees = {}
+        G = self.group
+        # level 0 of every chain of G holds G's generators, in order
+        self._gen_invs = [g.inverse().images for g in G.generators]
+        self._level_of = [None] * n
         self._base_rows = {}
-        gens = self.group.generators
-        images = [g.images for g in gens]
-        for orb in self.group.orbits():
-            rep = orb[0]
-            tree = {rep: None}
-            frontier = [rep]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for gi, img in enumerate(images):
-                        y = img[x]
-                        if y not in tree:
-                            tree[y] = (x, gi)
-                            new.append(y)
-                frontier = new
-            self._trees[rep] = tree
-            self.reps.append(rep)
         pair_reps = []
         next_color = 0
-        for rep in self.reps:
-            stab = self.group.point_stabilizer(rep)
+        for rep in range(n):
+            if self._level_of[rep] is not None:
+                continue
+            stab = G.point_stabilizer(rep)
+            # the chain G_rep came from, built once: level 0 is rep's orbit
+            level = G.chain_with_base((rep,)).levels[0]
+            for a in level.orbit:
+                self._level_of[a] = level
             suborbits = orbits_of(stab.generators, n)
             suborbit_of = [-1] * n
             for k, sub in enumerate(suborbits):
@@ -254,30 +252,25 @@ class OrbitalPartition:
             self._base_rows[rep] = row
         self._pair_reps = pair_reps
 
-    def transversal(self, a):
-        """A pair (u, u_inv_images) with rep^u = a for a's orbit rep."""
-        got = self._transversals.get(a)
-        if got is not None:
-            self._transversals.move_to_end(a)
-            return got
-        rep = self._orbit_of[a]
-        tree = self._trees[rep]
-        word = []
-        cur = a
-        while tree[cur] is not None:
-            prev, gi = tree[cur]
-            word.append(gi)
-            cur = prev
-        gens = self.group.generators
-        u = None
-        for gi in reversed(word):
-            u = gens[gi] if u is None else u * gens[gi]
-        u_inv = list(range(self.degree)) if u is None else u.inverse().images
-        got = (u, u_inv)
-        self._transversals[a] = got
-        if len(self._transversals) > ROW_CACHE:
-            self._transversals.popitem(last=False)
-        return got
+    def _tree_row(self, a):
+        """Row a from the nearest row held up a's Schreier tree: a step
+        down to a = p^g relabels row(p) by g's inverse images.  The rows
+        built on the way are kept."""
+        tree = self._level_of[a].tree
+        path = []
+        while tree[a] is not None and a not in self._rows:
+            path.append(a)
+            a = tree[a][0]
+        row = self._base_rows[a] if tree[a] is None else self.row(a)
+        for a in reversed(path):
+            row = list(map(row.__getitem__, self._gen_invs[tree[a][1]]))
+            self._keep(a, row)
+        return row
+
+    def _keep(self, a, row):
+        self._rows[a] = row
+        if len(self._rows) > ROW_CACHE:
+            self._rows.popitem(last=False)
 
     def row(self, a):
         """Colors of the pairs (a, b) for all b, as an indexable row.
@@ -291,28 +284,22 @@ class OrbitalPartition:
         if got is not None:
             self._rows.move_to_end(a)
             return got
-        if self._blocks is not None:
-            got = self._block_row(a)
-        else:
-            base = self._base_rows[self._orbit_of[a]]
-            _, u_inv = self.transversal(a)
-            got = [base[u_inv[b]] for b in range(self.degree)]
-        self._rows[a] = got
-        if len(self._rows) > ROW_CACHE:
-            self._rows.popitem(last=False)
+        if self._blocks is None:
+            return self._tree_row(a)
+        got = self._block_row(a)
+        self._keep(a, got)
         return got
 
     def color_of(self, a, b):
         if self.colors is not None:
             return self.colors[a * self.degree + b]
-        if self._blocks is not None:
-            i, j = self._orbit_index[a], self._orbit_index[b]
-            block = self._blocks[i][j]
-            return self._offsets[i][j] + \
-                block.rows[a - self._starts[i]][b - self._starts[j]]
-        rep = self._orbit_of[a]
-        _, u_inv = self.transversal(a)
-        return self._base_rows[rep][u_inv[b]]
+        if self._blocks is None:
+            return self.row(a)[b]
+        i = bisect_right(self._starts, a) - 1
+        j = bisect_right(self._starts, b) - 1
+        block = self._blocks[i][j]
+        return self._offsets[i][j] + \
+            block.rows[a - self._starts[i]][b - self._starts[j]]
 
     def is_diagonal(self, color):
         a, b = self.pair_reps[color]
@@ -324,23 +311,15 @@ class OrbitalPartition:
             return self.colors[a * self.degree + a]
         if self._blocks is not None:
             # (0, 0) opens the scan of a diagonal block: local color 0
-            i = self._orbit_index[a]
+            i = bisect_right(self._starts, a) - 1
             return self._offsets[i][i]
-        rep = self._orbit_of[a]
+        rep = self._level_of[a].point
         return self._base_rows[rep][rep]
 
     def neighbors(self, a, color):
-        """Points b with (a, b) of the given color."""
-        if self.dense:
-            row = self.row(a)
-            return [b for b in range(self.degree) if row[b] == color]
-        rep = self._orbit_of[a]
-        base = self._base_rows[rep]
-        sub = [b for b in range(self.degree) if base[b] == color]
-        u, _ = self.transversal(a)
-        if u is None:
-            return sub
-        return sorted(u.images[b] for b in sub)
+        """Points b with (a, b) of the given color, in increasing order."""
+        row = self.row(a)
+        return [b for b in range(self.degree) if row[b] == color]
 
 
 def higman_primitive(G, partition=None):

@@ -414,6 +414,19 @@ def test_prebuilt_partition_must_belong_to_the_group():
         two_closure(G, partition=OrbitalPartition(twin))
 
 
+def test_membership_rejects_a_partition_of_another_group():
+    # S5's partition has rank 2, so every permutation would preserve it
+    swap = Permutation.from_cycles(5, [(0, 1)])
+    with pytest.raises(GroupError):
+        closure_membership(dihedral(5), swap, OrbitalPartition(symmetric(5)))
+
+
+def test_membership_rejects_a_partition_of_another_degree():
+    swap = Permutation.from_cycles(5, [(0, 1)])
+    with pytest.raises(DegreeMismatchError):
+        closure_membership(dihedral(5), swap, OrbitalPartition(cyclic(4)))
+
+
 @pytest.mark.parametrize("case, classes", [
     ("D8", (0, 1)), ("D8", (1, 2, 3)), ("Q8xC3", (0,)), ("Q8xC3", (2, 5)),
     ("S4", (4,)), ("S4", (1, 3)),

@@ -5,10 +5,12 @@ The generators are the checked-in benchmark input, read without change.
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import twoclosure.orbital as orbital_mod
 from twoclosure import PermGroup, Permutation
 from twoclosure.basesize import (REFERENCE_TABLE, exact_base_size,
                                  two_point_stabilizer_gcd,
@@ -65,3 +67,27 @@ def test_j1_two_point_stabilizer_gcd_matches_reference(j1):
     assert orders == [5, 6, 55, 60]
     reference = REFERENCE_TABLE.lookup("J1", "L2(11)").g_value
     assert two_point_stabilizer_gcd(j1) == reference == 1
+
+
+def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1,
+                                                              monkeypatch):
+    """J1 on the 1,463 edges of its 11-valent orbital graph, closed with
+    compressed rows.  This checks one maximal action (edge stabilizer
+    2xA5), not that J1 is totally 2-closed, which needs every faithful
+    action."""
+    part = OrbitalPartition(j1)
+    color = next(c for c, k in Counter(part.row(0)).items() if k == 11)
+    edges = sorted({frozenset((a, b)) for a in range(j1.degree)
+                    for b, c in enumerate(part.row(a)) if c == color},
+                   key=sorted)
+    index = {e: i for i, e in enumerate(edges)}
+    # J1 is simple, so it acts faithfully and keeps its order
+    G = PermGroup(len(edges), [
+        Permutation(tuple(index[g.on_set(e)] for e in edges))
+        for g in j1.generators], order=175560)
+    assert G.degree == 1463
+    monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
+    res = two_closure(G)
+    assert res.certified
+    assert res.index == 1
+    assert res.nodes == 3

@@ -172,6 +172,24 @@ def test_compressed_mode_matches_dense_intransitive():
         assert list(compressed.row(a)) == list(dense.row(a))
 
 
+def test_compressed_rows_down_a_deep_tree_through_a_small_cache(
+        monkeypatch):
+    import twoclosure.orbital as orbital_mod
+    monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
+    monkeypatch.setattr(orbital_mod, "ROW_CACHE", 2)
+    n = 1500
+    # one n-cycle: the Schreier tree is a path, and point n - 1 lies n - 1
+    # steps below the root, deeper than Python's recursion limit
+    part = OrbitalPartition(cyclic(n))
+    assert not part.dense
+    for a in [n - 1, 1, 750, n - 2, 0, n - 1]:
+        # in a regular cyclic group the color of (a, b) is b - a
+        assert list(part.row(a)) == [(b - a) % n for b in range(n)]
+        assert len(part._rows) <= 2
+    assert part.color_of(n - 1, 0) == 1
+    assert part.neighbors(n - 1, 1) == [0]
+
+
 def assert_same_partition(got, want):
     assert got.rank == want.rank
     assert got.pair_reps == want.pair_reps
