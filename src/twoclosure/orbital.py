@@ -2,8 +2,9 @@
 
 Colors are integers assigned in order of first discovery scanning pairs
 (0,0), (0,1), ... lexicographically, so the numbering is deterministic and
-identical in all three storage modes: the dense table (degree <= 2048),
-the row-compressed representation used above that, and blocks.
+identical in both storage modes: compressed rows, which every partition
+built from a group alone uses, and blocks, which a partition built from
+the totality sweep's cached OrbitalBlocks keeps.
 
 The compressed mode stores one row per G-orbit, that of its least point
 r, colored by the orbits of the point stabilizer G_r.  Level 0 of the
@@ -26,18 +27,19 @@ offset(i, j) adds up the ranks of the blocks before (i, j) in row-major
 order, and pair representatives shift the same way.  A block depends only
 on the two actions, so the sweep computes each one once per pair of
 subgroup classes and reuses it in every direct sum that holds both.
+Blocks hold a color for every pair, n^2 entries in all, so the sweep
+builds them only up to a degree cap and leaves larger actions to the
+compressed mode.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from collections import Counter, OrderedDict
 
 from .errors import DegreeMismatchError, NotTransitiveError
 from .group import orbits_of
 
-DENSE_LIMIT = 2048
 ROW_CACHE = 128
 
 
@@ -89,40 +91,32 @@ class OrbitalPartition:
     Attributes: degree, rank, paired (color -> color of the transpose),
     subdegrees (sorted suborbit lengths when G is transitive, else None),
     and pair representatives per color.  color_of(a, b), row(a) and
-    row_ranks() work in every storage mode.
+    row_ranks() work in both storage modes.
 
-    The dense mode holds the whole table.  The compressed mode holds the
-    row of each orbit's least point and builds the others from it along
-    the Schreier tree of the chain that point_stabilizer builds.
+    Built from G alone, the partition is compressed: it holds the row of
+    each orbit's least point and builds the others from it along the
+    Schreier tree of the chain that point_stabilizer builds.
 
     blocks, when given, is the square table of the OrbitalBlocks of G's
     orbits, each transitive, contiguous and in order: blocks[i][j] holds
     the pairs of orbit i by orbit j.  The caller vouches that they belong
-    to G.  They are read only up to DENSE_LIMIT; above it the partition is
-    compressed as for any group.  A block-built partition holds the
-    blocks and the color offsets of each; its pair_reps are put together
-    from the blocks when first read, which the totality sweep never does.
-    paired is computed when first read in every mode, and subdegrees,
-    from row 0, each time it is read.
+    to G, and the partition keeps them with the color offsets of each;
+    its pair_reps are put together from the blocks when first read, which
+    the totality sweep never does.  paired is computed when first read in
+    both modes, and subdegrees, from row 0, each time it is read.
     """
 
     def __init__(self, G, blocks=None):
         self.group = G
         self.degree = G.degree
-        self.dense = self.degree <= DENSE_LIMIT
-        self.colors = None
         self._blocks = None
         self._rows = OrderedDict()
         self._pair_reps = None
         self._paired = None
-        if blocks is not None and self.dense:
-            self._build_from_blocks(blocks)
-            return
-        if self.dense:
-            self._build_dense()
-        else:
+        if blocks is None:
             self._build_compressed()
-        self.rank = len(self._pair_reps)
+        else:
+            self._build_from_blocks(blocks)
 
     def _build_from_blocks(self, blocks):
         sizes = [len(row[0].rows) for row in blocks]
@@ -187,35 +181,6 @@ class OrbitalPartition:
             row += [offset + c for c in block.rows[local]]
         return row
 
-    def _build_dense(self):
-        n = self.degree
-        gens = [g.images for g in self.group.generators]
-        colors = array("l", [-1] * (n * n))
-        pair_reps = []
-        next_color = 0
-        for a in range(n):
-            base = a * n
-            for b in range(n):
-                if colors[base + b] >= 0:
-                    continue
-                color = next_color
-                next_color += 1
-                pair_reps.append((a, b))
-                colors[base + b] = color
-                frontier = [(a, b)]
-                while frontier:
-                    new = []
-                    for x, y in frontier:
-                        for img in gens:
-                            p, q = img[x], img[y]
-                            slot = p * n + q
-                            if colors[slot] < 0:
-                                colors[slot] = color
-                                new.append((p, q))
-                    frontier = new
-        self.colors = colors
-        self._pair_reps = pair_reps
-
     def _build_compressed(self):
         n = self.degree
         G = self.group
@@ -251,6 +216,7 @@ class OrbitalPartition:
                 row[b] = c
             self._base_rows[rep] = row
         self._pair_reps = pair_reps
+        self.rank = len(pair_reps)
 
     def _tree_row(self, a):
         """Row a from the nearest row held up a's Schreier tree: a step
@@ -277,9 +243,6 @@ class OrbitalPartition:
 
         A block or compressed row is built when asked for and kept among
         the ROW_CACHE most recent ones."""
-        if self.colors is not None:
-            n = self.degree
-            return self.colors[a * n:(a + 1) * n]
         got = self._rows.get(a)
         if got is not None:
             self._rows.move_to_end(a)
@@ -291,8 +254,6 @@ class OrbitalPartition:
         return got
 
     def color_of(self, a, b):
-        if self.colors is not None:
-            return self.colors[a * self.degree + b]
         if self._blocks is None:
             return self.row(a)[b]
         i = bisect_right(self._starts, a) - 1
@@ -307,8 +268,6 @@ class OrbitalPartition:
 
     def diagonal_color(self, a):
         """The color of the pair (a, a); constant on each G-orbit."""
-        if self.colors is not None:
-            return self.colors[a * self.degree + a]
         if self._blocks is not None:
             # (0, 0) opens the scan of a diagonal block: local color 0
             i = bisect_right(self._starts, a) - 1
@@ -322,7 +281,7 @@ class OrbitalPartition:
         return [b for b in range(self.degree) if row[b] == color]
 
 
-def higman_primitive(G, partition=None):
+def higman_primitive(G):
     """Whether every nondiagonal orbital digraph of G is connected.
 
     By Higman's criterion this holds iff the transitive group G is
@@ -332,7 +291,7 @@ def higman_primitive(G, partition=None):
     """
     if not G.is_transitive():
         raise NotTransitiveError("Higman's criterion needs a transitive group")
-    part = partition if partition is not None else OrbitalPartition(G)
+    part = OrbitalPartition(G)
     n = G.degree
     for color in range(part.rank):
         if part.is_diagonal(color):

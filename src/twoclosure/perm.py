@@ -171,7 +171,12 @@ class Permutation:
 
     @classmethod
     def from_image_list(cls, images):
-        """Inverse of to_image_list: accepts a 1-indexed image list."""
+        """Inverse of to_image_list: accepts a 1-indexed image list of
+        ints, bools excluded."""
+        images = tuple(images)
+        if any(type(v) is not int for v in images):
+            raise MalformedPermutationError(
+                f"image list entries must be ints: {images!r}")
         return cls(v - 1 for v in images)
 
     @classmethod

@@ -47,7 +47,7 @@ from .actions import coset_action
 from .closure import two_closure
 from .errors import BudgetExceededError, GroupError, SectionObstructionError
 from .group import PermGroup
-from .orbital import DENSE_LIMIT, OrbitalBlock, OrbitalPartition
+from .orbital import OrbitalBlock, OrbitalPartition
 from .perm import Permutation
 from .subgroups import (ORDER_BOUND, all_subgroup_sets, has_section,
                         subgroup_classes)
@@ -59,6 +59,7 @@ INCONCLUSIVE = "Inconclusive"
 DEFAULT_MAX_ACTIONS = 512
 DEFAULT_MAX_DEGREE = 4096
 DEFAULT_NODE_BUDGET = 300_000
+BLOCK_LIMIT = 2048
 
 # Published section data for sporadic factors far beyond any enumeration
 # budget.  Among the simple groups known to be totally 2-closed, the only
@@ -226,9 +227,12 @@ class _ClassData:
 
     def partition(self, group, classes):
         """The orbital partition of group, the action assembled from
-        classes, from the blocks of its class pairs; None above
-        DENSE_LIMIT, where two_closure builds the compressed one itself."""
-        if group.degree > DENSE_LIMIT:
+        classes, from the blocks of its class pairs.
+
+        The blocks hold a color for each of the degree^2 pairs, so above
+        BLOCK_LIMIT points this returns None and two_closure builds the
+        compressed partition, one row per orbit, itself."""
+        if group.degree > BLOCK_LIMIT:
             return None
         rows = []
         for ci in classes:

@@ -358,33 +358,41 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
     assert PermGroup(G.degree, G.generators + [z]).equals(res.closure)
 
 
-# One chain on the search base serves the leaf membership tests and the
-# orbit minima; K is rebuilt, and its chain with it, once per generator
-# the search adds.  PSL(2,7) on 14 points is not 2-closed (index 3,840):
-# its search adds two generators.
+# A partition built from the group alone builds one chain per G-orbit,
+# chain_with_base((r,)) for the orbit's least point r: its level 0 holds
+# the Schreier tree the orbit's rows are built along.  The search then
+# builds one chain on its base, which serves the leaf membership tests
+# and the orbit minima, and rebuilds K, and its chain with it, once per
+# generator it adds.  PSL(2,7) on 14 points is not 2-closed (index
+# 3,840): its search adds two generators.
 @pytest.mark.parametrize("case, builds", [
-    ("PSL(2,7) on 14 points", 3),
-    ("D5 x D6", 1),
-    ("S3 wr S3", 1),
-    ("A5 x A6", 3),
+    ("PSL(2,7) on 14 points", 4),
+    ("D5 x D6", 3),
+    ("S3 wr S3", 2),
+    ("A5 x A6", 5),
 ])
-def test_two_closure_builds_one_chain_per_known_group(chain_builds, case,
-                                                       builds):
+def test_two_closure_chain_builds_on_known_groups(chain_builds, case,
+                                                  builds):
     G = COUNTED_GROUPS[case]()
     chain_builds.clear()
     res = two_closure(G)
     assert res.certified and res.index >= 1
+    orbits = G.orbits()
     added = len(res.closure.generators) - len(G.generators)
-    assert len(chain_builds) == 1 + added == builds
+    assert chain_builds[:len(orbits)] == [(orb[0],) for orb in orbits]
+    assert len(chain_builds) == len(orbits) + 1 + added == builds
 
 
 def test_shortcuts_build_no_chain(chain_builds):
+    # a shortcut builds no chain of its own: the trivial group needs no
+    # partition, and each other group builds only its partition's chains,
+    # one per orbit
     groups = [trivial(5), cyclic(7), regular_representation(quaternion()),
               symmetric(5), natural_and_regular(cyclic(4))]
     chain_builds.clear()
     for G in groups:
         assert two_closure(G).method == "certified-equal"
-    assert chain_builds == []
+    assert chain_builds == [(0,), (0,), (0,), (0,), (4,)]
 
 
 def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import twoclosure.orbital as orbital_mod
 from twoclosure import PermGroup, Permutation
 from twoclosure.basesize import (REFERENCE_TABLE, exact_base_size,
                                  two_point_stabilizer_gcd,
@@ -69,8 +68,7 @@ def test_j1_two_point_stabilizer_gcd_matches_reference(j1):
     assert two_point_stabilizer_gcd(j1) == reference == 1
 
 
-def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1,
-                                                              monkeypatch):
+def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1):
     """J1 on the 1,463 edges of its 11-valent orbital graph, closed with
     compressed rows.  This checks one maximal action (edge stabilizer
     2xA5), not that J1 is totally 2-closed, which needs every faithful
@@ -86,7 +84,6 @@ def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1,
         Permutation(tuple(index[g.on_set(e)] for e in edges))
         for g in j1.generators], order=175560)
     assert G.degree == 1463
-    monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
     res = two_closure(G)
     assert res.certified
     assert res.index == 1

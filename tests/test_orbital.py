@@ -1,5 +1,7 @@
 """Orbital partitions checked against independent pair-orbit enumeration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,56 +134,46 @@ def test_gamma_l1_16_shape():
     assert part.subdegrees == [1, 2, 4, 4, 4]
 
 
-def test_compressed_mode_matches_dense():
-    import twoclosure.orbital as orbital_mod
-    G = dihedral(9)
-    dense = OrbitalPartition(G)
-    old = orbital_mod.DENSE_LIMIT
-    orbital_mod.DENSE_LIMIT = 1
-    try:
-        compressed = OrbitalPartition(G)
-    finally:
-        orbital_mod.DENSE_LIMIT = old
-    assert not compressed.dense
-    assert compressed.rank == dense.rank
-    assert compressed.paired == dense.paired
-    assert compressed.pair_reps == dense.pair_reps
-    assert compressed.subdegrees == dense.subdegrees == [1, 2, 2, 2, 2]
-    for a in range(G.degree):
-        assert list(compressed.row(a)) == list(dense.row(a))
-    for c in range(dense.rank):
-        for a in range(G.degree):
-            assert (compressed.neighbors(a, c) ==
-                    sorted(dense.neighbors(a, c)))
-
-
-def test_compressed_mode_matches_dense_intransitive():
-    import twoclosure.orbital as orbital_mod
-    G = direct_product(cyclic(3), dihedral(4))
-    dense = OrbitalPartition(G)
-    old = orbital_mod.DENSE_LIMIT
-    orbital_mod.DENSE_LIMIT = 1
-    try:
-        compressed = OrbitalPartition(G)
-    finally:
-        orbital_mod.DENSE_LIMIT = old
-    assert compressed.rank == dense.rank
-    assert compressed.pair_reps == dense.pair_reps
-    assert compressed.subdegrees is dense.subdegrees is None
-    for a in range(G.degree):
-        assert list(compressed.row(a)) == list(dense.row(a))
+@pytest.mark.parametrize("build", [
+    lambda: dihedral(9),
+    lambda: direct_product(cyclic(3), dihedral(4)),
+    # the orbits {0, 2, 4} and {1, 3} interleave, so the scan opens
+    # colors of both orbits' rows in turn
+    lambda: PermGroup(5, [Permutation.from_cycles(5, [(0, 2, 4), (1, 3)])]),
+], ids=["D9", "C3 x D8", "interleaved orbits"])
+def test_compressed_mode_matches_the_pair_orbit_oracle(build):
+    G = build()
+    n = G.degree
+    want = oracles.oracle_pair_orbits([g.images for g in G.generators], n)
+    # the oracle numbers colors in scan order too: a color's least pair
+    # is the one that opened it
+    reps = {}
+    for pair in sorted(want):
+        reps.setdefault(want[pair], pair)
+    part = OrbitalPartition(G)
+    assert part._blocks is None
+    assert part.rank == len(reps)
+    assert part.pair_reps == [reps[c] for c in range(len(reps))]
+    assert part.paired == [want[b, a] for a, b in part.pair_reps]
+    for a in range(n):
+        assert list(part.row(a)) == [want[a, b] for b in range(n)]
+        assert part.diagonal_color(a) == want[a, a]
+        for c in range(part.rank):
+            assert part.neighbors(a, c) == [
+                b for b in range(n) if want[a, b] == c]
+    sizes = Counter(want[0, b] for b in range(n))
+    assert part.subdegrees == (
+        sorted(sizes.values()) if G.is_transitive() else None)
 
 
 def test_compressed_rows_down_a_deep_tree_through_a_small_cache(
         monkeypatch):
     import twoclosure.orbital as orbital_mod
-    monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
     monkeypatch.setattr(orbital_mod, "ROW_CACHE", 2)
     n = 1500
     # one n-cycle: the Schreier tree is a path, and point n - 1 lies n - 1
     # steps below the root, deeper than Python's recursion limit
     part = OrbitalPartition(cyclic(n))
-    assert not part.dense
     for a in [n - 1, 1, 750, n - 2, 0, n - 1]:
         # in a regular cyclic group the color of (a, b) is b - a
         assert list(part.row(a)) == [(b - a) % n for b in range(n)]
@@ -249,22 +241,33 @@ def test_block_pair_data_read_late_matches_the_scan(name):
         assert part.paired == scan.paired
 
 
-@pytest.mark.parametrize("dense", [True, False])
+def orbit_blocks(G):
+    """The square table of OrbitalBlocks of G's orbits, which must be
+    contiguous, each orbit's action relabelled from 0."""
+    actions = []
+    for orb in G.orbits():
+        assert orb == list(range(orb[0], orb[0] + len(orb)))
+        actions.append([Permutation([g.images[x] - orb[0] for x in orb])
+                        for g in G.generators])
+    return [[OrbitalBlock(first, second) for second in actions]
+            for first in actions]
+
+
+@pytest.mark.parametrize("blocks", [True, False])
 @pytest.mark.parametrize("build", [
     lambda: direct_product(cyclic(3), dihedral(4)),
     lambda: symmetric(4),
     lambda: PermGroup(6, [Permutation([1, 2, 3, 0, 5, 4])]),
 ], ids=["C3 x D8", "S4", "C4 on 4 + 2 points"])
-def test_row_ranks_count_the_colors_in_a_row_of_each_orbit(build, dense,
-                                                           monkeypatch):
-    import twoclosure.orbital as orbital_mod
+def test_row_ranks_count_the_colors_in_a_row_of_each_orbit(build, blocks):
+    # row_ranks sums block reps in the block mode and counts pair_reps in
+    # the compressed one; both must count the colors of a row
     G = build()
-    if not dense:
-        monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
-    part = OrbitalPartition(G)
-    assert part.dense == dense
+    part = OrbitalPartition(G, blocks=orbit_blocks(G) if blocks else None)
+    assert (part._blocks is not None) == blocks
     want = [len(set(part.row(orb[0]))) for orb in G.orbits()]
     assert part.row_ranks() == want
+    assert want == OrbitalPartition(G).row_ranks()
 
 
 def test_block_partition_with_a_repeated_class():
@@ -279,21 +282,22 @@ def test_block_partition_with_a_repeated_class():
                           OrbitalPartition(image))
 
 
-def test_blocks_are_not_read_above_the_dense_limit(monkeypatch):
-    import twoclosure.orbital as orbital_mod
+def test_actions_above_the_block_limit_get_the_compressed_partition(
+        monkeypatch):
+    import twoclosure.totality as totality_mod
     G = dihedral(4)
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
     classes = table.proper_classes()[:2]
     image = assemble_action(G, table, classes, cache)
-    dense = OrbitalPartition(image)
-    monkeypatch.setattr(orbital_mod, "DENSE_LIMIT", 1)
-    blocks = [[OrbitalBlock(cache.action(i).image_gens,
-                            cache.action(j).image_gens)
-               for j in classes] for i in classes]
-    compressed = OrbitalPartition(image, blocks=blocks)
-    assert not compressed.dense and compressed._blocks is None
-    assert_same_partition(compressed, dense)
+    below = two_closure(image, partition=cache.partition(image, classes))
+    monkeypatch.setattr(totality_mod, "BLOCK_LIMIT", image.degree - 1)
+    assert cache.partition(image, classes) is None
+    above = two_closure(image, partition=None)
+    assert (above.closure.order(), above.method, above.certified,
+            above.nodes) == (below.closure.order(), below.method,
+                             below.certified, below.nodes)
+    assert above.closure.equals(below.closure)
 
 
 def test_block_needs_a_transitive_first_action():

@@ -114,6 +114,13 @@ def test_image_list_round_trip(p):
     assert all(v >= 1 for v in p.to_image_list())
 
 
+@pytest.mark.parametrize("images", [["1", "2"], [None], [True, 2]],
+                         ids=["strings", "None", "bool"])
+def test_image_list_rejects_entries_that_are_not_ints(images):
+    with pytest.raises(MalformedPermutationError):
+        Permutation.from_image_list(images)
+
+
 @given(perms)
 def test_support_and_fixed_points_partition(p):
     assert p.support() == [a for a in range(p.degree) if p(a) != a]
