@@ -21,9 +21,11 @@ leaf step.  It runs in two modes:
 
 The 2-closure search in ``closure`` walks equitable partitions of the
 orbital colouring in collect mode, with K seeded by the input group; it
-is the walk's only caller in the decision pipeline.  ``find_element``
-(first hit) walks an ambient stabilizer chain for ``conjugating_element``,
-which ``basesize.qhat`` reaches.
+is the walk's only caller in the decision pipeline.  It walks only when
+its principal branch's refinement bound is loose: when the branched
+cells' sizes multiply to |G|, the closure is G and no walk runs.
+``find_element`` (first hit) walks an ambient stabilizer chain for
+``conjugating_element``, which ``basesize.qhat`` reaches.
 
 ``subgroup_search`` (collect over a chain) and
 ``conjugating_element_for_subgroup`` have no caller in the pipeline.

@@ -19,6 +19,13 @@ image branch; a node whose cell sizes differ from the principal branch's
 at its depth is pruned.  A leaf pairs two discrete partitions into a
 permutation, and every accepted leaf is checked against the full
 coloring, so a completed walk is a proof.
+
+The principal branch alone often settles the search.  The closure's
+stabilizer of the first i base points fixes the level-i partition, so
+its orbit of the next base point lies in the cell branched on, and the
+product of those cell sizes bounds the closure's order.  When the bound
+equals |G| the closure is G, with the principal base as its certificate,
+and no walk runs; only a loose bound leaves work for the walk.
 """
 
 from __future__ import annotations
@@ -33,23 +40,31 @@ from .perm import Permutation
 class ClosureResult:
     """A 2-closure computation outcome.
 
-    method is either "backtrack" (partition search ran) or
-    "certified-equal" (the answer follows from a closure identity with no
-    search: the trivial group and every group with a regular orbit are
-    their own closure, and 2-transitive groups close to the full
-    symmetric group).
+    method is one of
+    - "certified-equal": the answer follows from a closure identity with
+      no search: the trivial group and every group with a regular orbit
+      are their own closure, and 2-transitive groups close to the full
+      symmetric group;
+    - "refinement-bound": the principal branch's cell sizes multiply to
+      |G|, so the closure is G and no walk ran;
+    - "backtrack": the bound was loose and the walk ran.
     certified is False only when the node budget stopped the search, in
     which case closure is a lower bound containing the input.  nodes
     counts the nodes of that one search, and node_budget bounds it.
+    base is the principal branch's base points when a search ran, and
+    empty otherwise.  For "refinement-bound" it is the certificate: with
+    the orbital coloring, individualizing and refining along it branches
+    on cells whose sizes multiply to |G| and ends discrete.
     """
 
     def __init__(self, input_group, closure, method, certified=True,
-                 nodes=0):
+                 nodes=0, base=()):
         self.input = input_group
         self.closure = closure
         self.method = method
         self.certified = certified
         self.nodes = nodes
+        self.base = tuple(base)
 
     @property
     def index(self):
@@ -206,6 +221,22 @@ def individualize(part, cells, pos, point):
 
 
 def _closure_search(G, part, node_budget):
+    """The closure of G by the walk, unless the principal branch's
+    refinement bound already proves it is G.
+
+    Proof of the bound: let C be the closure and b_1, ..., b_k the base.
+    Refinement is equivariant, so C's stabilizer of b_1, ..., b_i fixes
+    the partition that individualizing those points refines to, and its
+    orbit of b_(i+1) lies in the cell of that partition that b_(i+1) is
+    split from.  The leaf partition is discrete, so only the identity of
+    C fixes every base point.  Hence |C| is the product of those orbit
+    sizes, at most the product of the cell sizes.  When that product
+    equals |G|, C = G, since G lies in C.
+
+    Every walk starts down the principal branch, so a tight bound is
+    charged the len(base) + 1 nodes of that branch, and a node budget
+    below that stops it uncertified, with closure G, as the walk would.
+    """
     n = G.degree
     # The principal branch individualizes the least point of the first
     # largest cell until the partition is discrete; its cell sizes prune
@@ -213,15 +244,22 @@ def _closure_search(G, part, node_budget):
     path = [root_partition(part)]
     base = []
     where = []
+    bound = 1
     while True:
         cells = path[-1]
         sizes = [len(cell) for cell in cells]
         if max(sizes) == 1:
             break
         pos = sizes.index(max(sizes))
+        bound *= sizes[pos]
         base.append(min(cells[pos]))
         where.append(pos)
         path.append(individualize(part, cells, pos, base[-1]))
+    if bound == G.order():
+        certified = node_budget is None or node_budget > len(base)
+        nodes = len(base) + 1 if certified else node_budget + 1
+        return ClosureResult(G, G, "refinement-bound", certified, nodes,
+                             base)
     shapes = [[len(cell) for cell in cells] for cells in path]
     lead = [cell[0] for cell in path[-1]]
 
@@ -247,4 +285,4 @@ def _closure_search(G, part, node_budget):
                   lambda g: closure_membership(G, g, part),
                   path[0], node_budget, G)
     return ClosureResult(G, found.group, "backtrack", found.complete,
-                         found.nodes)
+                         found.nodes, base)

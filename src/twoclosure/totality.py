@@ -433,19 +433,20 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
     Items must come in nondecreasing degree; the first one above
     max_degree stops the sweep, as does reaching max_actions closure
     runs.  Subsets in done count as resumed; every other action is
-    settled by its own closure search.  The verdict is No at the first
-    action whose closure exceeds its image, Inconclusive on a stop or an
-    uncertified search, and Yes otherwise.
+    charged one closure run.  The verdict is No at the first action whose
+    closure exceeds its image, Inconclusive on a stop or an uncertified
+    search, and Yes otherwise.
 
-    Every action is a direct sum of coset actions of a few classes, so
-    cache, the table's _ClassData, builds what the actions share once per
-    sweep: each class's coset action and the orbital block of each
+    A subset holding the trivial class gives an action with a regular
+    orbit, which is its own closure (see ``two_closure``), so it is
+    logged "closed" at 0 nodes, as two_closure's "certified-equal"
+    shortcut would settle it, and its action is never assembled.  Every
+    other action is a direct sum of coset actions of a few classes, so
+    cache, the table's _ClassData, builds what those actions share once
+    per sweep: each class's coset action and the orbital block of each
     ordered pair of classes.  An action's orbital partition is put
     together from its class pairs' blocks, and its group is told its
-    order, so the closure search's chain stops there.  An action holding
-    the trivial class has a regular orbit and closes without a search,
-    and comparing its closure with its image reads the told order, so it
-    builds no chain at all.
+    order, so the closure search's chain stops there.
     """
     spent = _new_spent()
     tested = []
@@ -462,6 +463,10 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
         elif spent["closure_runs"] >= budget.max_actions:
             return _inconclusive(stage, "actions", tested, unresolved,
                                  [entry], spent)
+        elif any(table.orders[ci] == 1 for ci in subset):
+            # a regular orbit: the action is its own closure
+            spent["closure_runs"] += 1
+            entry["result"] = "closed"
         else:
             image = assemble_action(G, table, subset, cache)
             res = _run_closure(image, budget, spent,

@@ -131,6 +131,52 @@ def oracle_pair_orbits(gens, n):
     return color
 
 
+def _equitable(color, n, cells):
+    """The coarsest equitable partition finer than cells, as a list of
+    sorted lists in no fixed order.
+
+    Equitable: any two points x, y of one cell see every cell with the
+    same multiset of colors of (w, x) over w in it.  Each round gives
+    every point the signature (its cell, the multiset of (cell of w,
+    color of (w, x)) over all points w) and splits the cells by it; a
+    round that splits nothing ends the refinement.
+    """
+    while True:
+        cell_of = {x: i for i, cell in enumerate(cells) for x in cell}
+        groups = {}
+        for x in range(n):
+            seen = sorted((cell_of[w], color[(w, x)]) for w in range(n))
+            groups.setdefault((cell_of[x], tuple(seen)), []).append(x)
+        if len(groups) == len(cells):
+            return [sorted(cell) for cell in cells]
+        cells = list(groups.values())
+
+
+def oracle_refinement_bound(color, n, base):
+    """Individualize the base points in turn from the orbits, refining to
+    equitable after each, as (product of the sizes of the cells the base
+    points were split from, whether the last partition is discrete).
+
+    color is a pair-orbit coloring such as oracle_pair_orbits gives; the
+    orbits are the classes of its diagonal colors.  A closure element
+    fixing the first base points fixes the partition they refine to, so
+    the product bounds the order of the 2-closure when the last
+    partition is discrete.
+    """
+    orbits = {}
+    for a in range(n):
+        orbits.setdefault(color[(a, a)], []).append(a)
+    cells = _equitable(color, n, list(orbits.values()))
+    product = 1
+    for b in base:
+        cell = next(cell for cell in cells if b in cell)
+        product *= len(cell)
+        cells = [c for c in cells if c is not cell]
+        cells += [[b], [x for x in cell if x != b]]
+        cells = _equitable(color, n, [c for c in cells if c])
+    return product, all(len(cell) == 1 for cell in cells)
+
+
 def oracle_two_closure(gens, n):
     """The literal definition: all of Sym(n) filtered by pair-orbit
     preservation.  Usable up to n = 8 or so."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from twoclosure import PermGroup, Permutation
+from twoclosure import PermGroup, Permutation, totality
 from twoclosure.actions import coset_action
 from twoclosure.backtrack import subgroup_search
 from twoclosure.closure import (closure_membership, individualize,
@@ -124,12 +124,37 @@ def test_sym3_on_5_closure_order_12():
     assert res.certified
 
 
+def assert_refinement_certificate(res):
+    """Check a "refinement-bound" result without the closure module: the
+    oracle's equitable refinement along res.base branches on cells whose
+    sizes multiply to |G|, counted by brute force, and ends discrete."""
+    gens = [g.images for g in res.input.generators]
+    n = res.input.degree
+    assert res.method == "refinement-bound"
+    assert oracles.oracle_refinement_bound(
+        oracles.oracle_pair_orbits(gens, n), n, res.base) == \
+        (oracles.oracle_order(gens), True)
+
+
 def test_gamma_l1_16_is_2_closed():
     res = two_closure(gamma_l1_16())
     assert res.closure.order() == 60
     assert res.index == 1
-    assert res.method == "backtrack"
     assert res.certified
+    assert res.nodes == len(res.base) + 1
+    assert_refinement_certificate(res)
+
+
+def test_loose_refinement_bound_still_walks():
+    # the diagonal A5's principal branch bounds the closure by 120 against
+    # |G| = 60, so the walk runs, and it finds the swap of the two copies
+    G = diagonal_double(alternating(5))
+    res = two_closure(G)
+    color = oracles.oracle_pair_orbits([g.images for g in G.generators],
+                                       G.degree)
+    assert oracles.oracle_refinement_bound(color, G.degree, res.base) == \
+        (120, True)
+    assert (res.method, res.certified, res.index) == ("backtrack", True, 2)
 
 
 def test_f20_closes_to_sym5():
@@ -165,10 +190,12 @@ def test_diagonal_c3_closure_is_diagonal():
     assert res.method == "certified-equal"
     want = oracles.oracle_two_closure([g.images for g in G.generators], 6)
     assert len(want) == 3
-    # the diagonal S3 has no regular orbit: its closure is searched
+    # the diagonal S3 has no regular orbit: its principal branch is built,
+    # and its cells, of sizes 3 and 2, multiply to |S3|
     H = diagonal_double(symmetric(3))
     res = two_closure(H)
-    assert (res.closure.order(), res.nodes, res.method) == (6, 3, "backtrack")
+    assert (res.closure.order(), res.nodes, res.method) == \
+        (6, 3, "refinement-bound")
     want = oracles.oracle_two_closure([g.images for g in H.generators], 6)
     assert len(want) == 6
 
@@ -360,15 +387,17 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
 
 # A partition built from the group alone builds one chain per G-orbit,
 # chain_with_base((r,)) for the orbit's least point r: its level 0 holds
-# the Schreier tree the orbit's rows are built along.  The search then
-# builds one chain on its base, which serves the leaf membership tests
-# and the orbit minima, and rebuilds K, and its chain with it, once per
-# generator it adds.  PSL(2,7) on 14 points is not 2-closed (index
-# 3,840): its search adds two generators.
+# the Schreier tree the orbit's rows are built along, and it gives |G|.
+# When the principal branch's cell sizes multiply to |G| the search
+# stops there and builds nothing more (D5 x D6, S3 wr S3).  Only when
+# that bound is loose does it build one chain on its base, which serves
+# the leaf membership tests and the orbit minima, and rebuild K, and its
+# chain with it, once per generator it adds.  PSL(2,7) on 14 points is
+# not 2-closed (index 3,840): its search adds two generators.
 @pytest.mark.parametrize("case, builds", [
     ("PSL(2,7) on 14 points", 4),
-    ("D5 x D6", 3),
-    ("S3 wr S3", 2),
+    ("D5 x D6", 2),
+    ("S3 wr S3", 1),
     ("A5 x A6", 5),
 ])
 def test_two_closure_chain_builds_on_known_groups(chain_builds, case,
@@ -379,8 +408,9 @@ def test_two_closure_chain_builds_on_known_groups(chain_builds, case,
     assert res.certified and res.index >= 1
     orbits = G.orbits()
     added = len(res.closure.generators) - len(G.generators)
+    walked = res.method == "backtrack"
     assert chain_builds[:len(orbits)] == [(orb[0],) for orb in orbits]
-    assert len(chain_builds) == len(orbits) + 1 + added == builds
+    assert len(chain_builds) == len(orbits) + walked + added == builds
 
 
 def test_shortcuts_build_no_chain(chain_builds):
@@ -396,8 +426,9 @@ def test_shortcuts_build_no_chain(chain_builds):
 
 
 def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
-    # as the totality sweep runs it: a partition from cached blocks and a
-    # group told its order
+    # a partition from cached blocks and a group told its order, as the
+    # totality sweep builds them; the sweep itself settles such subsets
+    # without a closure run
     G = direct_product(quaternion(), cyclic(3))
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
@@ -409,6 +440,25 @@ def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
     assert res.method == "certified-equal"
     assert res.closure.order() == image.order() == 24
     assert chain_builds == []
+
+
+@pytest.mark.parametrize("G, tight", [
+    (dihedral(4), 3), (direct_product(quaternion(), cyclic(3)), 400),
+], ids=["D8", "Q8xC3"])
+def test_sweep_searches_settled_by_the_bound_are_certified(monkeypatch, G,
+                                                           tight):
+    results = []
+
+    def recorded(group, **kwargs):
+        results.append(two_closure(group, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(totality, "two_closure", recorded)
+    totality.representation_sweep(G)
+    settled = [res for res in results if res.method == "refinement-bound"]
+    assert len(settled) == tight
+    for res in settled:
+        assert_refinement_certificate(res)
 
 
 def test_prebuilt_partition_must_belong_to_the_group():

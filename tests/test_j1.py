@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from twoclosure import PermGroup, Permutation
 from twoclosure.basesize import (REFERENCE_TABLE, exact_base_size,
                                  two_point_stabilizer_gcd,
@@ -68,13 +69,24 @@ def test_j1_two_point_stabilizer_gcd_matches_reference(j1):
     assert two_point_stabilizer_gcd(j1) == reference == 1
 
 
-def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1):
-    """J1 on the 1,463 edges of its 11-valent orbital graph, closed with
-    compressed rows.  This checks one maximal action (edge stabilizer
-    2xA5), not that J1 is totally 2-closed, which needs every faithful
-    action."""
+def test_j1_closure_certificate(j1):
+    # the principal branch splits cells of 266, 132 and 5 points, whose
+    # product is |J1|, so no walk runs; the oracle's own refinement checks
+    # that bound
+    res = two_closure(j1)
+    assert (res.method, res.nodes, len(res.base)) == ("refinement-bound",
+                                                       4, 3)
+    color = oracles.oracle_pair_orbits([g.images for g in j1.generators],
+                                       j1.degree)
+    assert oracles.oracle_refinement_bound(color, j1.degree, res.base) == \
+        (266 * 132 * 5, True) == (175560, True)
+
+
+def closed_on_edges(j1, valency):
+    """J1 on the edges of its orbital graph of the given valency, closed
+    with compressed rows; returns the degree and the closure's result."""
     part = OrbitalPartition(j1)
-    color = next(c for c, k in Counter(part.row(0)).items() if k == 11)
+    color = next(c for c, k in Counter(part.row(0)).items() if k == valency)
     edges = sorted({frozenset((a, b)) for a in range(j1.degree)
                     for b, c in enumerate(part.row(a)) if c == color},
                    key=sorted)
@@ -83,8 +95,23 @@ def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1):
     G = PermGroup(len(edges), [
         Permutation(tuple(index[g.on_set(e)] for e in edges))
         for g in j1.generators], order=175560)
-    assert G.degree == 1463
     res = two_closure(G)
-    assert res.certified
-    assert res.index == 1
-    assert res.nodes == 3
+    return G.degree, (res.certified, res.index, res.nodes, res.method)
+
+
+def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1):
+    """J1 on the 1,463 edges of its 11-valent orbital graph.  This checks
+    one maximal action (edge stabilizer 2xA5), not that J1 is totally
+    2-closed, which needs every faithful action."""
+    assert closed_on_edges(j1, 11) == \
+        (1463, (True, 1, 3, "refinement-bound"))
+
+
+def test_j1_on_the_edges_of_its_12_valent_graph_is_two_closed(j1):
+    """J1 on the 1,596 edges of its 12-valent orbital graph.  This checks
+    one maximal action (edge stabilizer 11:10, of order 110), not that J1
+    is totally 2-closed.  higman_primitive is left out here: it takes
+    about 11 s of CPU at 1,596 points, against under a second for the
+    closure."""
+    assert closed_on_edges(j1, 12) == \
+        (1596, (True, 1, 3, "refinement-bound"))

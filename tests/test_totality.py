@@ -294,7 +294,7 @@ def test_sweep_budget_then_resume():
 
 def test_sweep_settles_every_action_by_closure():
     # vouch for the one witness subset so the sweep runs to completion;
-    # every other action, the regular one included, takes its own
+    # every other action, the regular one included, is charged its own
     # closure run
     D5 = dihedral(5)
     run = representation_sweep(D5, completed=[(1, 2)])
@@ -304,6 +304,40 @@ def test_sweep_settles_every_action_by_closure():
             spent["closure_runs"]) == (6, 1, 5)
     assert {"classes": [0], "degree": 10, "result": "closed"} in run.tested
     assert all(e["result"] in ("closed", "resumed") for e in run.tested)
+
+
+@pytest.mark.parametrize("G", [
+    dihedral(4), direct_product(quaternion(), cyclic(3)),
+], ids=["D8", "Q8xC3"])
+def test_sweep_settles_regular_orbits_without_an_action(monkeypatch, G):
+    # A subset holding the trivial class is logged "closed" without its
+    # action or partition being built, which is sound because two_closure
+    # settles every such action as its own closure with no search.  D8's
+    # sweep meets witnesses before its regular action, so each is vouched
+    # for in turn until the sweep runs to its end.
+    partitioned = []
+    partition = _ClassData.partition
+
+    def recorded(self, group, classes):
+        partitioned.append(classes)
+        return partition(self, group, classes)
+
+    monkeypatch.setattr(_ClassData, "partition", recorded)
+    table = subgroup_classes(G)
+    trivial = table.orders.index(1)
+    done = []
+    while (run := representation_sweep(G, table=table,
+                                       completed=done)).status == NO:
+        done.append(run.witness.classes)
+    assert partitioned
+    assert not any(trivial in classes for classes in partitioned)
+    regular = [tuple(e["classes"]) for e in run.tested
+               if trivial in e["classes"]]
+    assert regular
+    for classes in regular:
+        res = two_closure(assemble_action(G, table, classes))
+        assert (res.method, res.certified, res.index, res.nodes) == \
+            ("certified-equal", True, 1, 0)
 
 
 def test_sweep_is_deterministic():
