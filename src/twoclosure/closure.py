@@ -114,8 +114,8 @@ def two_closure(G, node_budget=None, partition=None):
     """The exact 2-closure of G, with method and certification data.
 
     partition, when given, is G's orbital partition built beforehand, as
-    the totality sweep builds it from cached blocks; it must have been
-    built for G itself.
+    the totality sweep builds it from base rows it has cached; it must
+    have been built for G itself.
 
     A group with a regular orbit is its own closure (Wielandt,
     Permutation groups through invariant relations and invariant

@@ -1,41 +1,30 @@
 """Orbits on ordered pairs: the orbital partition and what hangs off it.
 
 Colors are integers assigned in order of first discovery scanning pairs
-(0,0), (0,1), ... lexicographically, so the numbering is deterministic and
-identical in both storage modes: compressed rows, which every partition
-built from a group alone uses, and blocks, which a partition built from
-the totality sweep's cached OrbitalBlocks keeps.
+(0,0), (0,1), ... lexicographically, so the numbering is deterministic.
+A color's pairs project onto one G-orbit, so its least pair starts at
+that orbit's least point r: the base row of r, the colors of (r, b) for
+all b, opens every color of its orbit, and scanning the base rows in
+order of least point meets the colors in order.
 
-The compressed mode stores one row per G-orbit, that of its least point
-r, colored by the orbits of the point stabilizer G_r.  Level 0 of the
-stabilizer chain that G_r comes from holds a Schreier tree of r's orbit
-(Seress, Permutation Group Algorithms, 2003, ch. 4), and every other row
-is built from its parent's along that tree: if a = p^g, the color of
-(a, b) is that of (p, b^(g^-1)), so row(a) is row(p) relabelled by the
-inverse images of g.  A row is built by walking up the tree to the
-nearest row held and relabelling back down.
+The partition holds the base row of each G-orbit and a Schreier tree of
+the orbit rooted at its least point, built by a breadth-first search over
+G's generators (Seress, Permutation Group Algorithms, 2003, ch. 4).
+Every other row is built from its parent's along that tree: if a = p^g,
+the color of (a, b) is that of (p, b^(g^-1)), so row(a) is row(p)
+relabelled by the inverse images of g.  A row is built by walking up the
+tree to the nearest row held and relabelling back down.
 
-The block mode serves a direct sum of transitive actions whose orbits
-D_0, D_1, ... are contiguous, as the totality sweep assembles them.  The
-pairs in D_i x D_j form one block, a union of G-orbits.  G is transitive
-on D_i, so every G-orbit in the block meets the block's first row: the
-lexicographic scan meets all of the block's colors in the first row of
-D_i, in the order the block's own scan numbers them, and meets the
-blocks of D_i in the order j = 0, 1, ... along that row.  The global
-color of a pair is therefore offset(i, j) + its local color, where
-offset(i, j) adds up the ranks of the blocks before (i, j) in row-major
-order, and pair representatives shift the same way.  A block depends only
-on the two actions, so the sweep computes each one once per pair of
-subgroup classes and reuses it in every direct sum that holds both.
-Blocks hold a color for every pair, n^2 entries in all, so the sweep
-builds them only up to a degree cap and leaves larger actions to the
-compressed mode.
+Base rows come from one of two sources.  Built from G alone, the base
+row of r is colored by the orbits of the point stabilizer G_r.  The
+totality sweep instead passes the base rows in, put together from the
+first rows of cached class-pair blocks (see ``block_row``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, OrderedDict
+from functools import cached_property
 
 from .errors import DegreeMismatchError, NotTransitiveError
 from .group import orbits_of
@@ -43,97 +32,102 @@ from .group import orbits_of
 ROW_CACHE = 128
 
 
-class OrbitalBlock:
-    """The G-orbits on D x E for two actions of G, transitive on D.
+def block_row(first, second):
+    """Row 0 of the G-orbits on D x E for two actions of G, transitive on D.
 
     first and second list the images of the same nonempty list of
-    generators of G on D and on E.  rows[a][b] is the local color of the
-    pair (a, b); colors are numbered by first discovery along row 0, which
-    every G-orbit meets, and reps[c] is the least b with (0, b) of color c.
+    generators of G on D and on E.  Entry b is the local color of the pair
+    (0, b); colors are numbered by first discovery along row 0, which
+    every G-orbit meets because G is transitive on D.  The scan colors
+    every pair of D x E, so it holds |D| |E| entries while it runs.
     """
-
-    __slots__ = ("rows", "reps")
-
-    def __init__(self, first, second):
-        m, n = first[0].degree, second[0].degree
-        pairs = [(f.images, s.images) for f, s in zip(first, second)]
-        rows = [[-1] * n for _ in range(m)]
-        reps = []
-        filled = 0
-        for b in range(n):
-            if rows[0][b] >= 0:
-                continue
-            color = len(reps)
-            reps.append(b)
-            rows[0][b] = color
-            filled += 1
-            frontier = [(0, b)]
-            while frontier:
-                new = []
-                for x, y in frontier:
-                    for f, s in pairs:
-                        p, q = f[x], s[y]
-                        if rows[p][q] < 0:
-                            rows[p][q] = color
-                            filled += 1
-                            new.append((p, q))
-                frontier = new
-        if filled != m * n:
-            raise NotTransitiveError(
-                "an orbital block needs a transitive first action")
-        self.rows = rows
-        self.reps = reps
+    m, n = first[0].degree, second[0].degree
+    pairs = [(f.images, s.images) for f, s in zip(first, second)]
+    rows = [[-1] * n for _ in range(m)]
+    color = -1
+    for b in range(n):
+        if rows[0][b] >= 0:
+            continue
+        color += 1
+        rows[0][b] = color
+        frontier = [(0, b)]
+        while frontier:
+            new = []
+            for x, y in frontier:
+                for f, s in pairs:
+                    p, q = f[x], s[y]
+                    if rows[p][q] < 0:
+                        rows[p][q] = color
+                        new.append((p, q))
+            frontier = new
+    if any(-1 in row for row in rows):
+        raise NotTransitiveError(
+            "an orbital block needs a transitive first action")
+    return rows[0]
 
 
 class OrbitalPartition:
     """The partition of Omega x Omega into G-orbits.
 
-    Attributes: degree, rank, paired (color -> color of the transpose),
-    subdegrees (sorted suborbit lengths when G is transitive, else None),
-    and pair representatives per color.  color_of(a, b), row(a) and
-    row_ranks() work in both storage modes.
+    Attributes: degree, rank, pair_reps (the least pair of each color, in
+    color order), paired (color -> color of the transpose) and subdegrees
+    (sorted suborbit lengths when G is transitive, else None).
+    color_of(a, b), row(a), diagonal_color(a) and row_ranks() read them.
 
-    Built from G alone, the partition is compressed: it holds the row of
-    each orbit's least point and builds the others from it along the
-    Schreier tree of the chain that point_stabilizer builds.
-
-    blocks, when given, is the square table of the OrbitalBlocks of G's
-    orbits, each transitive, contiguous and in order: blocks[i][j] holds
-    the pairs of orbit i by orbit j.  The caller vouches that they belong
-    to G, and the partition keeps them with the color offsets of each;
-    its pair_reps are put together from the blocks when first read, which
-    the totality sweep never does.  paired is computed when first read in
-    both modes, and subdegrees, from row 0, each time it is read.
+    base_rows, when given, lists the base row of each G-orbit in order of
+    least point, in global scan colors; the caller vouches that they
+    belong to G.  Otherwise each is colored by the orbits of its point's
+    stabilizer.  rank, row_ranks, pair_reps and paired are all read off
+    the base rows: the first two when the partition is built, the others
+    when first read.  subdegrees is counted from row 0 each time it is
+    read.
     """
 
-    def __init__(self, G, blocks=None):
+    def __init__(self, G, base_rows=None):
         self.group = G
-        self.degree = G.degree
-        self._blocks = None
+        self.degree = n = G.degree
         self._rows = OrderedDict()
-        self._pair_reps = None
-        self._paired = None
-        if blocks is None:
-            self._build_compressed()
-        else:
-            self._build_from_blocks(blocks)
-
-    def _build_from_blocks(self, blocks):
-        sizes = [len(row[0].rows) for row in blocks]
-        if sum(sizes) != self.degree:
+        gens = list(enumerate(g.images for g in G.generators))
+        # tree[a] = (p, i) with a = p^(generator i); None at each root
+        self._tree = tree = [None] * n
+        self._root = root = [-1] * n
+        reps = []
+        for r in range(n):
+            if root[r] < 0:
+                reps.append(r)
+                root[r] = r
+                orbit = [r]
+                for p in orbit:
+                    for i, g in gens:
+                        a = g[p]
+                        if root[a] < 0:
+                            root[a] = r
+                            tree[a] = (p, i)
+                            orbit.append(a)
+        if base_rows is None:
+            # orbits_of orders the suborbits of G_r by least point, the
+            # order in which the scan of r's row meets them
+            base_rows = []
+            rank = 0
+            for r in reps:
+                suborbits = orbits_of(G.point_stabilizer(r).generators, n)
+                row = [0] * n
+                for c, sub in enumerate(suborbits, rank):
+                    for b in sub:
+                        row[b] = c
+                rank += len(suborbits)
+                base_rows.append(row)
+        elif len(base_rows) != len(reps) or \
+                any(len(row) != n for row in base_rows):
             raise DegreeMismatchError(
-                f"blocks cover {sum(sizes)} points, not {self.degree}")
-        self._blocks = blocks
-        self._starts = [sum(sizes[:i]) for i in range(len(sizes))]
-        self._offsets = []
-        rank = 0
-        for row in blocks:
-            offsets = []
-            for block in row:
-                offsets.append(rank)
-                rank += len(block.reps)
-            self._offsets.append(offsets)
-        self.rank = rank
+                f"need {len(reps)} base rows of {n} colors, one per G-orbit")
+        self._base_rows = dict(zip(reps, base_rows))
+        self._gen_invs = [g.inverse().images for g in G.generators]
+        # each base row opens its orbit's colors, numbered on from those
+        # of the rows before it
+        tops = [max(row) + 1 for row in base_rows]
+        self._row_ranks = [hi - lo for lo, hi in zip([0] + tops, tops)]
+        self.rank = tops[-1] if tops else 0
 
     @property
     def subdegrees(self):
@@ -142,177 +136,99 @@ class OrbitalPartition:
             return None
         return sorted(Counter(self.row(0)).values())
 
-    @property
+    @cached_property
     def pair_reps(self):
-        """The least pair (a, b) of each color, in color order."""
-        if self._pair_reps is None:
-            # block (i, j) numbers its colors along the first row of D_i
-            self._pair_reps = [
-                (self._starts[i], self._starts[j] + b)
-                for i, row in enumerate(self._blocks)
-                for j, block in enumerate(row) for b in block.reps]
-        return self._pair_reps
+        """The least pair of each color, in color order: the scan of each
+        base row meets its colors in increasing order."""
+        reps = []
+        for r, row in self._base_rows.items():
+            b = 0
+            for c in range(len(reps), max(row) + 1):
+                b = row.index(c, b)
+                reps.append((r, b))
+        return reps
 
-    @property
+    @cached_property
     def paired(self):
         """The color of the transpose of each color's pairs."""
-        if self._paired is None:
-            self._paired = [self.color_of(b, a) for a, b in self.pair_reps]
-        return self._paired
+        return [self.color_of(b, a) for a, b in self.pair_reps]
 
     def row_ranks(self):
         """The number of colors in a row of each G-orbit, orbits in order
         of least point.  A row of a holds one color per G_a-orbit, so a
         count of degree means G_a = 1: a's orbit is regular."""
-        if self._blocks is not None:
-            return [sum(len(block.reps) for block in row)
-                    for row in self._blocks]
-        # a color's least pair starts at the least point of its orbit
-        counts = {}
-        for a, _ in self._pair_reps:
-            counts[a] = counts.get(a, 0) + 1
-        return list(counts.values())
-
-    def _block_row(self, a):
-        i = bisect_right(self._starts, a) - 1
-        local = a - self._starts[i]
-        row = []
-        for offset, block in zip(self._offsets[i], self._blocks[i]):
-            row += [offset + c for c in block.rows[local]]
-        return row
-
-    def _build_compressed(self):
-        n = self.degree
-        G = self.group
-        # level 0 of every chain of G holds G's generators, in order
-        self._gen_invs = [g.inverse().images for g in G.generators]
-        self._level_of = [None] * n
-        self._base_rows = {}
-        pair_reps = []
-        next_color = 0
-        for rep in range(n):
-            if self._level_of[rep] is not None:
-                continue
-            stab = G.point_stabilizer(rep)
-            # the chain G_rep came from, built once: level 0 is rep's orbit
-            level = G.chain_with_base((rep,)).levels[0]
-            for a in level.orbit:
-                self._level_of[a] = level
-            suborbits = orbits_of(stab.generators, n)
-            suborbit_of = [-1] * n
-            for k, sub in enumerate(suborbits):
-                for p in sub:
-                    suborbit_of[p] = k
-            assigned = {}
-            row = [-1] * n
-            for b in range(n):
-                k = suborbit_of[b]
-                c = assigned.get(k)
-                if c is None:
-                    c = next_color
-                    next_color += 1
-                    assigned[k] = c
-                    pair_reps.append((rep, b))
-                row[b] = c
-            self._base_rows[rep] = row
-        self._pair_reps = pair_reps
-        self.rank = len(pair_reps)
-
-    def _tree_row(self, a):
-        """Row a from the nearest row held up a's Schreier tree: a step
-        down to a = p^g relabels row(p) by g's inverse images.  The rows
-        built on the way are kept."""
-        tree = self._level_of[a].tree
-        path = []
-        while tree[a] is not None and a not in self._rows:
-            path.append(a)
-            a = tree[a][0]
-        row = self._base_rows[a] if tree[a] is None else self.row(a)
-        for a in reversed(path):
-            row = list(map(row.__getitem__, self._gen_invs[tree[a][1]]))
-            self._keep(a, row)
-        return row
-
-    def _keep(self, a, row):
-        self._rows[a] = row
-        if len(self._rows) > ROW_CACHE:
-            self._rows.popitem(last=False)
+        return list(self._row_ranks)
 
     def row(self, a):
         """Colors of the pairs (a, b) for all b, as an indexable row.
 
-        A block or compressed row is built when asked for and kept among
-        the ROW_CACHE most recent ones."""
-        got = self._rows.get(a)
+        A row other than a base row is built from the nearest row held up
+        a's Schreier tree, where a step down to a = p^g relabels row(p) by
+        g's inverse images.  The rows built on the way are kept among the
+        ROW_CACHE most recent ones."""
+        rows, tree = self._rows, self._tree
+        got = rows.get(a)
         if got is not None:
-            self._rows.move_to_end(a)
+            rows.move_to_end(a)
             return got
-        if self._blocks is None:
-            return self._tree_row(a)
-        got = self._block_row(a)
-        self._keep(a, got)
+        path = []
+        while tree[a] is not None and a not in rows:
+            path.append(a)
+            a = tree[a][0]
+        got = self._base_rows[a] if tree[a] is None else self.row(a)
+        for a in reversed(path):
+            got = list(map(got.__getitem__, self._gen_invs[tree[a][1]]))
+            rows[a] = got
+            if len(rows) > ROW_CACHE:
+                rows.popitem(last=False)
         return got
 
     def color_of(self, a, b):
-        if self._blocks is None:
-            return self.row(a)[b]
-        i = bisect_right(self._starts, a) - 1
-        j = bisect_right(self._starts, b) - 1
-        block = self._blocks[i][j]
-        return self._offsets[i][j] + \
-            block.rows[a - self._starts[i]][b - self._starts[j]]
-
-    def is_diagonal(self, color):
-        a, b = self.pair_reps[color]
-        return a == b
+        return self.row(a)[b]
 
     def diagonal_color(self, a):
         """The color of the pair (a, a); constant on each G-orbit."""
-        if self._blocks is not None:
-            # (0, 0) opens the scan of a diagonal block: local color 0
-            i = bisect_right(self._starts, a) - 1
-            return self._offsets[i][i]
-        rep = self._level_of[a].point
-        return self._base_rows[rep][rep]
-
-    def neighbors(self, a, color):
-        """Points b with (a, b) of the given color, in increasing order."""
-        row = self.row(a)
-        return [b for b in range(self.degree) if row[b] == color]
+        r = self._root[a]
+        return self._base_rows[r][r]
 
 
 def higman_primitive(G):
     """Whether every nondiagonal orbital digraph of G is connected.
 
     By Higman's criterion this holds iff the transitive group G is
-    primitive.  Connectivity is checked on the union of each orbital with
-    its transpose, which for a vertex-transitive digraph agrees with
-    strong connectivity.
+    primitive.  Connectivity is checked on the underlying graph of each
+    orbital, the union with its transpose, which for a vertex-transitive
+    digraph agrees with strong connectivity.  One pass over the rows
+    joins a and b in a union-find per nondiagonal color for each pair
+    (a, b) of that color; a color leaves the pass once it is connected.
     """
     if not G.is_transitive():
         raise NotTransitiveError("Higman's criterion needs a transitive group")
     part = OrbitalPartition(G)
     n = G.degree
-    for color in range(part.rank):
-        if part.is_diagonal(color):
-            continue
-        twin = part.paired[color]
-        seen = [False] * n
-        seen[0] = True
-        frontier = [0]
-        count = 1
-        while frontier:
-            new = []
-            for a in frontier:
-                nbs = part.neighbors(a, color)
-                if twin != color:
-                    nbs = nbs + part.neighbors(a, twin)
-                for b in nbs:
-                    if not seen[b]:
-                        seen[b] = True
-                        count += 1
-                        new.append(b)
-            frontier = new
-        if count < n:
-            return False
-    return True
+    # color -> [parent of each point, number of components]; G is
+    # transitive, so (0, 0) has the one diagonal color
+    forests = {c: [list(range(n)), n] for c in range(part.rank)
+               if c != part.diagonal_color(0)}
+
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in range(n):
+        if not forests:
+            break
+        for b, c in enumerate(part.row(a)):
+            forest = forests.get(c)
+            if forest is None:
+                continue
+            parent = forest[0]
+            x, y = find(parent, a), find(parent, b)
+            if x != y:
+                parent[y] = x
+                forest[1] -= 1
+                if forest[1] == 1:
+                    del forests[c]
+    return not forests

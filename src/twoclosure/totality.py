@@ -47,7 +47,7 @@ from .actions import coset_action
 from .closure import two_closure
 from .errors import BudgetExceededError, GroupError, SectionObstructionError
 from .group import PermGroup
-from .orbital import OrbitalBlock, OrbitalPartition
+from .orbital import OrbitalPartition, block_row
 from .perm import Permutation
 from .subgroups import (ORDER_BOUND, all_subgroup_sets, has_section,
                         subgroup_classes)
@@ -59,6 +59,8 @@ INCONCLUSIVE = "Inconclusive"
 DEFAULT_MAX_ACTIONS = 512
 DEFAULT_MAX_DEGREE = 4096
 DEFAULT_NODE_BUDGET = 300_000
+# The largest degree whose sweep partition is put together from block
+# rows; each block row's scan holds a color for every pair of its block.
 BLOCK_LIMIT = 2048
 
 # Published section data for sporadic factors far beyond any enumeration
@@ -200,16 +202,18 @@ def _direct_sum(G, actions, order=None):
 class _ClassData:
     """What the actions of one class table share, each built once.
 
-    Holds the coset action of each class and the orbital block of each
-    ordered pair of classes, which is the same in every direct sum
-    holding both classes.
+    Holds the coset action of each class and, for each ordered pair of
+    classes (ci, cj), the first row of the orbital block of ci's cosets by
+    cj's: the colors of the pairs (0, b) in the G-orbits on those two
+    coset spaces.  It is the same in every direct sum holding both
+    classes.
     """
 
     def __init__(self, G, table):
         self.G = G
         self.table = table
         self._actions = {}
-        self._blocks = {}
+        self._block_rows = {}
 
     def action(self, ci):
         act = self._actions.get(ci)
@@ -227,25 +231,29 @@ class _ClassData:
 
     def partition(self, group, classes):
         """The orbital partition of group, the action assembled from
-        classes, from the blocks of its class pairs.
+        classes, from the first block rows of its class pairs.
 
-        The blocks hold a color for each of the degree^2 pairs, so above
-        BLOCK_LIMIT points this returns None and two_closure builds the
-        compressed partition, one row per orbit, itself."""
+        The cosets of class ci form one orbit, whose base row is the first
+        rows of the blocks (ci, cj) for cj in classes, side by side, each
+        block's local colors shifted past the colors scanned before it.  The scan behind a block row colors all of its pairs,
+        so above BLOCK_LIMIT points this returns None and two_closure
+        colors the base rows by point stabilizers itself."""
         if group.degree > BLOCK_LIMIT:
             return None
-        rows = []
+        base_rows = []
+        rank = 0
         for ci in classes:
             row = []
             for cj in classes:
-                block = self._blocks.get((ci, cj))
-                if block is None:
-                    block = OrbitalBlock(self.action(ci).image_gens,
-                                         self.action(cj).image_gens)
-                    self._blocks[ci, cj] = block
-                row.append(block)
-            rows.append(row)
-        return OrbitalPartition(group, blocks=rows)
+                local = self._block_rows.get((ci, cj))
+                if local is None:
+                    local = block_row(self.action(ci).image_gens,
+                                      self.action(cj).image_gens)
+                    self._block_rows[ci, cj] = local
+                row += [rank + c for c in local]
+                rank += max(local) + 1
+            base_rows.append(row)
+        return OrbitalPartition(group, base_rows=base_rows)
 
 
 def assemble_action(G, table, class_indices, cache=None):
@@ -443,10 +451,10 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
     shortcut would settle it, and its action is never assembled.  Every
     other action is a direct sum of coset actions of a few classes, so
     cache, the table's _ClassData, builds what those actions share once
-    per sweep: each class's coset action and the orbital block of each
-    ordered pair of classes.  An action's orbital partition is put
-    together from its class pairs' blocks, and its group is told its
-    order, so the closure search's chain stops there.
+    per sweep: each class's coset action and the first orbital block row
+    of each ordered pair of classes.  An action's orbital partition takes
+    its base rows from its class pairs' block rows, and its group is told
+    its order, so the closure search's chain stops there.
     """
     spent = _new_spent()
     tested = []

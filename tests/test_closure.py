@@ -386,8 +386,8 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
 
 
 # A partition built from the group alone builds one chain per G-orbit,
-# chain_with_base((r,)) for the orbit's least point r: its level 0 holds
-# the Schreier tree the orbit's rows are built along, and it gives |G|.
+# chain_with_base((r,)) for the orbit's least point r: it gives G_r,
+# whose orbits color r's base row, and |G|.
 # When the principal branch's cell sizes multiply to |G| the search
 # stops there and builds nothing more (D5 x D6, S3 wr S3).  Only when
 # that bound is loose does it build one chain on its base, which serves
@@ -426,7 +426,7 @@ def test_shortcuts_build_no_chain(chain_builds):
 
 
 def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
-    # a partition from cached blocks and a group told its order, as the
+    # a partition from cached block rows and a group told its order, as the
     # totality sweep builds them; the sweep itself settles such subsets
     # without a closure run
     G = direct_product(quaternion(), cyclic(3))

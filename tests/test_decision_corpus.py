@@ -1,15 +1,17 @@
-"""A slice of the decision corpus in ``tools/decision_corpus.py``, pinned.
+"""The decision corpus in ``tools/decision_corpus.py``, pinned.
 
-The digest was taken once every group with a regular orbit was closed
-without a search, which cut the ``closure_nodes`` these decisions spend,
-and moved again when the sweep stopped settling actions by a base-size
-search: ``budget_spent`` lost its ``base_size_checks`` and
-``pruned_subsets`` keys.  Nothing else in these eight decisions changed;
-the new digest is that of the old lines with the two keys removed.  A
-change that alters a verdict, a witness, a frontier, the ``tested`` log
-or the spent budget of any of these decisions changes it.  The full
-corpus of 600 decisions runs from the command line, and ``--against``
-compares it with a saved run.
+Two digests are pinned: that of the eight-decision slice, and that of
+all 600 decisions, which take a few seconds.  A change that alters a
+verdict, a witness, a frontier, the ``tested`` log or the spent budget
+of any decision changes the full digest, and of a slice decision the
+slice digest too.  Run the tool with ``--against`` on a saved run to see
+which decisions moved.
+
+The slice digest was taken once every group with a regular orbit was
+closed without a search, which cut the ``closure_nodes`` these decisions
+spend, and moved again when the sweep stopped settling actions by a
+base-size search: ``budget_spent`` lost its ``base_size_checks`` and
+``pruned_subsets`` keys.  The full digest was taken after both.
 """
 
 import importlib.util
@@ -19,6 +21,8 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "decision_corpus.py"
 SLICE_DIGEST = \
     "d396cdded4119d6fcbf3050c34b78f6ad57f59bb2dca734bf7a96772caec450e"
+FULL_DIGEST = \
+    "b541da4a745f02653f42c5e312afc1de091c98295c7f0ef948e90430035db15d"
 
 
 def load_tool():
@@ -36,6 +40,13 @@ def test_corpus_slice_digest_is_pinned():
     assert all("error" not in d for d in decided)
     assert {d["group"] for d in decided} == {"Q8xC3", "D4"}
     assert tool.digest(lines) == SLICE_DIGEST
+
+
+def test_corpus_digest_is_pinned():
+    tool = load_tool()
+    lines = list(tool.corpus_lines())
+    assert len(lines) == 600
+    assert tool.digest(lines) == FULL_DIGEST
 
 
 def test_corpus_has_600_decisions():

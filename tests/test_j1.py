@@ -16,7 +16,7 @@ from twoclosure.basesize import (REFERENCE_TABLE, exact_base_size,
                                  two_point_stabilizer_gcd,
                                  two_point_stabilizer_orders)
 from twoclosure.closure import two_closure
-from twoclosure.orbital import OrbitalPartition
+from twoclosure.orbital import OrbitalPartition, higman_primitive
 
 J1_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "j1_266.json"
 
@@ -83,8 +83,9 @@ def test_j1_closure_certificate(j1):
 
 
 def closed_on_edges(j1, valency):
-    """J1 on the edges of its orbital graph of the given valency, closed
-    with compressed rows; returns the degree and the closure's result."""
+    """J1 on the edges of its orbital graph of the given valency; returns
+    the degree, whether the action is primitive and the closure's
+    result."""
     part = OrbitalPartition(j1)
     color = next(c for c, k in Counter(part.row(0)).items() if k == valency)
     edges = sorted({frozenset((a, b)) for a in range(j1.degree)
@@ -96,22 +97,22 @@ def closed_on_edges(j1, valency):
         Permutation(tuple(index[g.on_set(e)] for e in edges))
         for g in j1.generators], order=175560)
     res = two_closure(G)
-    return G.degree, (res.certified, res.index, res.nodes, res.method)
+    return G.degree, higman_primitive(G), \
+        (res.certified, res.index, res.nodes, res.method)
 
 
 def test_j1_on_the_edges_of_its_11_valent_graph_is_two_closed(j1):
-    """J1 on the 1,463 edges of its 11-valent orbital graph.  This checks
-    one maximal action (edge stabilizer 2xA5), not that J1 is totally
-    2-closed, which needs every faithful action."""
+    """J1 on the 1,463 edges of its 11-valent orbital graph, a primitive
+    action: the edge stabilizer 2xA5 is maximal.  This checks one maximal
+    action, not that J1 is totally 2-closed, which needs every faithful
+    action."""
     assert closed_on_edges(j1, 11) == \
-        (1463, (True, 1, 3, "refinement-bound"))
+        (1463, True, (True, 1, 3, "refinement-bound"))
 
 
 def test_j1_on_the_edges_of_its_12_valent_graph_is_two_closed(j1):
-    """J1 on the 1,596 edges of its 12-valent orbital graph.  This checks
-    one maximal action (edge stabilizer 11:10, of order 110), not that J1
-    is totally 2-closed.  higman_primitive is left out here: it takes
-    about 11 s of CPU at 1,596 points, against under a second for the
-    closure."""
+    """J1 on the 1,596 edges of its 12-valent orbital graph, a primitive
+    action: the edge stabilizer 11:10, of order 110, is maximal.  This
+    checks one maximal action, not that J1 is totally 2-closed."""
     assert closed_on_edges(j1, 12) == \
-        (1596, (True, 1, 3, "refinement-bound"))
+        (1596, True, (True, 1, 3, "refinement-bound"))

@@ -10,10 +10,9 @@ from twoclosure import PermGroup, Permutation
 from twoclosure.constructions import (cyclic, dihedral, direct_product,
                                       elementary_abelian, frobenius20,
                                       gamma_l1_16, quaternion, symmetric)
-from twoclosure.errors import NotTransitiveError
+from twoclosure.errors import DegreeMismatchError, NotTransitiveError
 from twoclosure.closure import two_closure
-from twoclosure.orbital import (OrbitalBlock, OrbitalPartition,
-                                higman_primitive)
+from twoclosure.orbital import OrbitalPartition, block_row, higman_primitive
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import _ClassData, _faithful_subsets, assemble_action
 
@@ -110,7 +109,7 @@ def test_higman_c4_imprimitive():
     assert not higman_primitive(G)
     part = OrbitalPartition(G)
     antipodal = part.color_of(0, 2)
-    assert part.neighbors(1, antipodal) == [3]
+    assert [b for b, c in enumerate(part.row(1)) if c == antipodal] == [3]
 
 
 def test_higman_gamma_l1_16_imprimitive():
@@ -151,16 +150,12 @@ def test_compressed_mode_matches_the_pair_orbit_oracle(build):
     for pair in sorted(want):
         reps.setdefault(want[pair], pair)
     part = OrbitalPartition(G)
-    assert part._blocks is None
     assert part.rank == len(reps)
     assert part.pair_reps == [reps[c] for c in range(len(reps))]
     assert part.paired == [want[b, a] for a, b in part.pair_reps]
     for a in range(n):
         assert list(part.row(a)) == [want[a, b] for b in range(n)]
         assert part.diagonal_color(a) == want[a, a]
-        for c in range(part.rank):
-            assert part.neighbors(a, c) == [
-                b for b in range(n) if want[a, b] == c]
     sizes = Counter(want[0, b] for b in range(n))
     assert part.subdegrees == (
         sorted(sizes.values()) if G.is_transitive() else None)
@@ -179,7 +174,7 @@ def test_compressed_rows_down_a_deep_tree_through_a_small_cache(
         assert list(part.row(a)) == [(b - a) % n for b in range(n)]
         assert len(part._rows) <= 2
     assert part.color_of(n - 1, 0) == 1
-    assert part.neighbors(n - 1, 1) == [0]
+    assert [b for b, c in enumerate(part.row(n - 1)) if c == 1] == [0]
 
 
 def assert_same_partition(got, want):
@@ -192,8 +187,6 @@ def assert_same_partition(got, want):
         assert got.diagonal_color(a) == want.diagonal_color(a)
     for a, b in [(0, want.degree - 1), (want.degree - 1, 0)]:
         assert got.color_of(a, b) == want.color_of(a, b)
-    for c in range(want.rank):
-        assert got.neighbors(0, c) == want.neighbors(0, c)
 
 
 SWEPT = {
@@ -205,7 +198,8 @@ SWEPT = {
 
 
 @pytest.mark.parametrize("name", sorted(SWEPT))
-def test_block_partition_matches_the_scan_on_every_sweep_action(name):
+def test_block_partition_matches_the_scan_on_every_sweep_action(
+        chain_builds, name):
     G = SWEPT[name]()
     table = subgroup_classes(G)
     cache = _ClassData(G, table)
@@ -215,8 +209,10 @@ def test_block_partition_matches_the_scan_on_every_sweep_action(name):
     subsets += [(i,) for i in table.proper_classes()]
     for subset in subsets:
         image = assemble_action(G, table, subset, cache)
+        chain_builds.clear()
         part = cache.partition(image, subset)
-        assert part._blocks is not None
+        # base rows from block rows: no point stabilizer, so no chain
+        assert chain_builds == []
         assert_same_partition(part, OrbitalPartition(image))
         # the order the group is told is the order of its plain chain
         assert cache.image_order(subset) == image.chain.order()
@@ -241,33 +237,40 @@ def test_block_pair_data_read_late_matches_the_scan(name):
         assert part.paired == scan.paired
 
 
-def orbit_blocks(G):
-    """The square table of OrbitalBlocks of G's orbits, which must be
-    contiguous, each orbit's action relabelled from 0."""
-    actions = []
-    for orb in G.orbits():
-        assert orb == list(range(orb[0], orb[0] + len(orb)))
-        actions.append([Permutation([g.images[x] - orb[0] for x in orb])
-                        for g in G.generators])
-    return [[OrbitalBlock(first, second) for second in actions]
-            for first in actions]
-
-
-@pytest.mark.parametrize("blocks", [True, False])
+@pytest.mark.parametrize("given", [True, False])
 @pytest.mark.parametrize("build", [
     lambda: direct_product(cyclic(3), dihedral(4)),
     lambda: symmetric(4),
     lambda: PermGroup(6, [Permutation([1, 2, 3, 0, 5, 4])]),
 ], ids=["C3 x D8", "S4", "C4 on 4 + 2 points"])
-def test_row_ranks_count_the_colors_in_a_row_of_each_orbit(build, blocks):
-    # row_ranks sums block reps in the block mode and counts pair_reps in
-    # the compressed one; both must count the colors of a row
+def test_row_ranks_count_the_colors_in_a_row_of_each_orbit(chain_builds,
+                                                           build, given):
+    # given base rows come from the pair-orbit oracle, which numbers
+    # colors in scan order; otherwise the partition colors them by point
+    # stabilizers.  Either way row_ranks must count the colors of a row
     G = build()
-    part = OrbitalPartition(G, blocks=orbit_blocks(G) if blocks else None)
-    assert (part._blocks is not None) == blocks
-    want = [len(set(part.row(orb[0]))) for orb in G.orbits()]
-    assert part.row_ranks() == want
-    assert want == OrbitalPartition(G).row_ranks()
+    n = G.degree
+    want = oracles.oracle_pair_orbits([g.images for g in G.generators], n)
+    rows = [[want[orb[0], b] for b in range(n)] for orb in G.orbits()]
+    chain_builds.clear()
+    part = OrbitalPartition(G, base_rows=rows if given else None)
+    assert (chain_builds == []) == given
+    ranks = [len(set(part.row(orb[0]))) for orb in G.orbits()]
+    assert part.row_ranks() == ranks
+    assert ranks == OrbitalPartition(G).row_ranks()
+
+
+def test_base_rows_must_be_one_per_orbit_of_the_degree():
+    G = direct_product(cyclic(3), cyclic(4))
+    rows = [OrbitalPartition(G).row(r) for r in (0, 3)]
+    # the regular C3 and C4 give 3 and 4 colors, and each side 1
+    assert OrbitalPartition(G, base_rows=rows).rank == 3 + 1 + 1 + 4
+    with pytest.raises(DegreeMismatchError):
+        OrbitalPartition(G, base_rows=rows[:1])
+    with pytest.raises(DegreeMismatchError):
+        OrbitalPartition(G, base_rows=rows + rows[:1])
+    with pytest.raises(DegreeMismatchError):
+        OrbitalPartition(G, base_rows=[rows[0], rows[1][:-1]])
 
 
 def test_block_partition_with_a_repeated_class():
@@ -303,4 +306,4 @@ def test_actions_above_the_block_limit_get_the_compressed_partition(
 def test_block_needs_a_transitive_first_action():
     swap = Permutation([1, 0, 2])
     with pytest.raises(NotTransitiveError):
-        OrbitalBlock([swap], [swap])
+        block_row([swap], [swap])
