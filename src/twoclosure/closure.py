@@ -20,6 +20,19 @@ at its depth is pruned.  A leaf pairs two discrete partitions into a
 permutation, and every accepted leaf is checked against the full
 coloring, so a completed walk is a proof.
 
+Refinement from the root stops early.  Individualizing b from the
+G-orbits refines to exactly the orbits of the point stabilizer G_b, and
+the first splitter {b} gets there by splitting every cell by row(b), so
+refinement stops once the cell count is the number of colors in row(b).
+Proof: G_b preserves the coloring and fixes b, and refinement is
+equivariant, so every cell is a union of G_b-orbits at every step.  The
+colors of row(b) are in one-to-one correspondence with the G_b-orbits,
+so at that many cells the cells are the G_b-orbits.  The orbit
+partition of a group of color automorphisms is equitable, so every
+splitter still queued would neither split nor reorder a cell: the
+ordered partitions, the bases, the node counts and the verdicts are
+those of the full refinement.  Deeper levels refine in full.
+
 The principal branch alone often settles the search.  The closure's
 stabilizer of the first i base points fixes the level-i partition, so
 its orbit of the next base point lies in the cell branched on, and the
@@ -151,7 +164,7 @@ def root_partition(part):
     return [by_color[c] for c in sorted(by_color)]
 
 
-def _refine(part, cells, queue):
+def _refine(part, cells, queue, stop=None):
     """Refine the ordered partition cells in place until it is equitable.
 
     queue lists the positions of the splitter cells.  A splitter W splits
@@ -161,12 +174,23 @@ def _refine(part, cells, queue):
     on colors and cell positions, never on point labels.  A cell that was
     not waiting as a splitter queues all its fragments but the first
     largest one.  Returns cells.
+
+    stop, when given, is a cell count at which the partition is known to
+    be equitable already, and refinement ends there.  ``individualize``
+    passes it when it splits b off the G-orbits: every cell is then a
+    union of G_b-orbits, since refinement is equivariant and G_b fixes
+    the coloring and b, and the number of G_b-orbits is the number of
+    colors in row(b).  So at that many cells the cells are the
+    G_b-orbits, and the orbit partition of a group of color
+    automorphisms is equitable: no splitter still queued would split or
+    reorder a cell.  The first splitter {b} reaches it, splitting every
+    cell by row(b).
     """
     pending = set(queue)
     queue = list(queue)
     open_cells = [pos for pos, cell in enumerate(cells) if len(cell) > 1]
     for w in queue:
-        if not open_cells:
+        if not open_cells or len(cells) == stop:
             break
         pending.discard(w)
         splitter = cells[w]
@@ -213,11 +237,18 @@ def individualize(part, cells, pos, point):
     """A refined copy of cells with point split off the cell at pos.
 
     The point keeps the position and the rest of its cell is appended.
+    cells must refine the G-orbits, as every partition of the search
+    does, so a partition with one cell per G-orbit is the root; from the
+    root, refinement stops at the point stabilizer's orbits (see
+    ``_refine``).
     """
+    stop = None
+    if len(cells) == len(part.row_ranks()):
+        stop = len(set(part.row(point)))
     cells = list(cells)
     cells.append([x for x in cells[pos] if x != point])
     cells[pos] = [point]
-    return _refine(part, cells, [pos])
+    return _refine(part, cells, [pos], stop)
 
 
 def _closure_search(G, part, node_budget):

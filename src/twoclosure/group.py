@@ -257,16 +257,42 @@ class StabilizerChain:
         """Grow the chain by sifting pseudo-random products.  Returns
         True when the chain reached the known order, which verifies it;
         otherwise the deterministic pass afterwards verifies and
-        completes it."""
+        completes it.
+
+        The products come from product replacement (Celler, Leedham-Green,
+        Murray, Niemeyer & O'Brien, Comm. Algebra 23, 1995).  A build
+        told its order pads the slots to ten, mixes them by twenty
+        replacements before any is sifted, and sifts the running product
+        of the replaced slots, Leedham-Green and Murray's rattle
+        accumulator, since a slot per generator can collapse into a small
+        subgroup when there are two.  Only told builds draw the extra
+        numbers this needs, so the plain chain, which fixes the order of
+        ``elements()``, grows as it always did."""
         rng = random.Random(seed)
         words = list(gens)
-        misses = 0
-        while misses < 12:
+        told = order is not None
+
+        def replace():
             a = rng.randrange(len(words))
             b = rng.randrange(len(words))
+            while told and b == a:
+                b = rng.randrange(len(words))
             words[a] = words[a] * words[b] if rng.random() < 0.5 \
                 else words[b] * words[a]
-            residue, _ = self.sift(words[a])
+            return words[a]
+
+        if told:
+            words += [gens[i % len(gens)] for i in range(len(gens), 10)]
+            for _ in range(20):
+                replace()
+        acc = None
+        misses = 0
+        while misses < 12:
+            word = replace()
+            if told:
+                acc = word if acc is None else acc * word
+                word = acc
+            residue, _ = self.sift(word)
             if residue.is_identity:
                 misses += 1
                 continue
@@ -276,7 +302,7 @@ class StabilizerChain:
             # only would let later sifts use elements the shallow levels
             # cannot express.
             self._add_generator(residue, 1)
-            if order is not None and self._reached(order):
+            if told and self._reached(order):
                 return True
         return False
 

@@ -122,12 +122,18 @@ class OrbitalPartition:
             raise DegreeMismatchError(
                 f"need {len(reps)} base rows of {n} colors, one per G-orbit")
         self._base_rows = dict(zip(reps, base_rows))
-        self._gen_invs = [g.inverse().images for g in G.generators]
         # each base row opens its orbit's colors, numbered on from those
         # of the rows before it
         tops = [max(row) + 1 for row in base_rows]
         self._row_ranks = [hi - lo for lo, hi in zip([0] + tops, tops)]
         self.rank = tops[-1] if tops else 0
+
+    @cached_property
+    def _gen_invs(self):
+        """The inverse images of each generator, for the tree steps of
+        ``row``; a partition that reads no row beyond its base rows, as
+        for ``rank`` or ``row_ranks()``, inverts none."""
+        return [g.inverse().images for g in self.group.generators]
 
     @property
     def subdegrees(self):

@@ -7,7 +7,7 @@ import oracles
 from twoclosure import PermGroup, Permutation, totality
 from twoclosure.actions import coset_action
 from twoclosure.backtrack import subgroup_search
-from twoclosure.closure import (closure_membership, individualize,
+from twoclosure.closure import (_refine, closure_membership, individualize,
                                 root_partition, two_closure)
 from twoclosure.constructions import (alternating, cyclic, diagonal_double,
                                       dihedral, direct_product, frobenius20,
@@ -15,6 +15,7 @@ from twoclosure.constructions import (alternating, cyclic, diagonal_double,
                                       regular_representation, symmetric,
                                       trivial, wreath_imprimitive)
 from twoclosure.errors import DegreeMismatchError, GroupError
+from twoclosure.group import orbits_of
 from twoclosure.orbital import OrbitalPartition
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import _ClassData, assemble_action
@@ -92,6 +93,12 @@ class Relabelled:
 
     def diagonal_color(self, a):
         return self.rows[a][a]
+
+    def row_ranks(self):
+        least = {}
+        for a in range(self.degree):
+            least.setdefault(self.diagonal_color(a), a)
+        return [len(set(self.rows[a])) for a in sorted(least.values())]
 
 
 @given(small_groups(), st.randoms(use_true_random=False))
@@ -501,3 +508,89 @@ def test_prebuilt_partition_gives_the_same_result(case, classes):
     assert (given.closure.order(), given.nodes, given.certified,
             given.method) == (inside.closure.order(), inside.nodes,
                               inside.certified, inside.method)
+
+
+
+def _split(cells, pos, point):
+    """cells with point split off the cell at pos, before any
+    refinement."""
+    out = list(cells)
+    out.append([x for x in cells[pos] if x != point])
+    out[pos] = [point]
+    return out
+
+
+# Individualizing from the root stops refining at the point stabilizer's
+# orbits, where the partition is already equitable: the stopped result
+# must be the full refinement, cell for cell and in order, and its cells
+# the G_b-orbits.
+@pytest.mark.parametrize("case", [*COUNTED_GROUPS, "J1/266"])
+def test_refinement_from_the_root_stops_at_the_stabilizer_orbits(case):
+    if case == "J1/266":
+        from test_group import _j1
+        G, points = _j1(), (0, 1, 137, 265)
+    else:
+        G = COUNTED_GROUPS[case]()
+        points = range(G.degree)
+    part = OrbitalPartition(G)
+    root = root_partition(part)
+    for b in points:
+        pos = next(i for i, cell in enumerate(root) if b in cell)
+        stopped = individualize(part, root, pos, b)
+        assert stopped == _refine(part, _split(root, pos, b), [pos])
+        orbits = orbits_of(G.point_stabilizer(b).generators, G.degree)
+        assert sorted(sorted(cell) for cell in stopped) == orbits
+
+
+@pytest.mark.parametrize("case", COUNTED_GROUPS)
+def test_refinement_below_the_root_is_full(case):
+    # only the root's children stop early: from each of them, down the
+    # branch on the least point of the first largest cell, every level
+    # must equal the full refinement
+    G = COUNTED_GROUPS[case]()
+    part = OrbitalPartition(G)
+    root = root_partition(part)
+    for b in range(G.degree):
+        pos = next(i for i, cell in enumerate(root) if b in cell)
+        cells = individualize(part, root, pos, b)
+        while max(map(len, cells)) > 1:
+            pos = max(range(len(cells)), key=lambda i: len(cells[i]))
+            point = min(cells[pos])
+            want = _refine(part, _split(cells, pos, point), [pos])
+            cells = individualize(part, cells, pos, point)
+            assert cells == want
+
+class RowsRead:
+    """The orbital partition of G, recording each point whose row is
+    read."""
+
+    def __init__(self, G):
+        self.part = OrbitalPartition(G)
+        self.degree = G.degree
+        self.read = set()
+
+    def row(self, a):
+        self.read.add(a)
+        return self.part.row(a)
+
+    def diagonal_color(self, a):
+        return self.part.diagonal_color(a)
+
+    def row_ranks(self):
+        return self.part.row_ranks()
+
+
+@pytest.mark.parametrize("case", ["PSL(2,7) on 14 points", "D5 x D6",
+                                  "S3 wr S3"])
+def test_individualizing_from_the_root_reads_one_row(case):
+    G = COUNTED_GROUPS[case]()
+    colors = RowsRead(G)
+    root = root_partition(colors)
+    pos = max(range(len(root)), key=lambda i: len(root[i]))
+    point = root[pos][0]
+    individualize(colors, root, pos, point)
+    assert colors.read == {point}
+    # the full refinement goes on to the queued splitters' rows
+    colors.read.clear()
+    _refine(colors, _split(root, pos, point), [pos])
+    assert colors.read > {point}

@@ -341,6 +341,29 @@ def test_known_order_out_of_reach_of_random_growth_ends_verified(
     assert chain.contains(g * g * g)
 
 
+@pytest.mark.parametrize("make, order", [
+    (lambda: sym(5), 120),
+    (lambda: psl2(11), 660),
+], ids=["S5", "PSL(2,11)"])
+@pytest.mark.parametrize("seed", range(5))
+def test_told_builds_of_two_generator_groups_end_in_the_random_phase(
+        monkeypatch, make, order, seed):
+    # with one product-replacement slot per generator, the random phase
+    # stalled below the order for 6 of these 10 builds: S5 from a 5-cycle
+    # and a transposition at 5, 20 or 60, PSL(2,11) at 132
+    G = make()
+    assert len(G.generators) == 2
+
+    def refused(self):
+        raise AssertionError("the told build ran the deterministic pass")
+
+    monkeypatch.setattr(StabilizerChain, "_schreier_sims", refused)
+    chain = StabilizerChain.build(G.generators, G.degree, seed=seed,
+                                  order=order)
+    assert chain.order() == order
+    assert all(chain.contains(g) for g in G.generators)
+
+
 def test_rebased_chain_takes_the_order_of_the_chain_held(monkeypatch):
     build = StabilizerChain.build.__func__
     orders = []

@@ -260,6 +260,36 @@ def test_row_ranks_count_the_colors_in_a_row_of_each_orbit(chain_builds,
     assert ranks == OrbitalPartition(G).row_ranks()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(cyclic(3), dihedral(4)),
+    lambda: symmetric(4),
+    lambda: PermGroup(6, [Permutation([1, 2, 3, 0, 5, 4])]),
+], ids=["C3 x D8", "S4", "C4 on 4 + 2 points"])
+def test_partition_inverts_generators_only_to_build_rows(monkeypatch,
+                                                         build):
+    G = build()
+    reps = [orb[0] for orb in G.orbits()]
+    rows = [OrbitalPartition(G).row(r) for r in reps]
+    inverted = []
+    inverse = Permutation.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counted)
+    # the point stabilizers' chains are held from the first partition
+    for base_rows in (None, rows):
+        part = OrbitalPartition(G, base_rows=base_rows)
+        assert part.rank == sum(part.row_ranks())
+        assert [part.row(r) for r in reps] == rows
+        assert inverted == []
+    # a row off the base rows inverts each generator, once
+    for a in range(G.degree):
+        part.row(a)
+    assert inverted == G.generators
+
+
 def test_base_rows_must_be_one_per_orbit_of_the_degree():
     G = direct_product(cyclic(3), cyclic(4))
     rows = [OrbitalPartition(G).row(r) for r in (0, 3)]
