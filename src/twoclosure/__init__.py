@@ -5,7 +5,7 @@ from .errors import (BudgetExceededError, DegreeMismatchError, GroupError,
                      ParseError, SectionObstructionError)
 from .perm import Permutation
 from .group import PermGroup, StabilizerChain, trivial_group
-from .orbital import OrbitalPartition, higman_primitive
+from .orbital import OrbitalPartition
 from .closure import ClosureResult, closure_membership, two_closure
 from .actions import CosetAction, coset_action
 from .subgroups import SubgroupClassTable, subgroup_classes

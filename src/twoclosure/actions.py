@@ -4,6 +4,12 @@ Cosets are indexed from 0 in order of discovery, with coset 0 the
 subgroup itself.  The image of each generator of the group is kept, in
 the order of the group's generators, so the direct sum of several coset
 actions is the concatenation of their generator images.
+
+A coset Hx is keyed by the least tuple in S^x, where S is the H-orbit of
+the tuple of G's base points; S^x holds the base's images under the
+members of Hx, so it depends on the coset alone.  Only the identity of
+G fixes its base, so an element is fixed by its base image, and two
+cosets with the same least tuple share a member and are equal.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GroupError
-from .group import PermGroup, orbits_of
+from .group import PermGroup
 from .perm import Permutation
 
 DEGREE_BUDGET = 10 ** 5
@@ -34,49 +40,36 @@ class CosetAction:
 
 
 def coset_action(G, H, degree_budget=DEGREE_BUDGET):
-    """The action of G on right cosets of H.
-
-    Cosets are found breadth first from H by right multiplication with
-    G's generators.  A product y lands in the coset of a representative
-    x exactly when y x^-1 lies in H; only the representatives whose
-    inverses send each point into the same H-orbit as y^-1 does can
-    qualify, so those are the only ones tested.
-    """
+    """The action of G on right cosets of H, found breadth first from H
+    by moving each coset's base images with G's generators."""
     for h in H.generators:
         if not G.contains(h):
             raise GroupError("the point subgroup does not lie in the group")
-    n = G.degree
-    horbit_id = [0] * n
-    for orb in orbits_of(H.generators, n):
-        for p in orb:
-            horbit_id[p] = orb[0]
-    reps = [Permutation.identity(n)]
-    inv_images = [tuple(range(n))]
-    table = {tuple(horbit_id): [0]}
+    orbit = [tuple(G.chain.base())]
+    seen = set(orbit)
+    for t in orbit:
+        for h in H.generators:
+            u = tuple(map(h.images.__getitem__, t))
+            if u not in seen:
+                seen.add(u)
+                orbit.append(u)
+    width = len(orbit[0])
+    index = {min(orbit): 0}
+    # each coset's tuples, concatenated, until its targets are known
+    sets = [[p for t in orbit for p in t]]
     gen_targets = [[] for _ in G.generators]
-    k = 0
-    while k < len(reps):
-        rep = reps[k]
+    for k, images in enumerate(sets):
         for gi, g in enumerate(G.generators):
-            y = rep * g
-            y_inv_images = y.inverse().images
-            sig = tuple(horbit_id[p] for p in y_inv_images)
-            found = None
-            for idx in table.get(sig, ()):
-                z = Permutation(inv_images[idx][v] for v in y.images)
-                if H.contains(z):
-                    found = idx
-                    break
-            if found is None:
-                found = len(reps)
+            moved = list(map(g.images.__getitem__, images))
+            found = index.setdefault(min(zip(*[iter(moved)] * width)),
+                                     len(sets))
+            if found == len(sets):
                 if found > degree_budget:
                     raise BudgetExceededError(
                         f"coset count exceeds degree budget {degree_budget}")
-                reps.append(y)
-                inv_images.append(y_inv_images)
-                table.setdefault(sig, []).append(found)
+                sets.append(moved)
             gen_targets[gi].append(found)
-        k += 1
+        sets[k] = None
     image_gens = [Permutation(col) for col in gen_targets]
-    return CosetAction(PermGroup(len(reps), image_gens, seed=G.seed),
+    return CosetAction(PermGroup(len(sets), image_gens, seed=G.seed),
                        image_gens)

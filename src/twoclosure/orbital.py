@@ -196,45 +196,3 @@ class OrbitalPartition:
         """The color of the pair (a, a); constant on each G-orbit."""
         r = self._root[a]
         return self._base_rows[r][r]
-
-
-def higman_primitive(G):
-    """Whether every nondiagonal orbital digraph of G is connected.
-
-    By Higman's criterion this holds iff the transitive group G is
-    primitive.  Connectivity is checked on the underlying graph of each
-    orbital, the union with its transpose, which for a vertex-transitive
-    digraph agrees with strong connectivity.  One pass over the rows
-    joins a and b in a union-find per nondiagonal color for each pair
-    (a, b) of that color; a color leaves the pass once it is connected.
-    """
-    if not G.is_transitive():
-        raise NotTransitiveError("Higman's criterion needs a transitive group")
-    part = OrbitalPartition(G)
-    n = G.degree
-    # color -> [parent of each point, number of components]; G is
-    # transitive, so (0, 0) has the one diagonal color
-    forests = {c: [list(range(n)), n] for c in range(part.rank)
-               if c != part.diagonal_color(0)}
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(n):
-        if not forests:
-            break
-        for b, c in enumerate(part.row(a)):
-            forest = forests.get(c)
-            if forest is None:
-                continue
-            parent = forest[0]
-            x, y = find(parent, a), find(parent, b)
-            if x != y:
-                parent[y] = x
-                forest[1] -= 1
-                if forest[1] == 1:
-                    del forests[c]
-    return not forests

@@ -147,9 +147,6 @@ class Permutation:
     def support(self):
         return [a for a, v in enumerate(self.images) if v != a]
 
-    def on_set(self, points):
-        return frozenset(self.images[a] for a in points)
-
     def extend(self, n):
         """The same permutation viewed on 0..n-1, new points fixed."""
         if n < len(self.images):

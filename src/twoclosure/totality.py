@@ -235,9 +235,10 @@ class _ClassData:
 
         The cosets of class ci form one orbit, whose base row is the first
         rows of the blocks (ci, cj) for cj in classes, side by side, each
-        block's local colors shifted past the colors scanned before it.  The scan behind a block row colors all of its pairs,
-        so above BLOCK_LIMIT points this returns None and two_closure
-        colors the base rows by point stabilizers itself."""
+        block's local colors shifted past the colors scanned before it.
+        The scan behind a block row colors all of its pairs, so above
+        BLOCK_LIMIT points this returns None and two_closure colors the
+        base rows by point stabilizers itself."""
         if group.degree > BLOCK_LIMIT:
             return None
         base_rows = []

