@@ -64,7 +64,7 @@ def coset_action(G, H, degree_budget=DEGREE_BUDGET):
             found = index.setdefault(min(zip(*[iter(moved)] * width)),
                                      len(sets))
             if found == len(sets):
-                if found > degree_budget:
+                if found >= degree_budget:
                     raise BudgetExceededError(
                         f"coset count exceeds degree budget {degree_budget}")
                 sets.append(moved)

@@ -20,18 +20,24 @@ at its depth is pruned.  A leaf pairs two discrete partitions into a
 permutation, and every accepted leaf is checked against the full
 coloring, so a completed walk is a proof.
 
-Refinement from the root stops early.  Individualizing b from the
-G-orbits refines to exactly the orbits of the point stabilizer G_b, and
-the first splitter {b} gets there by splitting every cell by row(b), so
-refinement stops once the cell count is the number of colors in row(b).
-Proof: G_b preserves the coloring and fixes b, and refinement is
-equivariant, so every cell is a union of G_b-orbits at every step.  The
-colors of row(b) are in one-to-one correspondence with the G_b-orbits,
-so at that many cells the cells are the G_b-orbits.  The orbit
-partition of a group of color automorphisms is equitable, so every
-splitter still queued would neither split nor reorder a cell: the
-ordered partitions, the bases, the node counts and the verdicts are
-those of the full refinement.  Deeper levels refine in full.
+Refinement stops early where it knows a group H of color automorphisms
+fixing every point individualized so far.  H preserves the coloring and
+fixes those points, and refinement is equivariant, so every cell is a
+union of H-orbits at every step, and once the cell count is the number
+of H-orbits the cells are the H-orbits.  The orbit partition of a group
+of color automorphisms is equitable, so every splitter still queued
+would neither split nor reorder a cell: the ordered partitions, the
+bases, the node counts and the verdicts are those of the full
+refinement.  Two kinds of node know such an H.  A child of the root,
+which individualizes b from the G-orbits, has H = G_b, with one orbit
+per color of row(b); the first splitter {b} reaches them by splitting
+every cell by row(b).  Below those, the principal branch's node at
+depth k has H = G_(b_1..b_k), and counts its orbits while the cell sizes
+branched on so far multiply to a bound below |G|: then
+|H| >= |G| / bound > 1, so the partition is not discrete yet and the
+stop saves work.  It reaches H
+by descending through point stabilizers from G_(b_1), which the orbital
+partition already built.  Every other node refines in full.
 
 The principal branch alone often settles the search.  The closure's
 stabilizer of the first i base points fixes the level-i partition, so
@@ -153,15 +159,14 @@ def two_closure(G, node_budget=None, partition=None):
 
 
 def root_partition(part):
-    """The G-orbits as an ordered partition, ordered by diagonal color.
+    """The G-orbits as an ordered partition, in order of least point.
 
-    Each orbit is one diagonal orbital, so the cells are the classes of
-    the diagonal colors, and the partition is already equitable.
+    Each orbit is one diagonal orbital, so the partition is equitable
+    already.  The order is that of the diagonal colors: an orbit's
+    colors, its diagonal one among them, are numbered on from those of
+    the orbits of lesser least point.
     """
-    by_color = {}
-    for a in range(part.degree):
-        by_color.setdefault(part.diagonal_color(a), []).append(a)
-    return [by_color[c] for c in sorted(by_color)]
+    return [list(orbit) for orbit in part.orbits]
 
 
 def _refine(part, cells, queue, stop=None):
@@ -176,15 +181,16 @@ def _refine(part, cells, queue, stop=None):
     largest one.  Returns cells.
 
     stop, when given, is a cell count at which the partition is known to
-    be equitable already, and refinement ends there.  ``individualize``
-    passes it when it splits b off the G-orbits: every cell is then a
-    union of G_b-orbits, since refinement is equivariant and G_b fixes
-    the coloring and b, and the number of G_b-orbits is the number of
-    colors in row(b).  So at that many cells the cells are the
-    G_b-orbits, and the orbit partition of a group of color
-    automorphisms is equitable: no splitter still queued would split or
-    reorder a cell.  The first splitter {b} reaches it, splitting every
-    cell by row(b).
+    be equitable already, and refinement ends there: the number of
+    orbits of a group H of color automorphisms that fixes every point
+    individualized so far.  Every cell is a union of H-orbits, since
+    refinement is equivariant and H fixes the coloring and those points.
+    So at that many cells the cells are the H-orbits, and the orbit
+    partition of a group of color automorphisms is equitable: no
+    splitter still queued would split or reorder a cell.
+    ``individualize`` passes the stop with H = G_b when it splits b off
+    the G-orbits, and the principal branch of ``_closure_search`` passes
+    it with H = G_(b_1..b_k) wherever that group is nontrivial.
     """
     pending = set(queue)
     queue = list(queue)
@@ -233,17 +239,19 @@ def _refine(part, cells, queue, stop=None):
     return cells
 
 
-def individualize(part, cells, pos, point):
+def individualize(part, cells, pos, point, stop=None):
     """A refined copy of cells with point split off the cell at pos.
 
     The point keeps the position and the rest of its cell is appended.
     cells must refine the G-orbits, as every partition of the search
-    does, so a partition with one cell per G-orbit is the root; from the
-    root, refinement stops at the point stabilizer's orbits (see
-    ``_refine``).
+    does.  stop, when given, is the number of orbits of G's stabilizer
+    of every point individualized so far, this one included, and
+    refinement stops there (see ``_refine``).  Without it, a partition
+    with one cell per G-orbit is the root, and refinement from it stops
+    at the orbits of G_point, one per color of row(point); every other
+    partition refines in full.
     """
-    stop = None
-    if len(cells) == len(part.row_ranks()):
+    if stop is None and len(cells) == len(part.row_ranks()):
         stop = len(set(part.row(point)))
     cells = list(cells)
     cells.append([x for x in cells[pos] if x != point])
@@ -264,11 +272,19 @@ def _closure_search(G, part, node_budget):
     sizes, at most the product of the cell sizes.  When that product
     equals |G|, C = G, since G lies in C.
 
+    While the bound is below |G|, |G_(b_1..b_k)| >= |G| / bound > 1, so
+    the partition is not discrete yet and its refinement stops at the
+    G_(b_1..b_k)-orbits (see ``_refine``).  Below the root those groups
+    are reached by descending through point stabilizers from G_(b_1),
+    which the orbital partition built, since b_1 is an orbit's least
+    point; levels whose bound reaches |G| build no group.
+
     Every walk starts down the principal branch, so a tight bound is
     charged the len(base) + 1 nodes of that branch, and a node budget
     below that stops it uncertified, with closure G, as the walk would.
     """
     n = G.degree
+    order = G.order()
     # The principal branch individualizes the least point of the first
     # largest cell until the partition is discrete; its cell sizes prune
     # every other branch, and its discrete partition pairs with theirs.
@@ -276,6 +292,7 @@ def _closure_search(G, part, node_budget):
     base = []
     where = []
     bound = 1
+    stab = None
     while True:
         cells = path[-1]
         sizes = [len(cell) for cell in cells]
@@ -285,8 +302,14 @@ def _closure_search(G, part, node_budget):
         bound *= sizes[pos]
         base.append(min(cells[pos]))
         where.append(pos)
-        path.append(individualize(part, cells, pos, base[-1]))
-    if bound == G.order():
+        stop = None
+        if len(base) > 1 and bound < order:
+            if stab is None:
+                stab = G.point_stabilizer(base[0])
+            stab = stab.point_stabilizer(base[-1])
+            stop = len(stab.orbits())
+        path.append(individualize(part, cells, pos, base[-1], stop))
+    if bound == order:
         certified = node_budget is None or node_budget > len(base)
         nodes = len(base) + 1 if certified else node_budget + 1
         return ClosureResult(G, G, "refinement-bound", certified, nodes,

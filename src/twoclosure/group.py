@@ -2,17 +2,19 @@
 
 Chains are built by the deterministic Schreier-Sims algorithm, preceded by
 a seeded randomized growth phase; the deterministic pass runs last, so the
-result is verified regardless of how it was grown.  The one exception is
-a build told the group's order.  Each level's generators fix the earlier
-base points, so each basic orbit is a subset of the true one; once the
-orbit lengths multiply to the known order, every basic orbit is complete
-and the chain is verified without the deterministic pass (the known-order
-stopping test of randomized Schreier-Sims; Seress, Permutation Group
-Algorithms, 2003, ch. 4).  The build checks the product after each
-generator the random phase adds and stops at the order; growth that
-stalls below it runs the deterministic pass as usual, and a product that
-passes the order, or a finished chain of another order, raises, since
-the order given was wrong.
+result is verified regardless of how it was grown.  The pass sifts no
+Schreier generator of an edge of a level's Schreier tree, which is the
+identity by construction (Seress, Permutation Group Algorithms, 2003,
+sec. 4.2).  The one exception is a build told the group's order.  Each
+level's generators fix the earlier base points, so each basic orbit is a
+subset of the true one; once the orbit lengths multiply to the known
+order, every basic orbit is complete and the chain is verified without the
+deterministic pass (the known-order stopping test of randomized
+Schreier-Sims; Seress, Permutation Group Algorithms, 2003, ch. 4).  The
+build checks the product after each generator the random phase adds and
+stops at the order; growth that stalls below it runs the deterministic
+pass as usual, and a product that passes the order, or a finished chain of
+another order, raises, since the order given was wrong.
 
 A group builds each chain once and reuses it.  Order and membership do
 not depend on the base, so they are answered from whichever verified
@@ -308,15 +310,19 @@ class StabilizerChain:
 
     def _schreier_sims(self):
         """Verify every Schreier generator sifts to the identity, adding
-        residues as strong generators until the chain is complete."""
+        residues as strong generators until the chain is complete.  The
+        generator of a tree edge, q = p^s with tree[q] == (p, s), is
+        rep(p) s rep(q)^-1 = 1, since rep(q) is rep(p) s: it is skipped."""
         i = len(self.levels) - 1
         while i >= 0:
             changed = None
             lvl = self.levels[i]
             for p in lvl.orbit:
                 up = lvl.rep(p)
-                for s in lvl.gens:
+                for si, s in enumerate(lvl.gens):
                     q = s.images[p]
+                    if lvl.tree[q] == (p, si):
+                        continue
                     uq_inv = lvl.rep_inv(q)
                     if up is None:
                         sg = s if uq_inv is None else s * uq_inv

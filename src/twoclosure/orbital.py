@@ -69,10 +69,12 @@ def block_row(first, second):
 class OrbitalPartition:
     """The partition of Omega x Omega into G-orbits.
 
-    Attributes: degree, rank, pair_reps (the least pair of each color, in
-    color order), paired (color -> color of the transpose) and subdegrees
-    (sorted suborbit lengths when G is transitive, else None).
-    color_of(a, b), row(a), diagonal_color(a) and row_ranks() read them.
+    Attributes: degree, rank, orbits (the G-orbits, each sorted, in order
+    of least point, which is the order of their diagonal colors),
+    pair_reps (the least pair of each color, in color order), paired
+    (color -> color of the transpose) and subdegrees (sorted suborbit
+    lengths when G is transitive, else None).
+    color_of(a, b), row(a) and row_ranks() read them.
 
     base_rows, when given, lists the base row of each G-orbit in order of
     least point, in global scan colors; the caller vouches that they
@@ -90,20 +92,21 @@ class OrbitalPartition:
         gens = list(enumerate(g.images for g in G.generators))
         # tree[a] = (p, i) with a = p^(generator i); None at each root
         self._tree = tree = [None] * n
-        self._root = root = [-1] * n
-        reps = []
+        seen = [False] * n
+        self.orbits = []
         for r in range(n):
-            if root[r] < 0:
-                reps.append(r)
-                root[r] = r
+            if not seen[r]:
+                seen[r] = True
                 orbit = [r]
                 for p in orbit:
                     for i, g in gens:
                         a = g[p]
-                        if root[a] < 0:
-                            root[a] = r
+                        if not seen[a]:
+                            seen[a] = True
                             tree[a] = (p, i)
                             orbit.append(a)
+                self.orbits.append(sorted(orbit))
+        reps = [orbit[0] for orbit in self.orbits]
         if base_rows is None:
             # orbits_of orders the suborbits of G_r by least point, the
             # order in which the scan of r's row meets them
@@ -191,8 +194,3 @@ class OrbitalPartition:
 
     def color_of(self, a, b):
         return self.row(a)[b]
-
-    def diagonal_color(self, a):
-        """The color of the pair (a, a); constant on each G-orbit."""
-        r = self._root[a]
-        return self._base_rows[r][r]

@@ -137,9 +137,12 @@ def test_coset_action_rejects_outside_subgroup():
 
 
 def test_coset_action_degree_budget():
+    # the budget is the largest degree returned: 12 cosets need 12
     G = cyclic(12)
-    with pytest.raises(BudgetExceededError):
-        coset_action(G, trivial_group(12), degree_budget=10)
+    for budget in (10, 11):
+        with pytest.raises(BudgetExceededError):
+            coset_action(G, trivial_group(12), degree_budget=budget)
+    assert coset_action(G, trivial_group(12), degree_budget=12).degree == 12
 
 
 def partitions_through_zero(G):

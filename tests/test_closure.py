@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from twoclosure import PermGroup, Permutation, totality
+from twoclosure import PermGroup, Permutation, closure, totality
 from twoclosure.actions import coset_action
 from twoclosure.backtrack import subgroup_search
 from twoclosure.closure import (_refine, closure_membership, individualize,
@@ -87,18 +87,17 @@ class Relabelled:
             inv[b] = a
         self.rows = [[part.row(inv[a])[inv[b]] for b in range(self.degree)]
                      for a in range(self.degree)]
+        # the orbits in diagonal-color order, as ``root_partition`` needs
+        by_color = {}
+        for a in range(self.degree):
+            by_color.setdefault(self.rows[a][a], []).append(a)
+        self.orbits = [by_color[c] for c in sorted(by_color)]
 
     def row(self, a):
         return self.rows[a]
 
-    def diagonal_color(self, a):
-        return self.rows[a][a]
-
     def row_ranks(self):
-        least = {}
-        for a in range(self.degree):
-            least.setdefault(self.diagonal_color(a), a)
-        return [len(set(self.rows[a])) for a in sorted(least.values())]
+        return [len(set(self.rows[orbit[0]])) for orbit in self.orbits]
 
 
 @given(small_groups(), st.randoms(use_true_random=False))
@@ -395,29 +394,39 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
 # A partition built from the group alone builds one chain per G-orbit,
 # chain_with_base((r,)) for the orbit's least point r: it gives G_r,
 # whose orbits color r's base row, and |G|.
-# When the principal branch's cell sizes multiply to |G| the search
-# stops there and builds nothing more (D5 x D6, S3 wr S3).  Only when
-# that bound is loose does it build one chain on its base, which serves
-# the leaf membership tests and the orbit minima, and rebuild K, and its
-# chain with it, once per generator it adds.  PSL(2,7) on 14 points is
-# not 2-closed (index 3,840): its search adds two generators.
+# Below the root, each principal-branch level k whose cell sizes so far
+# multiply to less than |G| builds one chain to stop its refinement:
+# G_(b_1..b_(k-1)).chain_with_base((b_k,)), which gives G_(b_1..b_k).
+# When the bound reaches |G| the search stops there and builds nothing
+# more (D5 x D6, S3 wr S3).  Only when that bound is loose does it build
+# one chain on its base, which serves the leaf membership tests and the
+# orbit minima, and rebuild K, and its chain with it, once per generator
+# it adds.  PSL(2,7) on 14 points is not 2-closed (index 3,840): its
+# search adds two generators.
 @pytest.mark.parametrize("case, builds", [
     ("PSL(2,7) on 14 points", 4),
-    ("D5 x D6", 2),
-    ("S3 wr S3", 1),
-    ("A5 x A6", 5),
+    ("D5 x D6", 4),
+    ("S3 wr S3", 5),
+    ("A5 x A6", 10),
 ])
 def test_two_closure_chain_builds_on_known_groups(chain_builds, case,
                                                   builds):
     G = COUNTED_GROUPS[case]()
+    color = oracles.oracle_pair_orbits([g.images for g in G.generators],
+                                       G.degree)
     chain_builds.clear()
     res = two_closure(G)
     assert res.certified and res.index >= 1
     orbits = G.orbits()
+    stops = [(b,) for k, b in enumerate(res.base) if k and
+             oracles.oracle_refinement_bound(
+                 color, G.degree, res.base[:k + 1])[0] < G.order()]
     added = len(res.closure.generators) - len(G.generators)
     walked = res.method == "backtrack"
     assert chain_builds[:len(orbits)] == [(orb[0],) for orb in orbits]
-    assert len(chain_builds) == len(orbits) + walked + added == builds
+    assert chain_builds[len(orbits):len(orbits) + len(stops)] == stops
+    assert len(chain_builds) == \
+        len(orbits) + len(stops) + walked + added == builds
 
 
 def test_shortcuts_build_no_chain(chain_builds):
@@ -544,7 +553,8 @@ def test_refinement_from_the_root_stops_at_the_stabilizer_orbits(case):
 
 @pytest.mark.parametrize("case", COUNTED_GROUPS)
 def test_refinement_below_the_root_is_full(case):
-    # only the root's children stop early: from each of them, down the
+    # without a stop, as for the walk's children, individualizing below
+    # the root refines in full: from each child of the root, down the
     # branch on the least point of the first largest cell, every level
     # must equal the full refinement
     G = COUNTED_GROUPS[case]()
@@ -560,6 +570,88 @@ def test_refinement_below_the_root_is_full(case):
             cells = individualize(part, cells, pos, point)
             assert cells == want
 
+
+@pytest.mark.parametrize("case", [*COUNTED_GROUPS, "J1/266"])
+def test_principal_branch_stops_at_the_base_stabilizer_orbits(monkeypatch,
+                                                              case):
+    # each principal-branch level is the full refinement, and below the
+    # root, while the cell sizes so far multiply to less than |G|, its
+    # stop is the number of orbits of G's stabilizer of the base so far
+    if case == "J1/266":
+        from test_group import _j1
+        G = _j1()
+    else:
+        G = COUNTED_GROUPS[case]()
+    calls = []
+
+    def recorded(part, cells, pos, point, stop=None):
+        got = individualize(part, cells, pos, point, stop)
+        calls.append((part, cells, pos, point, stop, got))
+        return got
+
+    monkeypatch.setattr(closure, "individualize", recorded)
+    res = two_closure(G)
+    assert res.method != "certified-equal"
+    # the walk, if any, runs after the principal branch
+    principal = calls[:len(res.base)]
+    assert [call[3] for call in principal] == list(res.base)
+    bound = 1
+    for k, (part, cells, pos, point, stop, got) in enumerate(principal):
+        bound *= len(cells[pos])
+        assert got == _refine(part, _split(cells, pos, point), [pos])
+        if k and bound < G.order():
+            stab = G.pointwise_stabilizer(res.base[:k + 1])
+            assert stop == len(stab.orbits())
+        else:
+            assert stop is None
+
+
+def test_j1_search_reads_few_rows(monkeypatch):
+    # the level-1 refinement of J1/266 stops at the 58 orbits of G_(0,2);
+    # refined in full, the search read 444 rows
+    from test_group import _j1
+    G = _j1()
+    reads = []
+    row = OrbitalPartition.row
+
+    def counted(self, a):
+        reads.append(a)
+        return row(self, a)
+
+    monkeypatch.setattr(OrbitalPartition, "row", counted)
+    res = two_closure(G)
+    assert (res.method, res.nodes, res.base) == \
+        ("refinement-bound", 4, (0, 2, 42))
+    assert len(reads) <= 45
+
+
+def diagonal_classes(part):
+    """The points grouped by diagonal color, in color order."""
+    by_color = {}
+    for a in range(part.degree):
+        by_color.setdefault(part.color_of(a, a), []).append(a)
+    return [by_color[c] for c in sorted(by_color)]
+
+
+def test_root_partition_is_the_diagonal_color_classes(monkeypatch):
+    for build in COUNTED_GROUPS.values():
+        part = OrbitalPartition(build())
+        assert root_partition(part) == diagonal_classes(part)
+    # the sweep's partitions, put together from cached block rows
+    parts = []
+
+    def recorded(group, partition=None, **kwargs):
+        parts.append(partition)
+        return two_closure(group, partition=partition, **kwargs)
+
+    monkeypatch.setattr(totality, "two_closure", recorded)
+    totality.representation_sweep(direct_product(quaternion(), cyclic(3)))
+    parts = [part for part in parts if part is not None]
+    assert len(parts) == 400
+    for part in parts:
+        assert root_partition(part) == diagonal_classes(part)
+
+
 class RowsRead:
     """The orbital partition of G, recording each point whose row is
     read."""
@@ -567,14 +659,12 @@ class RowsRead:
     def __init__(self, G):
         self.part = OrbitalPartition(G)
         self.degree = G.degree
+        self.orbits = self.part.orbits
         self.read = set()
 
     def row(self, a):
         self.read.add(a)
         return self.part.row(a)
-
-    def diagonal_color(self, a):
-        return self.part.diagonal_color(a)
 
     def row_ranks(self):
         return self.part.row_ranks()

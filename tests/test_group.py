@@ -407,3 +407,40 @@ def test_elements_sequence_is_unchanged_by_known_orders(name):
         for g in H.elements():
             sha.update(bytes(g.images))
         assert sha.hexdigest() == want
+
+
+# SHA-256 of each level's point, orbit and generator images of the plain
+# chain, taken before the deterministic pass skipped tree edges, and the
+# sifts of that pass before -> after: 678, 55 and 44.
+PLAIN_CHAINS = {
+    "J1/266": (_j1, 348, "02599b828174cf5e022d4a26df6eecfb80f5cddf278122a60b3d95285ffa5a70"),
+    "PSL(2,11)": (lambda: psl2(11), 27, "6e7805bc3330417e579ea4df3ae5c7bfd7fd470c20efc39efcad293a5ddbbc1b"),
+    "S5": (lambda: symmetric(5), 24, "f97e64124291b4813906a8cf0361efc7c7705c69b8cf3fab9b9b53a3bdacb179"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_CHAINS))
+def test_deterministic_pass_sifts_no_tree_edge(monkeypatch, name):
+    make, want_sifts, want = PLAIN_CHAINS[name]
+    G = make()
+    sifts = []
+    passing = []
+    sift, schreier_sims = StabilizerChain.sift, StabilizerChain._schreier_sims
+
+    def counted(self, g, start=0):
+        if passing:
+            sifts.append(start)
+        return sift(self, g, start)
+
+    def deterministic(self):
+        passing.append(True)
+        schreier_sims(self)
+        passing.clear()
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    monkeypatch.setattr(StabilizerChain, "_schreier_sims", deterministic)
+    sha = hashlib.sha256()
+    for lvl in G.chain.levels:
+        sha.update(repr((lvl.point, lvl.orbit,
+                         [g.images for g in lvl.gens])).encode())
+    assert (len(sifts), sha.hexdigest()) == (want_sifts, want)

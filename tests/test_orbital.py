@@ -96,8 +96,9 @@ def test_intransitive_diagonal_colors_split_orbits():
     G = direct_product(cyclic(3), cyclic(4))
     part = OrbitalPartition(G)
     assert part.subdegrees is None
-    assert part.diagonal_color(0) == part.diagonal_color(2)
-    assert part.diagonal_color(0) != part.diagonal_color(3)
+    assert part.orbits == [[0, 1, 2], [3, 4, 5, 6]]
+    assert part.color_of(0, 0) == part.color_of(2, 2)
+    assert part.color_of(0, 0) != part.color_of(3, 3)
 
 
 def test_higman_c4_imprimitive():
@@ -139,10 +140,10 @@ def test_compressed_mode_matches_the_pair_orbit_oracle(build):
     assert part.paired == [want[b, a] for a, b in part.pair_reps]
     for a in range(n):
         assert list(part.row(a)) == [want[a, b] for b in range(n)]
-        assert part.diagonal_color(a) == want[a, a]
     sizes = Counter(want[0, b] for b in range(n))
     assert part.subdegrees == (
         sorted(sizes.values()) if G.is_transitive() else None)
+    assert part.orbits == G.orbits()
 
 
 def test_compressed_rows_down_a_deep_tree_through_a_small_cache(
@@ -166,9 +167,9 @@ def assert_same_partition(got, want):
     assert got.pair_reps == want.pair_reps
     assert got.paired == want.paired
     assert got.subdegrees == want.subdegrees
+    assert got.orbits == want.orbits
     for a in range(want.degree):
         assert list(got.row(a)) == list(want.row(a))
-        assert got.diagonal_color(a) == want.diagonal_color(a)
     for a, b in [(0, want.degree - 1), (want.degree - 1, 0)]:
         assert got.color_of(a, b) == want.color_of(a, b)
 
