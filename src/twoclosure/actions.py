@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GroupError
 from .group import PermGroup
-from .perm import Permutation
+from .perm import Permutation, gather
 
 DEGREE_BUDGET = 10 ** 5
 
@@ -49,7 +49,7 @@ def coset_action(G, H, degree_budget=DEGREE_BUDGET):
     seen = set(orbit)
     for t in orbit:
         for h in H.generators:
-            u = tuple(map(h.images.__getitem__, t))
+            u = gather(h.images, t)
             if u not in seen:
                 seen.add(u)
                 orbit.append(u)
@@ -60,7 +60,7 @@ def coset_action(G, H, degree_budget=DEGREE_BUDGET):
     gen_targets = [[] for _ in G.generators]
     for k, images in enumerate(sets):
         for gi, g in enumerate(G.generators):
-            moved = list(map(g.images.__getitem__, images))
+            moved = gather(g.images, images)
             found = index.setdefault(min(zip(*[iter(moved)] * width)),
                                      len(sets))
             if found == len(sets):

@@ -16,6 +16,10 @@ stops at the order; growth that stalls below it runs the deterministic
 pass as usual, and a product that passes the order, or a finished chain of
 another order, raises, since the order given was wrong.
 
+Sifts multiply by the inverses of a level's coset representatives.  These
+are built down the Schreier tree from the inverses of the level's
+generators, one product per orbit point, as the representatives are.
+
 A group builds each chain once and reuses it.  Order and membership do
 not depend on the base, so they are answered from whichever verified
 chain the group already holds: its plain chain, a chain re-based by
@@ -78,14 +82,20 @@ class _Level:
     fixing all earlier base points, and a Schreier tree of its orbit.
 
     rep(p) returns a permutation mapping the base point to p, or None for
-    the base point itself (callers treat None as the identity).
+    the base point itself (callers treat None as the identity).  rep_inv(p)
+    returns its inverse, built down the tree as rep is: if a = p^g is a
+    tree edge, rep(a) = rep(p) g, so rep(a)^-1 = g^-1 rep(p)^-1.  Generators
+    are only ever appended, so their inverses, keyed by index, outlive
+    rebuilds: each is inverted at most once per level.
     """
 
-    __slots__ = ("point", "gens", "orbit", "tree", "_reps", "_rep_invs")
+    __slots__ = ("point", "gens", "orbit", "tree", "_reps", "_rep_invs",
+                 "_gen_invs")
 
     def __init__(self, point, gens):
         self.point = point
         self.gens = gens
+        self._gen_invs = {}
         self.rebuild()
 
     def rebuild(self):
@@ -127,8 +137,19 @@ class _Level:
             return None
         u = self._rep_invs.get(point)
         if u is None:
-            u = self.rep(point).inverse()
-            self._rep_invs[point] = u
+            path = []
+            a = point
+            while self.tree[a] is not None and a not in self._rep_invs:
+                path.append(a)
+                a = self.tree[a][0]
+            u = self._rep_invs.get(a)
+            for a in reversed(path):
+                gi = self.tree[a][1]
+                g_inv = self._gen_invs.get(gi)
+                if g_inv is None:
+                    g_inv = self._gen_invs[gi] = self.gens[gi].inverse()
+                u = g_inv if u is None else g_inv * u
+                self._rep_invs[a] = u
         return u
 
 

@@ -28,6 +28,7 @@ from functools import cached_property
 
 from .errors import DegreeMismatchError, NotTransitiveError
 from .group import orbits_of
+from .perm import gather
 
 ROW_CACHE = 128
 
@@ -186,7 +187,7 @@ class OrbitalPartition:
             a = tree[a][0]
         got = self._base_rows[a] if tree[a] is None else self.row(a)
         for a in reversed(path):
-            got = list(map(got.__getitem__, self._gen_invs[tree[a][1]]))
+            got = gather(got, self._gen_invs[tree[a][1]])
             rows[a] = got
             if len(rows) > ROW_CACHE:
                 rows.popitem(last=False)

@@ -2,17 +2,29 @@
 
 Composition is left to right: ``(p * q)(a) == q(p(a))``, matching the
 exponent convention a^(pq) = (a^p)^q.  All internal points are 0-indexed;
-cycle notation and JSON image lists use 1-indexed points.
+cycle notation and JSON image lists use 1-indexed points.  A product
+gathers one image tuple by the other in C, through ``gather``.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .errors import DegreeMismatchError, MalformedPermutationError, ParseError
 
 # The identity's image tuple per degree, compared against in C.
 _IDENTITY_IMAGES = {}
+
+
+def gather(values, indices):
+    """The tuple of values[i] for each index i, in the order of indices.
+
+    ``itemgetter`` returns a bare item for one index and raises for none,
+    so fewer than two indices take a comprehension."""
+    if len(indices) < 2:
+        return tuple([values[i] for i in indices])
+    return itemgetter(*indices)(values)
 
 
 class Permutation:
@@ -79,8 +91,7 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise DegreeMismatchError(
                 f"degree {len(self.images)} != {len(other.images)}")
-        oi = other.images
-        return Permutation._trusted(tuple([oi[v] for v in self.images]))
+        return Permutation._trusted(gather(other.images, self.images))
 
     def inverse(self):
         images = [0] * len(self.images)

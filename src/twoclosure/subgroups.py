@@ -35,7 +35,7 @@ import operator
 
 from .errors import BudgetExceededError
 from .group import PermGroup
-from .perm import Permutation
+from .perm import Permutation, gather
 
 ORDER_BOUND = 2000
 # The least order shared by two nonabelian simple groups (A8 and L3(4)).
@@ -171,7 +171,7 @@ class _Indexed:
         scale = 1
         for points in reversed(images):
             scaled = [v * scale for v in q]
-            keys = map(operator.add, keys, map(scaled.__getitem__, points))
+            keys = map(operator.add, keys, gather(scaled, points))
             scale *= len(q)
         return list(keys)
 
@@ -179,8 +179,7 @@ class _Indexed:
         """The map i -> index of elements[i] * elements[x]."""
         col = self._columns.get(x)
         if col is None:
-            col = list(map(self.slot.__getitem__,
-                           self._keys(self.elements[x], self.images)))
+            col = gather(self.slot, self._keys(self.elements[x], self.images))
             self._columns[x] = col
         return col
 
@@ -192,7 +191,7 @@ class _Indexed:
             # the conjugate of p sends each base point b to q(p(q⁻¹(b)))
             images = [[p[a] for p in self.elements]
                       for a in map(q.index, self.base)]
-            col = list(map(self.slot.__getitem__, self._keys(q, images)))
+            col = gather(self.slot, self._keys(q, images))
             self._conjugations[x] = col
         return col
 

@@ -192,7 +192,7 @@ def _direct_sum(G, actions, order=None):
         images = []
         offset = 0
         for act in actions:
-            images.extend(offset + v for v in act.image_gens[gi].images)
+            images += [v + offset for v in act.image_gens[gi].images]
             offset += act.degree
         # shifted images of bijections on disjoint ranges: a bijection
         gens.append(Permutation._trusted(tuple(images)))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,3 +445,40 @@ def test_deterministic_pass_sifts_no_tree_edge(monkeypatch, name):
         sha.update(repr((lvl.point, lvl.orbit,
                          [g.images for g in lvl.gens])).encode())
     assert (len(sifts), sha.hexdigest()) == (want_sifts, want)
+
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_CHAINS))
+def test_inverse_representatives_invert_the_representatives(name):
+    G = PLAIN_CHAINS[name][0]()
+
+    def check(lvl, points):
+        for p in points:
+            u = lvl.rep(p)
+            assert lvl.rep_inv(p) == (None if u is None else u.inverse())
+
+    for lvl in G.chain.levels:
+        check(lvl, lvl.orbit)
+        # rebuilt and read deepest point first, each inverse walks the
+        # tree up to the base point
+        lvl.rebuild()
+        check(lvl, reversed(lvl.orbit))
+
+
+def test_plain_chain_build_inverts_level_generators_only(monkeypatch):
+    G = _j1()
+    inverted = []
+    inverse = Permutation.inverse
+
+    def counted(self):
+        inverted.append(id(self))
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counted)
+    levels = G.chain.levels
+    # each generator of each level is inverted once, for that level: 7
+    # inversions of 5 strong generators, where inverting each coset
+    # representative made 331
+    assert Counter(inverted) == Counter(id(g) for lvl in levels
+                                        for g in lvl.gens)
+    assert len(inverted) == 7

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from twoclosure.perm import Permutation
+from twoclosure.perm import Permutation, gather
 from twoclosure.errors import (DegreeMismatchError, MalformedPermutationError,
                                ParseError)
 
@@ -11,10 +11,10 @@ def random_perm(draw, n):
     return Permutation(images)
 
 
-perms = st.integers(min_value=1, max_value=12).flatmap(
+perms = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
 
-pairs = st.integers(min_value=1, max_value=12).flatmap(
+pairs = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.tuples(st.permutations(range(n)).map(Permutation),
                         st.permutations(range(n)).map(Permutation)))
 
@@ -57,6 +57,22 @@ def test_products_and_inverses_equal_checked_construction(pq):
         assert {got: 1}[checked] == 1
     with pytest.raises(MalformedPermutationError):
         Permutation((0, 0))
+
+
+@pytest.mark.parametrize("values", [(5, 6, 7), {0: 5, 1: 6, 2: 7}],
+                         ids=["tuple", "dict"])
+def test_gather_returns_a_tuple_at_every_length(values):
+    # itemgetter alone would return a bare 6 for one index, raise for none
+    assert gather(values, []) == ()
+    assert gather(values, [1]) == (6,)
+    assert gather(values, (2, 0)) == (7, 5)
+    assert gather(values, range(1, 3)) == (6, 7)
+
+
+@given(pairs)
+def test_product_is_the_composed_image_tuple(pq):
+    p, q = pq
+    assert (p * q).images == tuple(q(p(a)) for a in range(p.degree))
 
 
 def test_composition_order():

@@ -18,8 +18,12 @@ nothing from the benchmark and writes no file.
 For each end-to-end metric that the runs print, the tool prints every
 pair, each side's median and quartiles, the distance between the
 medians against the parent's quartile spread, and in how many pairs the
-change read lower; ties count for neither side.  A run that exits
-nonzero or reports a wrong answer stops the tool with its output.
+change read lower; ties count for neither side.  A metric that the
+change checkout's ``BENCHMARK.json`` declares under ``end_to_end`` also
+gets the relative move of the medians beside the declared bound, marked
+WORSE when the change median is worse than the parent's by more than the
+bound.  A run that exits nonzero or reports a wrong answer stops the
+tool with its output.
 """
 
 import argparse
@@ -63,13 +67,22 @@ def run_once(checkout, workload, seed, seconds):
             for name, metric in result["metrics"].items()}
 
 
+def end_to_end_bounds(checkout):
+    """{metric: (bound, better)} for each end-to-end metric that the
+    BENCHMARK.json of checkout declares."""
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: (metric["bound"], metric["better"])
+            for metric in declared["end_to_end"]}
+
+
 def summary(values):
     """(first quartile, median, third quartile) of the values."""
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def report(name, unit, seeds, parent, change):
-    """The lines printed for one metric, given its values per pair."""
+def report(name, unit, seeds, parent, change, bound=None):
+    """The lines printed for one metric, given its values per pair and,
+    when declared, its (bound, better) pair."""
     lines = [f"{name} ({unit})",
              f"  {'pair':>4} {'seed':>6} {'first':>6} {'parent':>10} "
              f"{'change':>10}"]
@@ -84,10 +97,17 @@ def report(name, unit, seeds, parent, change):
     q1, old_median, q3 = stats["parent"]
     new_median = stats["change"][1]
     lower = sum(new < old for old, new in zip(parent, change))
+    move = (new_median - old_median) / old_median
     lines.append(f"  medians differ by {new_median - old_median:+.4f} "
-                 f"({(new_median - old_median) / old_median:+.1%}); "
+                 f"({move:+.1%}); "
                  f"parent quartile spread {q3 - q1:.4f}")
     lines.append(f"  change lower in {lower} of {len(parent)} pairs")
+    if bound is not None:
+        limit, better = bound
+        worse = move > limit if better == "lower" else -move > limit
+        verdict = "WORSE by more than the bound" if worse else "within"
+        lines.append(f"  move {move:+.1%} against bound {limit:.0%}, "
+                     f"{better} is better: {verdict}")
     return lines
 
 
@@ -102,6 +122,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not (args.parent / RUNNER).is_file():
         parser.error(f"{args.parent} holds no {RUNNER}")
+    bounds = end_to_end_bounds(CHANGE)
     parent, change = [], []
     for i, seed in enumerate(args.seeds):
         order = [(args.parent, parent), (CHANGE, change)]
@@ -114,7 +135,8 @@ def main(argv=None):
     for name, (_, unit) in parent[0].items():
         print("\n".join(report(name, unit, args.seeds,
                                [run[name][0] for run in parent],
-                               [run[name][0] for run in change])))
+                               [run[name][0] for run in change],
+                               bounds.get(name))))
 
 
 if __name__ == "__main__":
