@@ -45,6 +45,28 @@ its orbit of the next base point lies in the cell branched on, and the
 product of those cell sizes bounds the closure's order.  When the bound
 equals |G| the closure is G, with the principal base as its certificate,
 and no walk runs; only a loose bound leaves work for the walk.
+
+The same bound proves the order of a group that does not know it, given
+by generators alone, in place of the deterministic Schreier-Sims pass.
+A chain grown by the random phase alone, on the principal branch's first
+base point b_1, has orbits multiplying to some N <= |G|.  A copy of G
+told the order N gives the point stabilizers: they are subgroups of G's,
+since their generators are elements of G fixing the points.  They color
+the partition's base rows, one per G-orbit, and the coloring is checked
+on every non-tree edge of the orbits' Schreier trees, which holds
+exactly when it is G's own (see ``orbital``).  The principal branch then
+runs on the copy.  Any group of color automorphisms fixing the points
+individualized so far gives a sound stop, since the cells are unions of
+its orbits too and stop splitting once they are its orbits, so the
+partitions and the bound are those of G.  If the bound equals N, then
+N <= |G| <= |closure| <= bound = N: |G| = N, the closure is G, and the
+grown chain, whose orbits multiply to |G|, is complete, so G adopts it
+and the copy's chains as verified.  Otherwise (the check fails, the
+bound is not N, or a chain of the copy passes its told order) the
+deterministic pass completes the grown chain, and the search goes on
+from what is proven: a failed check recolors the partition, and a
+checked one keeps it and the principal branch.  Methods, node counts,
+bases and closures are those of a group that knew its order.
 """
 
 from __future__ import annotations
@@ -52,7 +74,7 @@ from __future__ import annotations
 from .backtrack import PRUNE, _walk
 from .constructions import symmetric
 from .errors import DegreeMismatchError, GroupError
-from .orbital import OrbitalPartition
+from .orbital import OrbitalPartition, _suborbit_rows
 from .perm import Permutation
 
 
@@ -150,12 +172,42 @@ def two_closure(G, node_budget=None, partition=None):
     _check_partition(G, partition)
     if G.is_trivial:
         return ClosureResult(G, G, "certified-equal")
-    part = partition if partition is not None else OrbitalPartition(G)
+    part = partition
+    told = None
+    if partition is None and not G._order_known:
+        # base rows from the stabilizers of a copy of G told a grown order,
+        # checked (see the module docstring); the copy's chain is grown on
+        # the principal branch's first base point, the least point of the
+        # first largest G-orbit
+        orbits = G.orbits()
+        told = G._told_copy((max(orbits, key=len)[0],))
+        try:
+            part = OrbitalPartition(G, _suborbit_rows(n, [
+                told.point_stabilizer(orbit[0]).generators
+                for orbit in orbits]))
+        except GroupError:
+            part = None
+        if part is None or not part._edges_agree():
+            part = told = None
+    if part is None:
+        part = OrbitalPartition(G)
     if part.rank == 2 and G.is_transitive():
         return ClosureResult(G, symmetric(n, seed=G.seed), "certified-equal")
     if n in part.row_ranks():
         return ClosureResult(G, G, "certified-equal")
-    return _closure_search(G, part, node_budget)
+    branch = None
+    if told is not None:
+        try:
+            branch = _principal_branch(told, part)
+        except GroupError:
+            pass
+        else:
+            # a bound of N proves |G| = N (see the module docstring)
+            if branch[-1] == told.order():
+                G._adopt(told)
+    if branch is None:
+        branch = _principal_branch(G, part)
+    return _closure_search(G, part, node_budget, branch)
 
 
 def root_partition(part):
@@ -189,8 +241,9 @@ def _refine(part, cells, queue, stop=None):
     partition of a group of color automorphisms is equitable: no
     splitter still queued would split or reorder a cell.
     ``individualize`` passes the stop with H = G_b when it splits b off
-    the G-orbits, and the principal branch of ``_closure_search`` passes
-    it with H = G_(b_1..b_k) wherever that group is nontrivial.
+    the G-orbits, and ``_principal_branch`` passes it with H =
+    G_(b_1..b_k) wherever that group is nontrivial, or with a subgroup
+    of it on a copy of G told a lower bound on |G|.
     """
     pending = set(queue)
     queue = list(queue)
@@ -259,9 +312,14 @@ def individualize(part, cells, pos, point, stop=None):
     return _refine(part, cells, [pos], stop)
 
 
-def _closure_search(G, part, node_budget):
-    """The closure of G by the walk, unless the principal branch's
-    refinement bound already proves it is G.
+def _principal_branch(G, part):
+    """The principal branch: its partitions, base, branched cell
+    positions and refinement bound, as (path, base, where, bound).
+
+    It individualizes the least point of the first largest cell until the
+    partition is discrete; its cell sizes prune every other branch, and
+    its discrete partition pairs with theirs.  G may be a copy told a
+    lower bound on the order (see the module docstring).
 
     Proof of the bound: let C be the closure and b_1, ..., b_k the base.
     Refinement is equivariant, so C's stabilizer of b_1, ..., b_i fixes
@@ -278,16 +336,8 @@ def _closure_search(G, part, node_budget):
     are reached by descending through point stabilizers from G_(b_1),
     which the orbital partition built, since b_1 is an orbit's least
     point; levels whose bound reaches |G| build no group.
-
-    Every walk starts down the principal branch, so a tight bound is
-    charged the len(base) + 1 nodes of that branch, and a node budget
-    below that stops it uncertified, with closure G, as the walk would.
     """
-    n = G.degree
     order = G.order()
-    # The principal branch individualizes the least point of the first
-    # largest cell until the partition is discrete; its cell sizes prune
-    # every other branch, and its discrete partition pairs with theirs.
     path = [root_partition(part)]
     base = []
     where = []
@@ -309,7 +359,20 @@ def _closure_search(G, part, node_budget):
             stab = stab.point_stabilizer(base[-1])
             stop = len(stab.orbits())
         path.append(individualize(part, cells, pos, base[-1], stop))
-    if bound == order:
+    return path, base, where, bound
+
+
+def _closure_search(G, part, node_budget, branch):
+    """The closure of G by the walk from the principal branch, unless its
+    refinement bound already proves the closure is G.
+
+    Every walk starts down the principal branch, so a tight bound is
+    charged the len(base) + 1 nodes of that branch, and a node budget
+    below that stops it uncertified, with closure G, as the walk would.
+    """
+    n = G.degree
+    path, base, where, bound = branch
+    if bound == G.order():
         certified = node_budget is None or node_budget > len(base)
         nodes = len(base) + 1 if certified else node_budget + 1
         return ClosureResult(G, G, "refinement-bound", certified, nodes,

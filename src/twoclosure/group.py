@@ -1,20 +1,28 @@
 """Permutation groups backed by stabilizer chains.
 
-Chains are built by the deterministic Schreier-Sims algorithm, preceded by
-a seeded randomized growth phase; the deterministic pass runs last, so the
-result is verified regardless of how it was grown.  The pass sifts no
-Schreier generator of an edge of a level's Schreier tree, which is the
-identity by construction (Seress, Permutation Group Algorithms, 2003,
-sec. 4.2).  The one exception is a build told the group's order.  Each
-level's generators fix the earlier base points, so each basic orbit is a
-subset of the true one; once the orbit lengths multiply to the known
-order, every basic orbit is complete and the chain is verified without the
-deterministic pass (the known-order stopping test of randomized
-Schreier-Sims; Seress, Permutation Group Algorithms, 2003, ch. 4).  The
-build checks the product after each generator the random phase adds and
-stops at the order; growth that stalls below it runs the deterministic
-pass as usual, and a product that passes the order, or a finished chain of
-another order, raises, since the order given was wrong.
+A chain is laid out from the generators and grown by a seeded randomized
+phase.  Each level's generators fix the earlier base points, so each
+basic orbit is a subset of the true one, and the orbit lengths multiply
+to a lower bound on the group's order.  ``StabilizerChain.build`` then
+verifies the chain in one of two ways.  Told the group's order, it stops
+as soon as the orbit lengths multiply to it: every basic orbit is then
+complete (the known-order stopping test of randomized Schreier-Sims;
+Seress, Permutation Group Algorithms, 2003, ch. 4).  The build checks the
+product after each generator the random phase adds; growth that stalls
+below the order runs the deterministic pass as usual, and a product that
+passes the order, or a finished chain of another order, raises, since
+the order given was wrong.  Otherwise the deterministic Schreier-Sims
+pass runs last and verifies the chain however it was grown.  The pass
+sifts no Schreier generator of an edge of a level's Schreier tree, which
+is the identity by construction (Seress, sec. 4.2).
+
+A group that does not know its order can also hold a chain grown without
+either test (``PermGroup._told_copy``), for the 2-closure to prove the
+order from its refinement bound instead (see ``closure``).  Such a chain
+counts as verified only once that proof holds; until then
+``chain_with_base`` completes it by the deterministic pass when asked for
+it, and ``order()`` and ``contains`` when they need a verified chain and
+the group holds none.
 
 Sifts multiply by the inverses of a level's coset representatives.  These
 are built down the Schreier tree from the inverses of the level's
@@ -189,11 +197,30 @@ class StabilizerChain:
         one can stop the build early on an incomplete chain.
         """
         chain = cls(degree)
+        if chain._grow(gens, base_hint, seed, order):
+            return chain
+        chain._schreier_sims()
+        if order is not None and chain.order() != order:
+            raise GroupError(
+                f"the chain has order {chain.order()}, not the known order "
+                f"{order}")
+        return chain
+
+    def _grow(self, gens, base_hint=(), seed=0, order=None):
+        """Lay out the levels of an empty chain and run the random phase.
+
+        Returns True when the basic orbits reached the known order, which
+        verifies the chain.  Otherwise the deterministic pass is still to
+        run.  Each level's generators fix the earlier base points, so each
+        basic orbit is a subset of the true one, and the orbits multiply
+        to a lower bound on the group's order.
+        """
         gens = [g for g in gens if not g.is_identity]
         for g in gens:
-            if g.degree != degree:
+            if g.degree != self.degree:
                 raise DegreeMismatchError(
-                    f"generator degree {g.degree} != group degree {degree}")
+                    f"generator degree {g.degree} != group degree "
+                    f"{self.degree}")
         base = []
         for b in base_hint:
             if b not in base:
@@ -204,17 +231,10 @@ class StabilizerChain:
         for i, b in enumerate(base):
             level_gens = [g for g in gens
                           if all(g.images[c] == c for c in base[:i])]
-            chain.levels.append(_Level(b, level_gens))
-        if order is not None and chain._reached(order):
-            return chain
-        if len(gens) > 1 and chain._random_grow(gens, seed, order):
-            return chain
-        chain._schreier_sims()
-        if order is not None and chain.order() != order:
-            raise GroupError(
-                f"the chain has order {chain.order()}, not the known order "
-                f"{order}")
-        return chain
+            self.levels.append(_Level(b, level_gens))
+        if order is not None and self._reached(order):
+            return True
+        return len(gens) > 1 and self._random_grow(gens, seed, order)
 
     def base(self):
         return [lvl.point for lvl in self.levels]
@@ -396,8 +416,9 @@ class PermGroup:
     group holds, or from ``order``, which the caller vouches for.
     ``order()`` and ``contains`` read the first verified chain the group
     came to hold, plain, re-based or inherited.  With none held,
-    ``order()`` answers the vouched order when there is one, and both
-    build the plain chain otherwise.
+    ``order()`` answers the vouched order when there is one; otherwise
+    both complete a grown chain when the group holds one (see
+    ``_told_copy``), and build the plain chain when it holds none.
     """
 
     def __init__(self, degree, generators, name=None, seed=0, order=None):
@@ -423,6 +444,8 @@ class PermGroup:
         # the first verified chain held, for base-independent questions
         self._verified = None
         self._known_order = order
+        # chains grown without the deterministic pass, by base hint
+        self._grown = {}
 
     def __repr__(self):
         label = self.name or f"<{len(self.generators)} gens>"
@@ -442,29 +465,74 @@ class PermGroup:
         key = tuple(base_hint)
         got = self._chains_by_base.get(key)
         if got is None:
-            known = self._known_order if self._verified is None \
-                else self._verified.order()
-            got = StabilizerChain.build(
-                self.generators, self.degree, base_hint=key, seed=self.seed,
-                order=known)
+            got = self._grown.pop(key, None)
+            if got is not None:
+                got._schreier_sims()
+            else:
+                known = self._known_order if self._verified is None \
+                    else self._verified.order()
+                got = StabilizerChain.build(
+                    self.generators, self.degree, base_hint=key,
+                    seed=self.seed, order=known)
             self._chains_by_base[key] = got
             if self._verified is None:
                 self._verified = got
         return got
 
+    @property
+    def _order_known(self):
+        """Whether the group was given its order or holds a verified
+        chain, so that ``order()`` needs no deterministic pass."""
+        return self._verified is not None or self._known_order is not None
+
+    def _proven(self):
+        """The first verified chain held; else a grown chain, completed;
+        else the plain chain."""
+        if self._verified is None and self._grown:
+            self.chain_with_base(next(iter(self._grown)))
+        return self._verified or self.chain
+
+    def _told_copy(self, key):
+        """A copy of the group told the order N of a chain on key grown
+        without the deterministic pass, which the copy holds as verified.
+
+        N is at most the order.  The copy's stabilizers are subgroups of
+        the group's whatever N is, and a chain it builds whose orbits
+        multiply past its told order raises GroupError.  The group keeps
+        the grown chain, and ``chain_with_base(key)`` completes it by
+        that pass when asked for it."""
+        chain = self._grown.get(key)
+        if chain is None:
+            chain = self._grown[key] = StabilizerChain(self.degree)
+            chain._grow(self.generators, key, self.seed)
+        copy = PermGroup(self.degree, self.generators, self.name,
+                         self.seed, chain.order())
+        copy._chains_by_base[key] = copy._verified = chain
+        return copy
+
+    def _adopt(self, copy):
+        """Take over the chains and stabilizers of a told copy once its
+        told order is proven to be the group's, which verifies them
+        all."""
+        self._verified = copy._verified
+        self._chains_by_base.update(copy._chains_by_base)
+        self._stabilizers.update(copy._stabilizers)
+        self._grown.clear()
+
     def order(self):
         """The group's order: from the first verified chain held, else the
-        order given to the constructor, else from the plain chain."""
+        order given to the constructor, else from a grown chain completed
+        or the plain chain."""
         if self._verified is None and self._known_order is not None:
             return self._known_order
-        return (self._verified or self.chain).order()
+        return self._proven().order()
 
     @property
     def is_trivial(self):
         return not self.generators
 
     def contains(self, g):
-        return (self._verified or self.chain).contains(g)
+        return self._proven().contains(g)
 
     __contains__ = contains
 

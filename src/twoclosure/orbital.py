@@ -15,22 +15,59 @@ the color of (a, b) is that of (p, b^(g^-1)), so row(a) is row(p)
 relabelled by the inverse images of g.  A row is built by walking up the
 tree to the nearest row held and relabelling back down.
 
-Base rows come from one of two sources.  Built from G alone, the base
+Base rows come from one of three sources.  Built from G alone, the base
 row of r is colored by the orbits of the point stabilizer G_r.  The
 totality sweep instead passes the base rows in, put together from the
-first rows of cached class-pair blocks (see ``block_row``).
+first rows of cached class-pair blocks (see ``block_row``).  The closure
+of a group that does not know its order passes rows colored by the
+orbits of a subgroup K_r of G_r, from chains built without a proof of
+the order, and has ``_edges_agree`` check them.
+
+The check rests on Schreier's lemma (Seress, Permutation Group
+Algorithms, 2003, ch. 4).  Let u_a be the product of the generators
+along the tree from r to a, so that row(a)[b] is the color of
+b^(u_a^-1) in the base row.  A tree edge p -> q = p^s has u_q = u_p s,
+so row(q) is row(p) relabelled by s's inverse images.  On a non-tree
+edge the same relabelling gives row(q) exactly when the Schreier
+generator h = u_p s u_q^-1, which fixes r, keeps every color class of
+the base row, that is every K_r-orbit.  The Schreier generators of the
+non-tree edges, with the identity for the tree edges, generate G_r.  So
+the check holds on every non-tree edge exactly when G_r keeps every
+K_r-orbit, that is, since K_r lies in G_r, when the K_r-orbits are the
+G_r-orbits and the coloring is G's own.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DegreeMismatchError, NotTransitiveError
 from .group import orbits_of
 from .perm import gather
 
 ROW_CACHE = 128
+
+
+def _suborbit_rows(degree, stabilizers):
+    """The base rows colored by the orbits of each stabilizer, given by
+    its generators, one per G-orbit in order of least point.
+
+    orbits_of orders the suborbits by least point, the order in which the
+    scan of the row meets them, and each row numbers its colors on from
+    those of the rows before it."""
+    rows = []
+    rank = 0
+    for gens in stabilizers:
+        suborbits = orbits_of(gens, degree)
+        row = [0] * degree
+        for c, sub in enumerate(suborbits, rank):
+            for b in sub:
+                row[b] = c
+        rank += len(suborbits)
+        rows.append(row)
+    return rows
 
 
 def block_row(first, second):
@@ -109,18 +146,8 @@ class OrbitalPartition:
                 self.orbits.append(sorted(orbit))
         reps = [orbit[0] for orbit in self.orbits]
         if base_rows is None:
-            # orbits_of orders the suborbits of G_r by least point, the
-            # order in which the scan of r's row meets them
-            base_rows = []
-            rank = 0
-            for r in reps:
-                suborbits = orbits_of(G.point_stabilizer(r).generators, n)
-                row = [0] * n
-                for c, sub in enumerate(suborbits, rank):
-                    for b in sub:
-                        row[b] = c
-                rank += len(suborbits)
-                base_rows.append(row)
+            base_rows = _suborbit_rows(
+                n, [G.point_stabilizer(r).generators for r in reps])
         elif len(base_rows) != len(reps) or \
                 any(len(row) != n for row in base_rows):
             raise DegreeMismatchError(
@@ -195,3 +222,32 @@ class OrbitalPartition:
 
     def color_of(self, a, b):
         return self.row(a)[b]
+
+    def _edges_agree(self):
+        """Whether, on every non-tree edge p -> q = p^s of each orbit's
+        Schreier tree, row(q) is row(p) relabelled by s's inverse images:
+        that is, whether the base rows color by G's point stabilizers
+        (see the module docstring).  It builds each orbit's rows down the
+        tree itself, holding one orbit's rows at a time, so that ``row``
+        and its cache see none of them."""
+        # a generator moves at least two points, so itemgetter takes at
+        # least two indices and returns a tuple
+        steps = [(g.images, itemgetter(*inv))
+                 for g, inv in zip(self.group.generators, self._gen_invs)]
+        tree = self._tree
+        for orbit in self.orbits:
+            r = orbit[0]
+            rows = {r: tuple(self._base_rows[r])}
+            reached = [r]
+            for p in reached:
+                for i, (g, relabel) in enumerate(steps):
+                    a = g[p]
+                    if tree[a] == (p, i):
+                        rows[a] = relabel(rows[p])
+                        reached.append(a)
+            for p in reached:
+                for i, (g, relabel) in enumerate(steps):
+                    q = g[p]
+                    if tree[q] != (p, i) and rows[q] != relabel(rows[p]):
+                        return False
+        return True

@@ -195,6 +195,7 @@ class Permutation:
         string denote the identity.
         """
         cycles = []
+        seen = set()
         pos = 0
         length = len(text)
         while pos < length:
@@ -229,13 +230,14 @@ class Permutation:
                 if not 1 <= a <= n:
                     raise ParseError(
                         f"point {a} out of range 1..{n}", line=line)
-            if len(cycle) >= 2:
-                cycles.append([a - 1 for a in cycle])
             if len(set(cycle)) != len(cycle):
                 raise ParseError("repeated point inside a cycle", line=line)
-        flat = [a for c in cycles for a in c]
-        if len(set(flat)) != len(flat):
-            raise ParseError("cycles are not disjoint", line=line)
+            # 1-cycles count: "(1 2)(2)" names the point 2 twice
+            if not seen.isdisjoint(cycle):
+                raise ParseError("cycles are not disjoint", line=line)
+            seen.update(cycle)
+            if len(cycle) >= 2:
+                cycles.append([a - 1 for a in cycle])
         try:
             return cls.from_cycles(n, cycles)
         except MalformedPermutationError as exc:

@@ -1,9 +1,12 @@
 """2-closure computations checked against the independent oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_group import _j1
 from twoclosure import PermGroup, Permutation, closure, totality
 from twoclosure.actions import coset_action
 from twoclosure.backtrack import subgroup_search
@@ -15,7 +18,7 @@ from twoclosure.constructions import (alternating, cyclic, diagonal_double,
                                       regular_representation, symmetric,
                                       trivial, wreath_imprimitive)
 from twoclosure.errors import DegreeMismatchError, GroupError
-from twoclosure.group import orbits_of
+from twoclosure.group import StabilizerChain, orbits_of
 from twoclosure.orbital import OrbitalPartition
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import _ClassData, assemble_action
@@ -391,9 +394,12 @@ def test_full_swap_of_blocks_of_two_is_a_no_witness(case):
     assert PermGroup(G.degree, G.generators + [z]).equals(res.closure)
 
 
-# A partition built from the group alone builds one chain per G-orbit,
-# chain_with_base((r,)) for the orbit's least point r: it gives G_r,
-# whose orbits color r's base row, and |G|.
+# A partition built from a group that does not know its order lays out
+# one chain per G-orbit, on the orbit's least point r, and its stabilizer
+# colors r's base row.  The first is grown without the deterministic pass
+# on the first base point b_1; a copy of G told its order builds the
+# others.  When the coloring checks out, the principal branch runs on that
+# copy, and otherwise chain_with_base((b_1,)) completes the grown chain.
 # Below the root, each principal-branch level k whose cell sizes so far
 # multiply to less than |G| builds one chain to stop its refinement:
 # G_(b_1..b_(k-1)).chain_with_base((b_k,)), which gives G_(b_1..b_k).
@@ -423,22 +429,28 @@ def test_two_closure_chain_builds_on_known_groups(chain_builds, case,
                  color, G.degree, res.base[:k + 1])[0] < G.order()]
     added = len(res.closure.generators) - len(G.generators)
     walked = res.method == "backtrack"
-    assert chain_builds[:len(orbits)] == [(orb[0],) for orb in orbits]
+    assert chain_builds[:len(orbits)] == [(res.base[0],)] + [
+        (orb[0],) for orb in orbits if orb[0] != res.base[0]]
     assert chain_builds[len(orbits):len(orbits) + len(stops)] == stops
     assert len(chain_builds) == \
         len(orbits) + len(stops) + walked + added == builds
 
 
-def test_shortcuts_build_no_chain(chain_builds):
+def test_shortcuts_build_no_chain(chain_builds, passes):
     # a shortcut builds no chain of its own: the trivial group needs no
-    # partition, and each other group builds only its partition's chains,
-    # one per orbit
+    # partition, and each other group grows only its partition's chains,
+    # one per orbit.  The checked coloring is all a shortcut needs, so the
+    # deterministic pass runs only where the check fails: S5's random
+    # phase adds no generator, its grown stabilizer of 0 is trivial, and
+    # the pass completes that chain
     groups = [trivial(5), cyclic(7), regular_representation(quaternion()),
               symmetric(5), natural_and_regular(cyclic(4))]
     chain_builds.clear()
+    passes.clear()
     for G in groups:
         assert two_closure(G).method == "certified-equal"
     assert chain_builds == [(0,), (0,), (0,), (0,), (4,)]
+    assert passes == [(0,)]
 
 
 def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
@@ -536,7 +548,6 @@ def _split(cells, pos, point):
 @pytest.mark.parametrize("case", [*COUNTED_GROUPS, "J1/266"])
 def test_refinement_from_the_root_stops_at_the_stabilizer_orbits(case):
     if case == "J1/266":
-        from test_group import _j1
         G, points = _j1(), (0, 1, 137, 265)
     else:
         G = COUNTED_GROUPS[case]()
@@ -571,14 +582,22 @@ def test_refinement_below_the_root_is_full(case):
             assert cells == want
 
 
+# An untold group's principal branch reads its stops from a copy told
+# the order N of a grown chain, N <= |G|.  D4 wr C3's grown chain has
+# N = 384, a quarter of |G|: its copy stops only while the bound is below
+# N, at the 8 and 11 orbits of subgroups of G's base stabilizers, which
+# have 7 and 9.  For every other case N = |G|.
+COPY_STOPS = {"D4 wr C3": [None, 8, 11, None, None, None]}
+
+
 @pytest.mark.parametrize("case", [*COUNTED_GROUPS, "J1/266"])
 def test_principal_branch_stops_at_the_base_stabilizer_orbits(monkeypatch,
                                                               case):
     # each principal-branch level is the full refinement, and below the
     # root, while the cell sizes so far multiply to less than |G|, its
-    # stop is the number of orbits of G's stabilizer of the base so far
+    # stop is the number of orbits of G's stabilizer of the base so far,
+    # or of a subgroup of it (COPY_STOPS)
     if case == "J1/266":
-        from test_group import _j1
         G = _j1()
     else:
         G = COUNTED_GROUPS[case]()
@@ -595,12 +614,17 @@ def test_principal_branch_stops_at_the_base_stabilizer_orbits(monkeypatch,
     # the walk, if any, runs after the principal branch
     principal = calls[:len(res.base)]
     assert [call[3] for call in principal] == list(res.base)
+    copy_stops = COPY_STOPS.get(case)
+    if copy_stops is not None:
+        assert [call[4] for call in principal] == copy_stops
     bound = 1
     for k, (part, cells, pos, point, stop, got) in enumerate(principal):
         bound *= len(cells[pos])
         assert got == _refine(part, _split(cells, pos, point), [pos])
-        if k and bound < G.order():
-            stab = G.pointwise_stabilizer(res.base[:k + 1])
+        stab = G.pointwise_stabilizer(res.base[:k + 1])
+        if copy_stops is not None:
+            assert stop is None or stop >= len(stab.orbits())
+        elif k and bound < G.order():
             assert stop == len(stab.orbits())
         else:
             assert stop is None
@@ -609,7 +633,6 @@ def test_principal_branch_stops_at_the_base_stabilizer_orbits(monkeypatch,
 def test_j1_search_reads_few_rows(monkeypatch):
     # the level-1 refinement of J1/266 stops at the 58 orbits of G_(0,2);
     # refined in full, the search read 444 rows
-    from test_group import _j1
     G = _j1()
     reads = []
     row = OrbitalPartition.row
@@ -623,6 +646,84 @@ def test_j1_search_reads_few_rows(monkeypatch):
     assert (res.method, res.nodes, res.base) == \
         ("refinement-bound", 4, (0, 2, 42))
     assert len(reads) <= 45
+
+
+class _Full(Exception):
+    """Raised by a capped random phase at its residue limit."""
+
+
+def cap_random_growth(monkeypatch, limit):
+    """Let each random phase add at most limit residues as generators."""
+    grow = StabilizerChain._random_grow
+
+    def capped(self, gens, seed, order=None):
+        add = self._add_generator
+        added = []
+
+        def limited(g, first_level):
+            if len(added) == limit:
+                raise _Full
+            added.append(g)
+            return add(g, first_level)
+
+        self._add_generator = limited
+        try:
+            return grow(self, gens, seed, order)
+        except _Full:
+            return False
+        finally:
+            del self._add_generator
+
+    monkeypatch.setattr(StabilizerChain, "_random_grow", capped)
+
+
+def _j1_relabelled(seed):
+    """J1/266 with its points renamed by one of its elements, as the
+    benchmark's seeds rename them."""
+    J1 = _j1()
+    g = J1.random_element(random.Random(seed))
+    return PermGroup(J1.degree, [g.inverse() * x * g for x in J1.generators])
+
+
+UNTOLD = {
+    "J1/266": _j1,
+    "J1/266 seed 1": lambda: _j1_relabelled(1),
+    "J1/266 seed 2": lambda: _j1_relabelled(2),
+    "PSL(2,7) on 14 points": _psl27_on_order_12_cosets,
+    "PSL(2,11) on 12 points": lambda: psl2(11),
+}
+
+
+# A group given by generators alone proves its order from the refinement
+# bound where it can, and falls back on the deterministic pass where it
+# cannot: when its grown stabilizer misses orbits (J1/266 with at most
+# one residue added), when the grown order is below |G| (at most two),
+# or when the bound is loose (PSL(2,7) on 14 points, index 3,840).  The
+# 2-transitive PSL(2,11) on 12 points needs only its checked coloring.
+# Every result equals that of a group already holding a verified chain.
+@pytest.mark.parametrize("case, limit, passless", [
+    ("J1/266", 0, False), ("J1/266", 1, False), ("J1/266", 2, False),
+    ("J1/266", 3, True), ("J1/266", None, True),
+    ("J1/266 seed 1", None, True), ("J1/266 seed 2", None, True),
+    ("PSL(2,7) on 14 points", None, False),
+    ("PSL(2,11) on 12 points", None, True),
+])
+def test_untold_closure_equals_a_verified_one(monkeypatch, passes, case,
+                                              limit, passless):
+    H = UNTOLD[case]()
+    verified = PermGroup(H.degree, H.generators)
+    verified.order()
+    want = two_closure(verified)
+    if limit is not None:
+        cap_random_growth(monkeypatch, limit)
+    G = PermGroup(H.degree, H.generators)
+    passes.clear()
+    got = two_closure(G)
+    assert (passes == []) == passless
+    assert (got.method, got.nodes, got.base, got.certified) == \
+        (want.method, want.nodes, want.base, want.certified)
+    assert got.closure.order() == want.closure.order()
+    assert G.order() == verified.order()
 
 
 def diagonal_classes(part):

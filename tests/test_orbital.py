@@ -12,7 +12,8 @@ from twoclosure.constructions import (cyclic, dihedral, direct_product,
                                       quaternion, symmetric)
 from twoclosure.errors import DegreeMismatchError, NotTransitiveError
 from twoclosure.closure import two_closure
-from twoclosure.orbital import OrbitalPartition, block_row
+from twoclosure.group import orbits_of
+from twoclosure.orbital import OrbitalPartition, _suborbit_rows, block_row
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import _ClassData, _faithful_subsets, assemble_action
 
@@ -273,6 +274,40 @@ def test_partition_inverts_generators_only_to_build_rows(monkeypatch,
     for a in range(G.degree):
         part.row(a)
     assert inverted == G.generators
+
+
+@given(perm_lists, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_edge_check_holds_exactly_on_the_stabilizer_orbits(case, rnd):
+    # base rows colored by the orbits of subgroups K_r of the point
+    # stabilizers G_r, each generated by up to two random elements of
+    # G_r: the non-tree edges agree exactly when every K_r has G_r's orbits
+    n, imgs = case
+    G = PermGroup(n, [Permutation(tuple(i)) for i in imgs])
+    stabilizers, same = [], True
+    for orbit in G.orbits():
+        stab = G.point_stabilizer(orbit[0])
+        elements = list(stab.elements())
+        gens = [rnd.choice(elements) for _ in range(rnd.randrange(3))]
+        stabilizers.append(gens)
+        same = same and orbits_of(gens, n) == orbits_of(stab.generators, n)
+    part = OrbitalPartition(G, _suborbit_rows(n, stabilizers))
+    assert part._edges_agree() == same
+
+
+def test_edge_check_reads_no_row(monkeypatch):
+    # the check builds and drops its own rows: neither row nor its cache
+    # sees them
+    from test_group import _j1
+    G = _j1()
+    part = OrbitalPartition(G)
+
+    def unread(self, a):
+        raise AssertionError("the check read a row")
+
+    monkeypatch.setattr(OrbitalPartition, "row", unread)
+    assert part._edges_agree()
+    assert not part._rows
 
 
 def test_base_rows_must_be_one_per_orbit_of_the_degree():

@@ -159,6 +159,11 @@ def test_parse_errors():
         Permutation.parse(4, "(1 2)(2 3)")
     with pytest.raises(ParseError):
         Permutation.parse(4, "(1 2 2)")
+    # a 1-cycle names its point too
+    with pytest.raises(ParseError):
+        Permutation.parse(3, "(1 2)(2)")
+    with pytest.raises(ParseError):
+        Permutation.parse(3, "(1)(1)")
 
 
 def test_parse_error_reports_its_position():

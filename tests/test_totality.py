@@ -14,6 +14,7 @@ from twoclosure.constructions import (alternating, cyclic, dihedral,
 from twoclosure.errors import (BudgetExceededError, GroupError,
                                SectionObstructionError)
 from twoclosure.group import PermGroup
+from twoclosure.perm import Permutation
 from twoclosure.subgroups import subgroup_classes
 from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  YES, ActionWitness, TotalityBudget,
@@ -23,6 +24,19 @@ from twoclosure.totality import (INCONCLUSIVE, NO, SPORADIC_SECTION_PAIRS,
                                  is_totally_two_closed, representation_sweep,
                                  transitive_reduction_check,
                                  two_transitive_disproof)
+
+
+def generalized_quaternion(m):
+    """The generalized quaternion group <a, b | a^(2m), b^2 = a^m,
+    b^-1 a b = a^-1> of order 4m acting regularly on itself by right
+    multiplication; the element a^i b^j is the point i + 2m j.  Since
+    b a = a^-1 b, a maps a^i b to a^(i-1) b, and b maps a^i b to
+    a^(i+m)."""
+    k = 2 * m
+    a = [(i + 1) % k for i in range(k)] + [k + (i - 1) % k for i in range(k)]
+    b = [k + i for i in range(k)] + [(i + m) % k for i in range(k)]
+    return PermGroup(2 * k, [Permutation(a), Permutation(b)],
+                     name=f"Q{4 * m}")
 
 
 @pytest.fixture(scope="module")
@@ -545,6 +559,10 @@ def test_tiny_node_budget_gives_a_verdict(G, node_budget, max_actions):
     elementary_abelian(3, 2),
     direct_product(cyclic(2), cyclic(4)),
     direct_product(quaternion(), cyclic(2)),
+    direct_product(cyclic(4), cyclic(4)),
+    dihedral(8),
+    direct_product(quaternion(), quaternion()),
+    direct_product(generalized_quaternion(4), cyclic(2)),
 ])
 def test_no_witness_replays(G):
     v = is_totally_two_closed(G, TotalityBudget(max_actions=2000))
@@ -552,6 +570,23 @@ def test_no_witness_replays(G):
     res = two_closure(v.witness.group)
     assert res.closure.order() > v.witness.group.order()
     assert res.closure.order() == v.witness.closure_order
+
+
+def test_generalized_quaternion_presentation():
+    # a^(2m) = 1, b^2 = a^m and b^-1 a b = a^-1, on 4m points, regularly;
+    # a generalized quaternion group has a single involution, a^m
+    for m in (2, 4, 8):
+        G = generalized_quaternion(m)
+        a, b = G.generators
+        one = Permutation.identity(4 * m)
+        power = one
+        for _ in range(m):
+            power = power * a
+        assert power * power == one
+        assert b * b == power
+        assert b.inverse() * a * b == a.inverse()
+        assert G.order() == G.degree == 4 * m and G.is_transitive()
+        assert [g for g in G.elements() if g.order() == 2] == [power]
 
 
 def test_totality_deterministic():
@@ -562,7 +597,11 @@ def test_totality_deterministic():
     assert a.tested == b.tested
 
 
-NILPOTENT_32 = [
+# Abdollahi and Arezoomand: a finite nilpotent group is totally 2-closed
+# exactly when it is cyclic, or a generalized quaternion group times a
+# cyclic group of odd order.  The first ten are the nilpotent groups of
+# order at most 32 that the benchmark's totality workload decides.
+NILPOTENT = [
     (cyclic(6), YES),
     (cyclic(8), YES),
     (cyclic(27), YES),
@@ -573,13 +612,18 @@ NILPOTENT_32 = [
     (dihedral(4), NO),
     (elementary_abelian(3, 2), NO),
     (direct_product(quaternion(), cyclic(2)), NO),
+    (generalized_quaternion(4), YES),
+    (generalized_quaternion(8), YES),
+    (direct_product(quaternion(), cyclic(5)), YES),
+    (direct_product(cyclic(4), cyclic(4)), NO),
+    (dihedral(8), NO),
+    (direct_product(quaternion(), quaternion()), NO),
+    (direct_product(generalized_quaternion(4), cyclic(2)), NO),
 ]
 
 
-@pytest.mark.parametrize("G, want", NILPOTENT_32)
+@pytest.mark.parametrize("G, want", NILPOTENT)
 def test_nilpotent_classification(G, want):
-    # among nilpotent groups of order at most 32, exactly the cyclic
-    # ones and the quaternion group times an odd cyclic group pass
     v = is_totally_two_closed(G, TotalityBudget(max_actions=2000))
     assert v.status == want
 
