@@ -8,8 +8,13 @@ Group Algorithms*, 2003, ch. 4), so the base of G's plain chain turns
 those few images into one integer key, and a product's index is found
 from the images of the base alone, without forming the product.
 Products go through right-multiplication columns and conjugations
-through index maps, each built the first time it is asked for, so the
-full |G|² table is never stored.
+through index maps.  Only the chain's strong generators get maps read
+off base images that way: every element is a product x = u_{L-1}⋯u_0
+of transversal elements, one per level, found by sifting x down the
+chain, and each u a product of generators along its Schreier tree, so
+all other maps are composed, by col_{ab} = col_b ∘ col_a and
+conj_{ab} = conj_b ∘ conj_a.  Each map is built the first time it is
+asked for, so the full |G|² table is never stored.
 
 The enumeration is Neubüser's cyclic extension (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, §4.6).  Every K > 1
@@ -17,10 +22,11 @@ equals ⟨M, y⟩ for a maximal subgroup M of K and any y in K∖M.  K is
 generated by its elements of prime-power order, which cannot all lie in
 M, so y can be taken of prime-power order, and then any generator of ⟨y⟩
 serves as well.  Each class representative M is therefore extended by
-generators of cyclic subgroups of prime-power order, and ⟨M, x⟩ is
-closed by a breadth-first search seeded with M.  One x per orbit of M,
-acting by conjugation on those cyclic subgroups, is enough: for m in M,
-⟨M, x^m⟩ = ⟨M, x⟩^m = ⟨M, x⟩.
+generators of cyclic subgroups of prime-power order.  ⟨M, x⟩ is a union
+of right cosets Mr and is closed one coset at a time (Dimino's method;
+Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
+One x per orbit of M, acting by conjugation on those cyclic subgroups,
+is enough: for m in M, ⟨M, x^m⟩ = ⟨M, x⟩^m = ⟨M, x⟩.
 
 The class table hands out the bitsets of its representatives and their
 cores, so the decision meets and counts subgroups as ANDs and bit counts.
@@ -118,21 +124,6 @@ def _is_prime_power(k):
     return k == 1
 
 
-def _members(bits):
-    """The set bit positions of bits, ascending."""
-    flags = bin(bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
-    return list(itertools.compress(range(len(flags)), flags))
-
-
-def _from_flags(flags):
-    """The bitset whose bit i is set when flags[i] is 1."""
-    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
-
-
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 class _Indexed:
     """The elements of G indexed 0..|G|-1 in sorted image-tuple order.
 
@@ -140,6 +131,18 @@ class _Indexed:
     ``slot`` finds an index from those images read as one integer in
     base ``degree``.  ``images[j][i]`` is the image of the j-th base
     point under elements[i].
+
+    e·(ab) = (e·a)·b gives col_{ab} = col_b ∘ col_a, and
+    (ab)⁻¹e(ab) = b⁻¹(a⁻¹ea)b gives conj_{ab} = conj_b ∘ conj_a, so
+    index maps compose along products.  They are read off base images
+    only for the strong generators that label edges of the levels'
+    Schreier trees, at most Σ(|Δ_j| - 1) of each kind, cached under
+    (kind, images).  The transversal element u = rep(p) of level j is
+    the product of the generators on its tree path, and its map is
+    composed down the tree and cached under (kind, j, p).  Any other
+    element x is sifted down the chain into x = u_{L-1}⋯u_0 (Seress,
+    ch. 4), and its map is composed from theirs with at most L - 1
+    gathers of |G| entries.
     """
 
     def __init__(self, G, order_bound):
@@ -147,13 +150,18 @@ class _Indexed:
             x.images for x in G.elements(budget=order_bound + 1))
         self.degree = G.degree
         self.base = tuple(G.chain.base())
+        self.levels = G.chain.levels
         self.images = [[p[b] for p in self.elements] for b in self.base]
         self.slot = {key: i for i, key in
                      enumerate(self._keys(range(self.degree), self.images))}
         self.identity = self.find(range(self.degree))
+        self._keyed = {}
+        self._transversal = {}
         self._columns = {}
         self._conjugations = {}
         self._limits = {}
+        self.everything = tuple(range(len(self.elements)))
+        self._powers = [1 << i for i in range(len(self.elements))]
         self.conjugations = [
             self.conjugation_by(self.find(g.images)) for g in G.generators]
 
@@ -179,27 +187,69 @@ class _Indexed:
         """The map i -> index of elements[i] * elements[x]."""
         col = self._columns.get(x)
         if col is None:
-            col = gather(self.slot, self._keys(self.elements[x], self.images))
-            self._columns[x] = col
+            col = self._columns[x] = self._composed("column", x)
         return col
 
     def conjugation_by(self, x):
         """The map i -> index of elements[x]⁻¹ * elements[i] * elements[x]."""
         col = self._conjugations.get(x)
         if col is None:
-            q = self.elements[x]
-            # the conjugate of p sends each base point b to q(p(q⁻¹(b)))
-            images = [[p[a] for p in self.elements]
-                      for a in map(q.index, self.base)]
-            col = gather(self.slot, self._keys(q, images))
-            self._conjugations[x] = col
+            col = self._conjugations[x] = self._composed("conjugation", x)
         return col
 
+    def _composed(self, kind, x):
+        """The map of the given kind for elements[x], composed from the
+        maps of its factors u_0, u_1, ... in turn."""
+        out = None
+        factors = []
+        for j, lvl in enumerate(self.levels):
+            # the image of this level's base point under x·u_0⁻¹⋯u_{j-1}⁻¹
+            a = self.images[j][x]
+            for q in factors:
+                a = q.index(a)
+            if a != lvl.point:
+                factors.append(lvl.rep(a).images)
+                u = self._transversal_map(kind, j, a)
+                out = u if out is None else gather(out, u)
+        return self.everything if out is None else out
+
+    def _transversal_map(self, kind, j, a):
+        """The map of the given kind for rep(a) of level j.  A tree edge
+        a = p^g gives rep(a) = rep(p)·g, so the map extends the nearest
+        one held up the tree by the maps of the generators on the way."""
+        lvl = self.levels[j]
+        path = []
+        while a != lvl.point and (kind, j, a) not in self._transversal:
+            path.append(a)
+            a = lvl.tree[a][0]
+        out = self._transversal.get((kind, j, a))
+        for a in reversed(path):
+            g = lvl.gens[lvl.tree[a][1]].images
+            keyed = self._keyed.get((kind, g))
+            if keyed is None:
+                keyed = self._keyed[kind, g] = self._keyed_map(kind, g)
+            out = keyed if out is None else gather(keyed, out)
+            self._transversal[kind, j, a] = out
+        return out
+
+    def _keyed_map(self, kind, q):
+        """The map of the given kind for the element with image tuple q,
+        read off its base images."""
+        if kind == "column":
+            images = self.images
+        else:
+            # the conjugate of p sends each base point b to q(p(q⁻¹(b)))
+            images = [[p[b] for p in self.elements]
+                      for b in map(q.index, self.base)]
+        return gather(self.slot, self._keys(q, images))
+
     def conjugate(self, members, conjugation):
-        flags = bytearray(len(self.elements))
-        for i in members:
-            flags[conjugation[i]] = 1
-        return _from_flags(flags)
+        """The sorted members of a subgroup's conjugate."""
+        return tuple(sorted(gather(conjugation, members)))
+
+    def bits(self, members):
+        """The bitset of the given members."""
+        return sum(map(self._powers.__getitem__, members))
 
     def cyclic_generators(self):
         """One generator of each cyclic subgroup of prime-power order,
@@ -245,35 +295,34 @@ class _Indexed:
         return orbits
 
     def extend(self, members, gens, x):
-        """⟨M, x⟩ as a bitset, where M is given by its members and
-        generators.
+        """The sorted members of ⟨M, x⟩, where M is given by its sorted
+        members and generators.
 
-        M's own products stay in M, so its members are multiplied by x
-        alone and every new member by all generators.  The search stops
-        once it holds more elements than any proper subgroup of G over M
-        could, since ⟨M, x⟩ is then G.
+        ⟨M, x⟩ is closed as a union of right cosets Mr (Dimino): a coset
+        Mr and a generator s give the coset Mrs, which is new exactly
+        when rs is, so one product per coset and generator is tested,
+        and a new coset is gathered whole from its column.  M's
+        generators keep M itself, so M is multiplied by x alone.  The
+        search stops once it holds more elements than any proper
+        subgroup of G over M could, since ⟨M, x⟩ is then G.
         """
         cols = [self.column(g) for g in gens]
         cols.append(self.column(x))
         limit = self._limit(len(members))
-        seen = bytearray(len(self.elements))
-        for y in members:
-            seen[y] = 1
-        count = len(members)
-        frontier, step = members, cols[-1:]
-        while frontier:
-            new = []
-            for y in frontier:
-                for col in step:
-                    z = col[y]
-                    if not seen[z]:
-                        seen[z] = 1
-                        new.append(z)
-                        count += 1
-                if count > limit:
-                    return (1 << len(self.elements)) - 1
-            frontier, step = new, cols
-        return _from_flags(seen)
+        seen = set(members)
+        cosets = [members]
+        steps = cols[-1:]
+        for coset in cosets:
+            r = coset[0]
+            for col in steps:
+                if col[r] not in seen:
+                    grown = gather(col, coset)
+                    seen.update(grown)
+                    if len(seen) > limit:
+                        return self.everything
+                    cosets.append(grown)
+            steps = cols
+        return tuple(sorted(seen))
 
     def _limit(self, m):
         """The largest order below |G| of a subgroup with one of order m
@@ -304,9 +353,10 @@ def _lattice(G, order_bound):
         raise BudgetExceededError(
             f"order {order} exceeds subgroup enumeration bound {order_bound}")
     ix = _Indexed(G, order_bound)
-    start = 1 << ix.identity
-    # every subgroup found, with its members and generators
-    found = {start: [ix.identity]}
+    # every subgroup found, keyed by its sorted members, with its bitset
+    # and generators
+    start = (ix.identity,)
+    bits_of = {start: ix.bits(start)}
     gens_of = {start: []}
     classes = [[start]]
     cyclic, listed = ix.cyclic_generators()
@@ -321,28 +371,32 @@ def _lattice(G, order_bound):
     reps = [start]
     while reps:
         new_reps = []
-        for bits in reps:
-            gens = gens_of[bits]
-            for orbit in ix.cyclic_orbits(bits, gens, cyclic, listed):
+        for members in reps:
+            gens = gens_of[members]
+            for orbit in ix.cyclic_orbits(bits_of[members], gens, cyclic,
+                                          listed):
                 x = orbit[0]
-                grown = ix.extend(found[bits], gens, x)
-                if grown in found:
+                grown = ix.extend(members, gens, x)
+                if grown in gens_of:
                     continue
-                found[grown] = _members(grown)
+                bits_of[grown] = ix.bits(grown)
                 gens_of[grown] = gens + [x]
                 new_reps.append(grown)
                 orbit = [grown]
                 for s in orbit:
                     for c in ix.conjugations:
-                        t = ix.conjugate(found[s], c)
-                        if t not in found:
-                            found[t] = _members(t)
+                        t = ix.conjugate(s, c)
+                        if t not in gens_of:
+                            bits_of[t] = ix.bits(t)
                             gens_of[t] = [c[y] for y in gens_of[s]]
                             orbit.append(t)
                 classes.append(orbit)
         reps = new_reps
-    subs = sorted(found, key=lambda b: (b.bit_count(), found[b]))
-    return ix, subs, classes, found, gens_of
+    subs = sorted(gens_of, key=lambda m: (len(m), m))
+    return (ix, [bits_of[m] for m in subs],
+            [[bits_of[m] for m in orbit] for orbit in classes],
+            {bits_of[m]: m for m in subs},
+            {bits_of[m]: gens_of[m] for m in subs})
 
 
 def all_subgroup_sets(G, order_bound=ORDER_BOUND):

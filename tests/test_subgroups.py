@@ -1,6 +1,8 @@
 """Subgroup enumeration and the conjugacy class table, against brute force."""
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -12,9 +14,10 @@ from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       psl2, quaternion, symmetric)
 from twoclosure.errors import BudgetExceededError
 from twoclosure.group import StabilizerChain
+from twoclosure.perm import gather
 from twoclosure.subgroups import (ORDER_BOUND, _Indexed, _inv, _lattice,
-                                  _members, _mul, all_subgroup_sets,
-                                  generated_set, has_section, is_normal_in,
+                                  all_subgroup_sets, generated_set,
+                                  has_section, is_normal_in,
                                   maximal_normal_subgroup_sets,
                                   small_generating_set, subgroup_classes)
 
@@ -58,24 +61,81 @@ def test_subgroup_and_class_counts(make, subgroups, classes):
     assert all_subgroup_sets(G) == table.subgroup_sets
 
 
-@pytest.mark.parametrize("make, base_length", [
-    (lambda: cyclic(27), 1),
-    (lambda: dihedral(4), 2),
-    (lambda: psl2(11), 3),
-    (lambda: symmetric(5), 4),
-], ids=["C27", "D8", "PSL(2,11)", "S5"])
-def test_indexed_products_from_base_images(make, base_length):
-    # plain-chain bases of length 1 to 4: keys of one to four digits
+@pytest.mark.parametrize("make, orbits", [
+    (lambda: cyclic(27), [27]),
+    (lambda: dihedral(4), [4, 2]),
+    (lambda: psl2(11), [12, 11, 5]),
+    (lambda: symmetric(5), [5, 4, 3, 2]),
+    (lambda: psl2(13), [14, 13, 6]),
+    (lambda: relabelled(psl2(11), 1), [12, 11, 5]),
+], ids=["C27", "D8", "PSL(2,11)", "S5", "PSL(2,13)", "PSL(2,11) seed 1"])
+def test_indexed_products_from_base_images(make, orbits):
+    # plain-chain bases of length 1 to 4: keys of one to four digits, and
+    # maps composed along the transversals of up to four levels
     ix = _Indexed(make(), ORDER_BOUND)
-    assert len(ix.base) == base_length
+    assert [len(lvl.orbit) for lvl in ix.levels] == orbits
     elements = ix.elements
     for x, q in enumerate(elements):
+        # p·q sends a to q[p[a]], so its image tuple gathers q at p
         qi = _inv(q)
-        column = ix.column(x)
-        conjugation = ix.conjugation_by(x)
-        for i, p in enumerate(elements):
-            assert elements[column[i]] == _mul(p, q)
-            assert elements[conjugation[i]] == _mul(_mul(qi, p), q)
+        assert gather(elements, ix.column(x)) == tuple(
+            gather(q, p) for p in elements)
+        assert gather(elements, ix.conjugation_by(x)) == tuple(
+            gather(q, gather(p, qi)) for p in elements)
+    # maps are read off base images only for generators labelling tree
+    # edges, at most one per edge (25 for PSL(2,11)); the transversals and
+    # the rest are composed
+    edges = sum(orbits) - len(orbits)
+    generators = {g.images for lvl in ix.levels for g in lvl.gens}
+    for kind in ("column", "conjugation"):
+        keyed = [key for key in ix._keyed if key[0] == kind]
+        assert len(keyed) <= min(edges, len(generators))
+
+
+def test_lattice_leaves_no_reference_cycle():
+    # a cache keyed by bound methods would tie the index to itself, and
+    # only the cycle collector would free its |G|-entry maps
+    gc.disable()
+    try:
+        built = _lattice(psl2(11), ORDER_BOUND)
+        ref = weakref.ref(built[0])
+        del built
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+EXTEND_GROUPS = {
+    "C27": lambda: cyclic(27),
+    "D8": lambda: dihedral(4),
+    "S4": lambda: symmetric(4),
+    "Q8xC3": lambda: direct_product(quaternion(), cyclic(3)),
+    "PSL(2,11)": lambda: psl2(11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_GROUPS))
+def test_extend_matches_brute_force_closure(name):
+    # ⟨M, x⟩ closed coset by coset against a closure of image tuples, for
+    # every class representative M and every listed cyclic generator x
+    # outside it.  The x of one M-orbit all give ⟨M, x⟩ = ⟨M, x^m⟩ for
+    # m in M, so one closure per orbit serves its whole orbit.
+    G = EXTEND_GROUPS[name]()
+    ix, _, classes, members_of, gens_of = _lattice(G, ORDER_BOUND)
+    cyclic_gens, listed = ix.cyclic_generators()
+    closures = whole = 0
+    for bits, *_ in classes:
+        members, gens = members_of[bits], gens_of[bits]
+        for orbit in ix.cyclic_orbits(bits, gens, cyclic_gens, listed):
+            want = sorted(generated_set(
+                [ix.elements[y] for y in gens + orbit[:1]], G.degree))
+            for x in orbit:
+                got = ix.extend(members, gens, x)
+                assert [ix.elements[y] for y in got] == want
+                closures += 1
+                whole += len(got) == len(ix.elements)
+    # some closures stop early, at more than any proper subgroup holds
+    assert 0 < whole < closures
 
 
 # SHA-256 of _lattice's (subs, classes) and of subgroup_classes'
@@ -149,11 +209,11 @@ def test_skipped_cyclic_generators_extend_alike():
     # Every x of an M-orbit gives ⟨M, x⟩ = ⟨M, first x of the orbit⟩, so
     # extending only the first loses no subgroup.
     G = symmetric(4)
-    ix, subs, _, _, _ = _lattice(G, ORDER_BOUND)
+    ix, subs, _, members_of, _ = _lattice(G, ORDER_BOUND)
     cyclic, listed = ix.cyclic_generators()
     skipped = 0
     for bits in subs:
-        members = _members(bits)
+        members = members_of[bits]
         orbits = ix.cyclic_orbits(bits, members, cyclic, listed)
         assert sorted(x for orbit in orbits for x in orbit) == [
             x for x in cyclic if not bits >> x & 1]
