@@ -29,19 +29,19 @@ are built down the Schreier tree from the inverses of the level's
 generators, one product per orbit point, as the representatives are.
 
 A group builds each chain once and reuses it.  Order and membership do
-not depend on the base, so they are answered from whichever verified
-chain the group already holds: its plain chain, a chain re-based by
-``chain_with_base``, or the tail of its parent's chain that a pointwise
-stabilizer inherits.  Whatever depends on the base or on element order
-(``elements``, ``random_element``, ``sift``, strong generators) reads the
-plain chain only, so its results do not depend on which chains were
-built first.  For the same reason the plain chain is always built in
-full: its strong generators fix the order of ``elements()`` and
-``random_element()``.  The known order goes to ``chain_with_base`` chains
-only.  It is the order of the chain the group already holds, or the one
-given to the constructor, as the totality sweep does for the direct sums
-it assembles.  A group given its order answers ``order()`` with it until
-it holds a verified chain, and builds none to do so.
+not depend on the base, so they are answered from the first verified
+chain the group holds: built for a base hint, inherited by a pointwise
+stabilizer from its parent's chain, or adopted from a told copy.  Each
+later build is told that chain's order.  A group given its order (the
+totality sweep gives it for the direct sums it assembles) tells it to
+every build, and answers ``order()`` with it until it holds a chain.
+The order decides only when a build stops: the random phase draws the
+same products either way, and once the orbits multiply to the order no
+sift leaves a residue, so a told build returns exactly the levels an
+untold build returns for the same generators, base hint and seed.  So
+``elements``, ``random_element`` and strong generators do not depend on
+which chains were built first, or told.  ``chain`` is the chain on the
+empty base hint.
 """
 
 from __future__ import annotations
@@ -90,11 +90,12 @@ class _Level:
     fixing all earlier base points, and a Schreier tree of its orbit.
 
     rep(p) returns a permutation mapping the base point to p, or None for
-    the base point itself (callers treat None as the identity).  rep_inv(p)
-    returns its inverse, built down the tree as rep is: if a = p^g is a
-    tree edge, rep(a) = rep(p) g, so rep(a)^-1 = g^-1 rep(p)^-1.  Generators
-    are only ever appended, so their inverses, keyed by index, outlive
-    rebuilds: each is inverted at most once per level.
+    the base point itself (callers treat None as the identity), and
+    rep_inv(p) its inverse.  Both are built down the tree by ``extend``:
+    if a = p^g is a tree edge, rep(a) = rep(p) g and rep(a)^-1 =
+    g^-1 rep(p)^-1.  Generators are only ever appended, so their inverses,
+    keyed by index, outlive rebuilds: each is inverted at most once per
+    level.
     """
 
     __slots__ = ("point", "gens", "orbit", "tree", "_reps", "_rep_invs",
@@ -122,43 +123,40 @@ class _Level:
         self._rep_invs = {}
 
     def rep(self, point):
-        if point == self.point:
-            return None
         u = self._reps.get(point)
-        if u is None:
-            # extend the nearest representative held up the tree, keeping
-            # those built on the way: one product per point of the orbit
-            path = []
-            a = point
-            while self.tree[a] is not None and a not in self._reps:
-                path.append(a)
-                a = self.tree[a][0]
-            u = self._reps.get(a)
-            for a in reversed(path):
-                g = self.gens[self.tree[a][1]]
-                u = g if u is None else u * g
-                self._reps[a] = u
+        if u is None and point != self.point:
+            u = self.extend(self._reps, point, self._times)
         return u
 
     def rep_inv(self, point):
-        if point == self.point:
-            return None
         u = self._rep_invs.get(point)
-        if u is None:
-            path = []
-            a = point
-            while self.tree[a] is not None and a not in self._rep_invs:
-                path.append(a)
-                a = self.tree[a][0]
-            u = self._rep_invs.get(a)
-            for a in reversed(path):
-                gi = self.tree[a][1]
-                g_inv = self._gen_invs.get(gi)
-                if g_inv is None:
-                    g_inv = self._gen_invs[gi] = self.gens[gi].inverse()
-                u = g_inv if u is None else g_inv * u
-                self._rep_invs[a] = u
+        if u is None and point != self.point:
+            u = self.extend(self._rep_invs, point, self._inverse_times)
         return u
+
+    def extend(self, cache, point, step):
+        """The value at point of a map built down the tree and kept in
+        cache: the nearest value held up the tree (None at the base point)
+        extended by step(value, gi) over each edge a = p^gens[gi] on the
+        way down, keeping each value, so one step per orbit point."""
+        path = []
+        while point != self.point and point not in cache:
+            path.append(point)
+            point = self.tree[point][0]
+        u = cache.get(point)
+        for a in reversed(path):
+            u = cache[a] = step(u, self.tree[a][1])
+        return u
+
+    def _times(self, u, gi):
+        g = self.gens[gi]
+        return g if u is None else u * g
+
+    def _inverse_times(self, u, gi):
+        g = self._gen_invs.get(gi)
+        if g is None:
+            g = self._gen_invs[gi] = self.gens[gi].inverse()
+        return g if u is None else g * u
 
 
 def _walk(levels, i, acc):
@@ -192,7 +190,8 @@ class StabilizerChain:
         """A verified chain of the group the generators generate.
 
         order, when given, is the group's order; the build stops as soon
-        as the basic orbits multiply to it.  The caller vouches for it:
+        as the basic orbits multiply to it, with the chain an untold build
+        returns (see ``_random_grow``).  The caller vouches for it:
         a product above it raises GroupError, but an order below the true
         one can stop the build early on an incomplete chain.
         """
@@ -303,39 +302,35 @@ class StabilizerChain:
         completes it.
 
         The products come from product replacement (Celler, Leedham-Green,
-        Murray, Niemeyer & O'Brien, Comm. Algebra 23, 1995).  A build
-        told its order pads the slots to ten, mixes them by twenty
-        replacements before any is sifted, and sifts the running product
-        of the replaced slots, Leedham-Green and Murray's rattle
-        accumulator, since a slot per generator can collapse into a small
-        subgroup when there are two.  Only told builds draw the extra
-        numbers this needs, so the plain chain, which fixes the order of
-        ``elements()``, grows as it always did."""
+        Murray, Niemeyer & O'Brien, Comm. Algebra 23, 1995): ten slots (or
+        one per generator), mixed by twenty replacements before any is
+        sifted, each replacing slot a by its product with a slot b != a,
+        so that no slot squares an involution away.  What is sifted is the
+        running product of the replaced slots, Leedham-Green and Murray's
+        rattle accumulator.  The order decides only when to stop: a told
+        build adds exactly the residues an untold one adds up to that
+        point, and the untold one adds none after it, so both return the
+        same levels."""
         rng = random.Random(seed)
-        words = list(gens)
-        told = order is not None
+        words = [gens[i % len(gens)] for i in range(max(len(gens), 10))]
 
         def replace():
             a = rng.randrange(len(words))
             b = rng.randrange(len(words))
-            while told and b == a:
+            while b == a:
                 b = rng.randrange(len(words))
             words[a] = words[a] * words[b] if rng.random() < 0.5 \
                 else words[b] * words[a]
             return words[a]
 
-        if told:
-            words += [gens[i % len(gens)] for i in range(len(gens), 10)]
-            for _ in range(20):
-                replace()
+        for _ in range(20):
+            replace()
         acc = None
         misses = 0
         while misses < 12:
             word = replace()
-            if told:
-                acc = word if acc is None else acc * word
-                word = acc
-            residue, _ = self.sift(word)
+            acc = word if acc is None else acc * word
+            residue, _ = self.sift(acc)
             if residue.is_identity:
                 misses += 1
                 continue
@@ -345,7 +340,7 @@ class StabilizerChain:
             # only would let later sifts use elements the shallow levels
             # cannot express.
             self._add_generator(residue, 1)
-            if told and self._reached(order):
+            if order is not None and self._reached(order):
                 return True
         return False
 
@@ -410,15 +405,14 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group on 0..degree-1 given by generators.
 
-    ``chain`` is the plain chain, built from the generators with no base
-    hint; ``chain_with_base`` builds and keeps one chain per base hint,
-    stopping at the group's order once that is known: from the chain the
-    group holds, or from ``order``, which the caller vouches for.
-    ``order()`` and ``contains`` read the first verified chain the group
-    came to hold, plain, re-based or inherited.  With none held,
+    ``chain_with_base`` builds and keeps one verified chain per base hint,
+    told the group's order once that is known: from the chains the group
+    holds, or from ``order``, which the caller vouches for.  ``chain`` is
+    the chain on the empty base hint.  ``order()`` and ``contains`` read
+    the first chain held, built, inherited or adopted.  With none held,
     ``order()`` answers the vouched order when there is one; otherwise
     both complete a grown chain when the group holds one (see
-    ``_told_copy``), and build the plain chain when it holds none.
+    ``_told_copy``), and build ``chain`` when it holds none.
     """
 
     def __init__(self, degree, generators, name=None, seed=0, order=None):
@@ -438,11 +432,9 @@ class PermGroup:
         self.generators = gens
         self.name = name
         self.seed = seed
-        self._chain = None
+        # verified chains by base hint, the first one held first
         self._chains_by_base = {}
         self._stabilizers = {}
-        # the first verified chain held, for base-independent questions
-        self._verified = None
         self._known_order = order
         # chains grown without the deterministic pass, by base hint
         self._grown = {}
@@ -453,12 +445,7 @@ class PermGroup:
 
     @property
     def chain(self):
-        if self._chain is None:
-            self._chain = StabilizerChain.build(
-                self.generators, self.degree, seed=self.seed)
-            if self._verified is None:
-                self._verified = self._chain
-        return self._chain
+        return self.chain_with_base(())
 
     def chain_with_base(self, base_hint):
         """A verified chain whose base starts with the given points."""
@@ -469,28 +456,24 @@ class PermGroup:
             if got is not None:
                 got._schreier_sims()
             else:
-                known = self._known_order if self._verified is None \
-                    else self._verified.order()
                 got = StabilizerChain.build(
                     self.generators, self.degree, base_hint=key,
-                    seed=self.seed, order=known)
+                    seed=self.seed,
+                    order=self.order() if self._order_known else None)
             self._chains_by_base[key] = got
-            if self._verified is None:
-                self._verified = got
         return got
 
     @property
     def _order_known(self):
         """Whether the group was given its order or holds a verified
         chain, so that ``order()`` needs no deterministic pass."""
-        return self._verified is not None or self._known_order is not None
+        return bool(self._chains_by_base) or self._known_order is not None
 
     def _proven(self):
         """The first verified chain held; else a grown chain, completed;
-        else the plain chain."""
-        if self._verified is None and self._grown:
-            self.chain_with_base(next(iter(self._grown)))
-        return self._verified or self.chain
+        else ``chain``."""
+        held = next(iter(self._chains_by_base.values()), None)
+        return held or self.chain_with_base(next(iter(self._grown), ()))
 
     def _told_copy(self, key):
         """A copy of the group told the order N of a chain on key grown
@@ -507,14 +490,13 @@ class PermGroup:
             chain._grow(self.generators, key, self.seed)
         copy = PermGroup(self.degree, self.generators, self.name,
                          self.seed, chain.order())
-        copy._chains_by_base[key] = copy._verified = chain
+        copy._chains_by_base[key] = chain
         return copy
 
     def _adopt(self, copy):
         """Take over the chains and stabilizers of a told copy once its
         told order is proven to be the group's, which verifies them
         all."""
-        self._verified = copy._verified
         self._chains_by_base.update(copy._chains_by_base)
         self._stabilizers.update(copy._stabilizers)
         self._grown.clear()
@@ -522,8 +504,8 @@ class PermGroup:
     def order(self):
         """The group's order: from the first verified chain held, else the
         order given to the constructor, else from a grown chain completed
-        or the plain chain."""
-        if self._verified is None and self._known_order is not None:
+        or ``chain``."""
+        if not self._chains_by_base and self._known_order is not None:
             return self._known_order
         return self._proven().order()
 
@@ -535,9 +517,6 @@ class PermGroup:
         return self._proven().contains(g)
 
     __contains__ = contains
-
-    def sift(self, g):
-        return self.chain.sift(g)
 
     def orbit(self, point):
         return sorted(orbit_of(self.generators, point))
@@ -572,8 +551,9 @@ class PermGroup:
                              seed=self.seed)
             # The levels below the fixed points are a verified chain of the
             # group their first level's generators generate.
-            stab._verified = StabilizerChain(self.degree)
-            stab._verified.levels = chain.levels[k:]
+            tail = StabilizerChain(self.degree)
+            tail.levels = chain.levels[k:]
+            stab._chains_by_base[tuple(tail.base())] = tail
             self._stabilizers[key] = stab
         return stab
 

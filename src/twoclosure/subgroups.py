@@ -4,8 +4,8 @@ The elements of G are indexed 0..|G|-1 in sorted image-tuple order, and
 a subgroup is an ``int`` bitset over those indices: containment is
 ``a & ~b == 0`` and conjugation by an element is an index map.  An
 element is fixed by its images of a base of G (Seress, *Permutation
-Group Algorithms*, 2003, ch. 4), so the base of G's plain chain turns
-those few images into one integer key, and a product's index is found
+Group Algorithms*, 2003, ch. 4), so the base of ``G.chain`` turns those
+few images into one integer key, and a product's index is found
 from the images of the base alone, without forming the product.
 Products go through right-multiplication columns and conjugations
 through index maps.  Only the chain's strong generators get maps read
@@ -127,7 +127,7 @@ def _is_prime_power(k):
 class _Indexed:
     """The elements of G indexed 0..|G|-1 in sorted image-tuple order.
 
-    An element is fixed by its images of the base of G's plain chain, so
+    An element is fixed by its images of the base of ``G.chain``, so
     ``slot`` finds an index from those images read as one integer in
     base ``degree``.  ``images[j][i]`` is the image of the j-th base
     point under elements[i].
@@ -139,7 +139,7 @@ class _Indexed:
     Schreier trees, at most Σ(|Δ_j| - 1) of each kind, cached under
     (kind, images).  The transversal element u = rep(p) of level j is
     the product of the generators on its tree path, and its map is
-    composed down the tree and cached under (kind, j, p).  Any other
+    composed down the tree and cached per kind and level.  Any other
     element x is sifted down the chain into x = u_{L-1}⋯u_0 (Seress,
     ch. 4), and its map is composed from theirs with at most L - 1
     gathers of |G| entries.
@@ -156,7 +156,8 @@ class _Indexed:
                      enumerate(self._keys(range(self.degree), self.images))}
         self.identity = self.find(range(self.degree))
         self._keyed = {}
-        self._transversal = {}
+        self._transversal = {kind: [{} for _ in self.levels]
+                             for kind in ("column", "conjugation")}
         self._columns = {}
         self._conjugations = {}
         self._limits = {}
@@ -214,23 +215,24 @@ class _Indexed:
         return self.everything if out is None else out
 
     def _transversal_map(self, kind, j, a):
-        """The map of the given kind for rep(a) of level j.  A tree edge
-        a = p^g gives rep(a) = rep(p)·g, so the map extends the nearest
-        one held up the tree by the maps of the generators on the way."""
+        """The map of the given kind for rep(a) of level j, built down the
+        tree: a tree edge a = p^g gives rep(a) = rep(p)·g, so the map of
+        rep(a) is that of rep(p) gathered by g's."""
         lvl = self.levels[j]
-        path = []
-        while a != lvl.point and (kind, j, a) not in self._transversal:
-            path.append(a)
-            a = lvl.tree[a][0]
-        out = self._transversal.get((kind, j, a))
-        for a in reversed(path):
-            g = lvl.gens[lvl.tree[a][1]].images
-            keyed = self._keyed.get((kind, g))
-            if keyed is None:
-                keyed = self._keyed[kind, g] = self._keyed_map(kind, g)
-            out = keyed if out is None else gather(keyed, out)
-            self._transversal[kind, j, a] = out
-        return out
+        held = self._transversal[kind][j]
+        u = held.get(a)
+        if u is None:
+            u = lvl.extend(held, a, lambda out, gi: self._then(
+                kind, lvl.gens[gi].images, out))
+        return u
+
+    def _then(self, kind, g, out):
+        """The map out followed by the map of the generator with image
+        tuple g, read off its base images once."""
+        keyed = self._keyed.get((kind, g))
+        if keyed is None:
+            keyed = self._keyed[kind, g] = self._keyed_map(kind, g)
+        return keyed if out is None else gather(keyed, out)
 
     def _keyed_map(self, kind, q):
         """The map of the given kind for the element with image tuple q,

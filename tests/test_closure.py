@@ -344,8 +344,8 @@ COUNTED_GROUPS = {
     ("diagonal A5", 2, (3, 60, False)),
     ("diagonal A5", 3, (4, 60, False)),
     ("diagonal A5", 4, (5, 60, False)),
-    ("even permutations of S6", None, (24, 360, True)),
-    ("even permutations of S6", 23, (24, 60, False)),
+    ("even permutations of S6", None, (22, 360, True)),
+    ("even permutations of S6", 21, (22, 60, False)),
     # intransitive inputs run the same search as transitive ones
     ("D5 x D6", None, (5, 120, True)),
     ("D5 x D6", 1, (2, 120, False)),
@@ -439,10 +439,10 @@ def test_two_closure_chain_builds_on_known_groups(chain_builds, case,
 def test_shortcuts_build_no_chain(chain_builds, passes):
     # a shortcut builds no chain of its own: the trivial group needs no
     # partition, and each other group grows only its partition's chains,
-    # one per orbit.  The checked coloring is all a shortcut needs, so the
-    # deterministic pass runs only where the check fails: S5's random
-    # phase adds no generator, its grown stabilizer of 0 is trivial, and
-    # the pass completes that chain
+    # one per orbit.  The checked coloring is all a shortcut needs, and
+    # every grown chain here is complete, S5's too (product replacement
+    # never pairs a slot with itself, so its transposition slot cannot
+    # square away), so the deterministic pass never runs
     groups = [trivial(5), cyclic(7), regular_representation(quaternion()),
               symmetric(5), natural_and_regular(cyclic(4))]
     chain_builds.clear()
@@ -450,7 +450,7 @@ def test_shortcuts_build_no_chain(chain_builds, passes):
     for G in groups:
         assert two_closure(G).method == "certified-equal"
     assert chain_builds == [(0,), (0,), (0,), (0,), (4,)]
-    assert passes == [(0,)]
+    assert passes == []
 
 
 def test_sweep_action_with_a_regular_orbit_builds_no_chain(chain_builds):
@@ -583,11 +583,12 @@ def test_refinement_below_the_root_is_full(case):
 
 
 # An untold group's principal branch reads its stops from a copy told
-# the order N of a grown chain, N <= |G|.  D4 wr C3's grown chain has
-# N = 384, a quarter of |G|: its copy stops only while the bound is below
-# N, at the 8 and 11 orbits of subgroups of G's base stabilizers, which
-# have 7 and 9.  For every other case N = |G|.
-COPY_STOPS = {"D4 wr C3": [None, 8, 11, None, None, None]}
+# the order N of a grown chain, N <= |G|, whose stabilizers are subgroups
+# of G's and have at least as many orbits.  Every grown chain here is
+# complete, N = |G|, so the copy stops at the orbits of G's own base
+# stabilizers, pinned for D4 wr C3, whose copy would stop at more orbits
+# and fewer levels if its grown chain fell short of |G|.
+COPY_STOPS = {"D4 wr C3": [None, 7, 9, 10, 11, None]}
 
 
 @pytest.mark.parametrize("case", [*COUNTED_GROUPS, "J1/266"])
@@ -691,6 +692,7 @@ UNTOLD = {
     "J1/266 seed 2": lambda: _j1_relabelled(2),
     "PSL(2,7) on 14 points": _psl27_on_order_12_cosets,
     "PSL(2,11) on 12 points": lambda: psl2(11),
+    "S3 wr S3": COUNTED_GROUPS["S3 wr S3"],
 }
 
 
@@ -698,15 +700,22 @@ UNTOLD = {
 # bound where it can, and falls back on the deterministic pass where it
 # cannot: when its grown stabilizer misses orbits (J1/266 with at most
 # one residue added), when the grown order is below |G| (at most two),
-# or when the bound is loose (PSL(2,7) on 14 points, index 3,840).  The
-# 2-transitive PSL(2,11) on 12 points needs only its checked coloring.
-# Every result equals that of a group already holding a verified chain.
+# or when the bound is loose (PSL(2,7) on 14 points, index 3,840, whose
+# grown K runs the pass too).  The 2-transitive PSL(2,11) on 12 points
+# needs only its checked coloring.  S3 wr S3 proves its order by the bound
+# in 7 nodes: product replacement never pairs a slot with itself, so no
+# slot squares an involution away and its grown chain is complete.  Every
+# result equals that of a group already holding a verified chain.
+UNTOLD_RESULTS = {"S3 wr S3": ("refinement-bound", 7)}
+
+
 @pytest.mark.parametrize("case, limit, passless", [
     ("J1/266", 0, False), ("J1/266", 1, False), ("J1/266", 2, False),
     ("J1/266", 3, True), ("J1/266", None, True),
     ("J1/266 seed 1", None, True), ("J1/266 seed 2", None, True),
     ("PSL(2,7) on 14 points", None, False),
     ("PSL(2,11) on 12 points", None, True),
+    ("S3 wr S3", None, True),
 ])
 def test_untold_closure_equals_a_verified_one(monkeypatch, passes, case,
                                               limit, passless):
@@ -724,6 +733,8 @@ def test_untold_closure_equals_a_verified_one(monkeypatch, passes, case,
         (want.method, want.nodes, want.base, want.certified)
     assert got.closure.order() == want.closure.order()
     assert G.order() == verified.order()
+    if case in UNTOLD_RESULTS:
+        assert (got.method, got.nodes) == UNTOLD_RESULTS[case]
 
 
 def diagonal_classes(part):

@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoclosure.constructions import alternating, psl2, symmetric
+from twoclosure.constructions import (alternating, dihedral, direct_product,
+                                      psl2, symmetric, wreath_imprimitive)
 from twoclosure.errors import BudgetExceededError, GroupError
 from twoclosure.perm import Permutation
 from twoclosure.group import PermGroup, StabilizerChain, is_prime
@@ -380,19 +381,61 @@ def test_rebased_chain_takes_the_order_of_the_chain_held(monkeypatch):
     assert G.chain.order() == 168
     told = PermGroup(G.degree, G.generators, order=168)
     told.chain_with_base((1,))
-    # the plain chain is never told the order
-    assert orders == [((3,), None), ((3, 5), 168), ((), None), ((1,), 168)]
+    # every build after the first is told the order, the chain on the
+    # empty base hint too
+    assert orders == [((3,), None), ((3, 5), 168), ((), 168), ((1,), 168)]
     assert G.chain_with_base((3, 5)).order() == 168
     with pytest.raises(GroupError):
         PermGroup(G.degree, G.generators, order=84).chain_with_base((3,))
 
 
-# SHA-256 of the image bytes of elements(), in order, taken before the
-# known-order chains existed; the plain chain is built as it was.
+SAME_CHAIN_GROUPS = {
+    "S5": (lambda: symmetric(5), 120),
+    "PSL(2,7)": (lambda: psl2(7), 168),
+    "PSL(2,11)": (lambda: psl2(11), 660),
+    "A6": (lambda: alternating(6), 360),
+    "S3 wr S3": (lambda: wreath_imprimitive(symmetric(3), symmetric(3)),
+                 1296),
+    "D5 x D6": (lambda: direct_product(dihedral(5), dihedral(6)), 120),
+    "J1/266": (_j1, 175560),
+}
+
+
+def _levels(chain):
+    return [(lvl.point, lvl.orbit, [g.images for g in lvl.gens])
+            for lvl in chain.levels]
+
+
+@pytest.mark.parametrize("hint", [(), (3,), (2, 1)], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", SAME_CHAIN_GROUPS)
+def test_told_and_untold_builds_grow_the_same_chain(name, seed, hint):
+    # the order decides only when a build stops, so every way of reaching
+    # a chain for the same generators, base hint and seed gives the
+    # levels of the untold build: a told build, a group told its order or
+    # not, and a chain grown for a told copy and completed afterwards
+    make, order = SAME_CHAIN_GROUPS[name]
+    H = make()
+    gens, n = H.generators, H.degree
+    want = _levels(StabilizerChain.build(gens, n, hint, seed))
+    assert _levels(StabilizerChain.build(gens, n, hint, seed, order)) \
+        == want
+    for told in (order, None):
+        G = PermGroup(n, gens, seed=seed, order=told)
+        assert _levels(G.chain_with_base(hint) if hint else G.chain) == want
+    G = PermGroup(n, gens, seed=seed)
+    G._told_copy(hint)
+    assert _levels(G.chain_with_base(hint)) == want
+    assert G.order() == order
+
+
+# SHA-256 of the image bytes of elements(), in order.  S4 and A5 were
+# taken before builds could be told their order; PSL(2,11) was taken
+# again when told and untold builds came to draw the same products.
 ELEMENT_DIGESTS = {
     "S4": (24, "42d17ff67728d899621b76d935d68aa89d34bd7668b89f18e0d2ff2acdb4b484"),
     "A5": (60, "d127a0702f12fb0b2ae7a8b81da09c7396a23790f3eacb38168129aca8040130"),
-    "PSL(2,11)": (660, "e21e694758c9499c59f213c4d586d715017a53d5b89b7f586a61849231f2471f"),
+    "PSL(2,11)": (660, "401afd949e8a9a467d221c729ee29214a420a91693411e1a548c8b2c71f6a30a"),
 }
 
 
@@ -410,13 +453,14 @@ def test_elements_sequence_is_unchanged_by_known_orders(name):
         assert sha.hexdigest() == want
 
 
-# SHA-256 of each level's point, orbit and generator images of the plain
-# chain, taken before the deterministic pass skipped tree edges, and the
-# sifts of that pass before -> after: 678, 55 and 44.
+# SHA-256 of each level's point, orbit and generator images of the chain
+# on the empty base hint, and the sifts of its deterministic pass, which
+# skips tree edges; without the skip the pass sifts 678, 51 and 30 times
+# and builds the same chains.
 PLAIN_CHAINS = {
-    "J1/266": (_j1, 348, "02599b828174cf5e022d4a26df6eecfb80f5cddf278122a60b3d95285ffa5a70"),
-    "PSL(2,11)": (lambda: psl2(11), 27, "6e7805bc3330417e579ea4df3ae5c7bfd7fd470c20efc39efcad293a5ddbbc1b"),
-    "S5": (lambda: symmetric(5), 24, "f97e64124291b4813906a8cf0361efc7c7705c69b8cf3fab9b9b53a3bdacb179"),
+    "J1/266": (_j1, 348, "51611eda9d198d063a92a967f228df370b0f26a694a0db58cf4ead456399dc3d"),
+    "PSL(2,11)": (lambda: psl2(11), 26, "c0e0e6a370cedbd8650509f849579cc4319ba1c6364ee816b8ac423bfbb4ebf4"),
+    "S5": (lambda: symmetric(5), 20, "bd3e3b1464404885990dd7aba7d81f4b3506d997121c3b5b86b3e8415a67e61a"),
 }
 
 

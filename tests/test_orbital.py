@@ -200,7 +200,7 @@ def test_block_partition_matches_the_scan_on_every_sweep_action(
         # base rows from block rows: no point stabilizer, so no chain
         assert chain_builds == []
         assert_same_partition(part, OrbitalPartition(image))
-        # the order the group is told is the order of its plain chain
+        # the order the group is told is the order of its chain
         assert cache.image_order(subset) == image.chain.order()
 
 

@@ -70,7 +70,7 @@ def test_subgroup_and_class_counts(make, subgroups, classes):
     (lambda: relabelled(psl2(11), 1), [12, 11, 5]),
 ], ids=["C27", "D8", "PSL(2,11)", "S5", "PSL(2,13)", "PSL(2,11) seed 1"])
 def test_indexed_products_from_base_images(make, orbits):
-    # plain-chain bases of length 1 to 4: keys of one to four digits, and
+    # bases of G.chain of length 1 to 4: keys of one to four digits, and
     # maps composed along the transversals of up to four levels
     ix = _Indexed(make(), ORDER_BOUND)
     assert [len(lvl.orbit) for lvl in ix.levels] == orbits
