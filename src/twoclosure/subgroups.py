@@ -416,19 +416,21 @@ class SubgroupClassTable:
     """Conjugacy classes of subgroups: representatives, orders, class
     sizes and cores.
 
-    ``member_bits[i]`` and ``core_bits[i]`` are the bitsets of class i's
-    representative and of its core: bit k stands for the k-th element of
-    G in sorted image-tuple order.  ``orders`` are their bit counts.  A
-    partial table holds no bitsets.
+    ``conjugate_bits[i]`` lists the bitsets of class i's members, its
+    representative's first; ``member_bits[i]`` and ``core_bits[i]`` are
+    the bitsets of that representative and of its core: bit k stands for
+    the k-th element of G in sorted image-tuple order.  ``orders`` are
+    their bit counts.  A partial table holds no bitsets.
     """
 
     def __init__(self, representatives, orders, class_sizes, subgroup_sets,
-                 member_bits, core_bits, complete):
+                 conjugate_bits, core_bits, complete):
         self.representatives = representatives
         self.orders = orders
         self.class_sizes = class_sizes
         self.subgroup_sets = subgroup_sets
-        self.member_bits = member_bits
+        self.conjugate_bits = conjugate_bits
+        self.member_bits = [bits[0] for bits in conjugate_bits]
         self.core_bits = core_bits
         self.complete = complete
 
@@ -471,7 +473,8 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
     class_members = sorted(sorted(index_of[b] for b in orbit)
                            for orbit in classes)
 
-    member_bits = [subs[members[0]] for members in class_members]
+    conjugate_bits = [[subs[k] for k in cm] for cm in class_members]
+    member_bits = [bits[0] for bits in conjugate_bits]
     normals = [subs[cm[0]] for cm in class_members if len(cm) == 1]
     core_bits = [max((b for b in normals if not b & ~rep), key=int.bit_count)
                  for rep in member_bits]
@@ -481,7 +484,7 @@ def subgroup_classes(G, order_bound=ORDER_BOUND):
         [bits.bit_count() for bits in member_bits],
         [len(members) for members in class_members],
         [_as_set(ix, members_of[bits]) for bits in subs],
-        member_bits, core_bits, complete=True)
+        conjugate_bits, core_bits, complete=True)
 
 
 def is_normal_in(inner, outer, degree):

@@ -14,10 +14,10 @@ enumerate, running cheap disproofs before full sweeps:
 2.  A faithful 2-transitive action on n points with |G| < n! closes to the
     full symmetric group.  Verdict No.
 3.  In general the group is totally 2-closed exactly when every faithful
-    action with pairwise non-equivalent orbits is 2-closed.  Such actions
-    correspond to subsets of subgroup conjugacy classes whose cores
-    intersect trivially, and the sweep runs the closure search of each
-    in degree order.
+    action on antichains of stabilizer classes is 2-closed: no orbit's
+    stabilizer lies in a conjugate of another's, so no two orbits are
+    equivalent either.  The sweep runs the closure search of each
+    antichain whose cores intersect trivially, in degree order.
 
 The paper also reduces a direct product of nonabelian simple groups, none
 a section of the others: it is totally 2-closed exactly when no factor
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -135,9 +136,10 @@ class TotalityVerdict:
     every representation the sweep accounted for, each entry a dict with
     the classes involved, the degree, and its result: "closed" or
     "unresolved" by its closure search, "resumed" from a frontier, or
-    "witness".  A factorization whose witness action the node budget
-    stops is Inconclusive, with frontier stage "factorization witness"
-    and stopped_by "nodes".
+    "witness"; the general sweep accounts for the antichains of
+    stabilizer classes only.  A factorization whose witness action the
+    node budget stops is Inconclusive, with frontier stage
+    "factorization witness" and stopped_by "nodes".
     """
 
     status: str
@@ -285,30 +287,49 @@ def assemble_action(G, table, class_indices, cache=None):
 
 
 def _faithful_subsets(G, table):
-    """Class subsets with trivially intersecting cores, by total degree.
+    """Faithful antichains of stabilizer classes, by total degree.
 
-    Yields (degree, classes) pairs in nondecreasing total degree, ties
-    broken by the class-index tuple.  Subsets whose cores still intersect
-    nontrivially are extended but not yielded, since adding more orbits
-    can shrink the kernel.  Extensions only use larger class indices, so
-    each subset appears exactly once.  A kernel is the AND of the
-    classes' core bitsets.
+    Yields (degree, classes) in nondecreasing degree, ties broken by the
+    class tuple, for the class subsets whose cores meet trivially and in
+    which no class lies in a conjugate of another (H_i <=_G H_j).  These
+    decide total 2-closure.  If H_i <= H_j^g, then pi(H_i x) = H_j^g x
+    maps X = G/H_i onto Y = G/H_j and commutes with G.  Its graph is one
+    orbital, so each 2-closure element c acts on Y as pi(x)^c = pi(x^c);
+    each orbital meeting Y pulls back along pi to a union of orbitals
+    meeting X, so each closure element of the action without Y extends
+    to Y that way; and the kernel on Y holds the kernel on X.  Dropping Y
+    keeps the image and the closure index, so a faithful subset closes as
+    the antichain of its minimal classes, which is faithful and of lower
+    degree: the first subset that fails is an antichain.
+
+    Non-antichains are closed under supersets, so a heap entry carries
+    the mask of classes comparable with its members and grows only by
+    larger indices outside it; each subset appears once.  Kernels are
+    ANDs of core bitsets.  H_i <=_G H_j when H_i's bitset lies in a
+    member of class j, tested only when |H_i| properly divides |H_j|.
     """
     order = G.order()
     classes = sorted(table.proper_classes())
-    degrees = {i: order // table.orders[i] for i in classes}
+    orders, members = table.orders, table.member_bits
+    degrees = {i: order // orders[i] for i in classes}
     cores = table.core_bits
-    heap = [(degrees[i], (i,), cores[i]) for i in classes]
+    comparable = dict.fromkeys(classes, 0)
+    for i, j in itertools.permutations(classes, 2):
+        if orders[j] > orders[i] and orders[j] % orders[i] == 0 and any(
+                not members[i] & ~K for K in table.conjugate_bits[j]):
+            comparable[i] |= 1 << j
+            comparable[j] |= 1 << i
+    heap = [(degrees[i], (i,), cores[i], comparable[i]) for i in classes]
     heapq.heapify(heap)
     while heap:
-        degree, subset, kernel = heapq.heappop(heap)
+        degree, subset, kernel, blocked = heapq.heappop(heap)
         if kernel.bit_count() == 1:
             yield degree, subset
-        last = subset[-1]
         for j in classes:
-            if j > last:
+            if j > subset[-1] and not blocked >> j & 1:
                 heapq.heappush(heap, (degree + degrees[j], subset + (j,),
-                                      kernel & cores[j]))
+                                      kernel & cores[j],
+                                      blocked | comparable[j]))
 
 
 def factorization_disproof(G, budget=None, table=None):
@@ -411,13 +432,11 @@ def _run_closure(group, budget, spent, partition=None):
 
 
 def representation_sweep(G, budget=None, table=None, completed=()):
-    """Test every faithful pairwise-non-equivalent action of G.
+    """Test G's faithful actions on antichains of stabilizer classes.
 
-    The actions are the direct sums over the class subsets of
-    _faithful_subsets, in nondecreasing degree.  Two orbits with
-    conjugate stabilizers are equivalent, and dropping such a duplicate
-    never changes 2-closedness, so these actions decide total 2-closure.
-    Yes when each such action is certified 2-closed; No at the first
+    The actions are the direct sums over the subsets of
+    _faithful_subsets, in nondecreasing degree, which decide total
+    2-closure.  Yes when each is certified 2-closed; No at the first
     one whose closure strictly exceeds the image; Inconclusive when a
     budget stops the sweep or a search cannot certify, and when the group
     is too large for a complete subgroup class table.
@@ -446,11 +465,12 @@ def _sweep(G, table, cache, items, budget, stage, done=()):
     closure exceeds its image, Inconclusive on a stop or an uncertified
     search, and Yes otherwise.
 
-    A subset holding the trivial class gives an action with a regular
-    orbit, which is its own closure (see ``two_closure``), so it is
-    logged "closed" at 0 nodes, as two_closure's "certified-equal"
-    shortcut would settle it, and its action is never assembled.  Every
-    other action is a direct sum of coset actions of a few classes, so
+    The general sweep's items are antichains of stabilizer classes.  The
+    trivial class lies below every class, so the one subset holding it
+    is the regular action alone, which is its own closure (see
+    ``two_closure``): it is logged "closed" at 0 nodes, as two_closure's
+    "certified-equal" shortcut would settle it, and never assembled.
+    Every other action is a direct sum of coset actions of a few classes, so
     cache, the table's _ClassData, builds what those actions share once
     per sweep: each class's coset action and the first orbital block row
     of each ordered pair of classes.  An action's orbital partition takes

@@ -84,6 +84,14 @@ def oracle_core(g_elements, h_elements):
     return core
 
 
+def oracle_subconjugate(g_elements, h_elements, k_elements):
+    """Whether H lies in some conjugate K^g of K, all three as element
+    sets."""
+    h_set = set(h_elements)
+    return any(h_set <= {compose(compose(inverse(g), k), g)
+                         for k in k_elements} for g in g_elements)
+
+
 def block_partition(gens, n, a, b):
     """The finest partition of 0..n-1 that the generators preserve and
     that puts a and b in one cell, as sorted tuples in order of their

@@ -11,7 +11,10 @@ The slice digest was taken once every group with a regular orbit was
 closed without a search, which cut the ``closure_nodes`` these decisions
 spend, and moved again when the sweep stopped settling actions by a
 base-size search: ``budget_spent`` lost its ``base_size_checks`` and
-``pruned_subsets`` keys.  The full digest was taken after both.
+``pruned_subsets`` keys.  Both digests moved again when the sweep
+came to test only antichains of stabilizer classes, which shrinks
+``tested``, ``closure_runs`` and ``actions_enumerated`` and decides some
+decisions that were Inconclusive, leaving every "No" witness as it was.
 """
 
 import importlib.util
@@ -20,9 +23,9 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "decision_corpus.py"
 SLICE_DIGEST = \
-    "d396cdded4119d6fcbf3050c34b78f6ad57f59bb2dca734bf7a96772caec450e"
+    "cef9fe77409cf3e758f3ab798e58ca7652c57038f563dbb7d04b1266108c9f61"
 FULL_DIGEST = \
-    "b541da4a745f02653f42c5e312afc1de091c98295c7f0ef948e90430035db15d"
+    "d2f5e4f782e404cf9a46cdb731aa2c3ea5d753e0b8f8d76bc1721bc73f5fc744"
 
 
 def load_tool():
@@ -65,7 +68,7 @@ def test_differences_count_keys_and_list_status_moves():
     now = [dict(inputs, status="Yes", frontier=None,
                 budget_spent={"closure_nodes": 0, "closure_runs": 1}),
            dict(inputs, error="GroupError: boom")]
-    counts, moves = tool.differences(
+    counts, moves, witness_moves = tool.differences(
         [json.dumps(d) for d in saved] + ["sha256 abc over 2 decisions"],
         [json.dumps(d) for d in now])
     assert counts == {"budget_spent.closure_nodes": 2, "error": 1,
@@ -73,3 +76,24 @@ def test_differences_count_keys_and_list_status_moves():
     where = ("group=C4 decider=representation_sweep node_budget=1 "
              "max_actions=3 order_bound=4")
     assert moves == [f"{where}: Inconclusive -> Yes", f"{where}: Yes -> error"]
+    assert witness_moves == []
+
+
+def test_differences_list_witnesses_moved_under_a_kept_no():
+    tool = load_tool()
+    inputs = {"group": "D4", "decider": "is_totally_two_closed",
+              "node_budget": 5, "max_actions": 512, "order_bound": 2000}
+    witness = {"classes": [1, 2], "degree": 6, "closure_order": 16}
+    saved = [dict(inputs, status="No", witness=witness),
+             dict(inputs, status="No", witness=witness),
+             dict(inputs, status="Inconclusive", witness=None)]
+    now = [dict(inputs, status="No", witness=witness),
+           dict(inputs, status="No", witness=dict(witness, classes=[3])),
+           dict(inputs, status="No", witness=dict(witness, classes=[4]))]
+    counts, moves, witness_moves = tool.differences(
+        [json.dumps(d) for d in saved], [json.dumps(d) for d in now])
+    assert counts == {"status": 1, "witness": 2}
+    where = ("group=D4 decider=is_totally_two_closed node_budget=5 "
+             "max_actions=512 order_bound=2000")
+    assert moves == [f"{where}: Inconclusive -> No"]
+    assert witness_moves == [f"{where}: classes [1, 2] -> [3]"]

@@ -10,7 +10,8 @@ from twoclosure import totality
 from twoclosure.closure import two_closure
 from twoclosure.constructions import (alternating, cyclic, dihedral,
                                       direct_product, elementary_abelian,
-                                      psl2, quaternion, symmetric)
+                                      frobenius20, psl2, quaternion,
+                                      symmetric)
 from twoclosure.errors import (BudgetExceededError, GroupError,
                                SectionObstructionError)
 from twoclosure.group import PermGroup
@@ -65,7 +66,18 @@ def oracle_cores(G, table, classes):
         for i in classes}
 
 
-def brute_faithful_subsets(G, table):
+def oracle_below(G, table, classes):
+    """The pairs (i, j) of distinct classes with class i's representative
+    inside a conjugate of class j's, by brute force."""
+    g_elements = [g.images for g in G.elements()]
+    members = {i: [h.images for h in table.representatives[i].elements()]
+               for i in classes}
+    return {(i, j) for i, j in itertools.permutations(classes, 2)
+            if oracles.oracle_subconjugate(g_elements, members[i],
+                                           members[j])}
+
+
+def brute_all_faithful_subsets(G, table):
     """All class subsets with trivially meeting cores, by brute force."""
     classes = sorted(table.proper_classes())
     core_sets = oracle_cores(G, table, classes)
@@ -80,6 +92,15 @@ def brute_faithful_subsets(G, table):
                 out.add((sum(order // table.orders[i] for i in combo),
                          combo))
     return out
+
+
+def brute_faithful_subsets(G, table):
+    """The faithful antichains: no class of the subset below another."""
+    below = oracle_below(G, table, sorted(table.proper_classes()))
+    return {(degree, combo)
+            for degree, combo in brute_all_faithful_subsets(G, table)
+            if not any(pair in below
+                       for pair in itertools.permutations(combo, 2))}
 
 
 def test_budget_defaults_positive():
@@ -222,18 +243,50 @@ def test_stream_matches_brute_force(G):
         assert image.order() == G.order()
 
 
+@pytest.mark.parametrize("G", [
+    symmetric(4), dihedral(4), dihedral(6),
+    direct_product(cyclic(2), symmetric(3)),
+    direct_product(cyclic(2), cyclic(4)), frobenius20(), alternating(4),
+], ids=["S4", "D4", "D6", "C2xS3", "C2xC4", "F20", "A4"])
+def test_subset_closes_as_the_antichain_of_its_minimal_classes(G):
+    # the rule behind the antichain sweep, checked on every faithful
+    # subset up to degree 48 with subconjugacy taken from element sets
+    table = subgroup_classes(G)
+    classes = sorted(table.proper_classes())
+    below = oracle_below(G, table, classes)
+    faithful = brute_all_faithful_subsets(G, table)
+    cache = _ClassData(G, table)
+
+    def closure_index(subset):
+        res = two_closure(assemble_action(G, table, subset, cache))
+        assert res.certified
+        return res.index
+
+    checked = 0
+    for degree, subset in sorted(faithful):
+        minimal = tuple(i for i in subset
+                        if not any((j, i) in below for j in subset))
+        if degree > 48 or minimal == subset:
+            continue
+        assert (sum(G.order() // table.orders[i] for i in minimal),
+                minimal) in faithful
+        assert closure_index(subset) == closure_index(minimal)
+        checked += 1
+    assert checked
+
+
 def test_stream_c4_exactly():
     acts = faithful_actions(cyclic(4))
     assert [(classes, image.degree) for classes, image in acts] == \
-        [((0,), 4), ((0, 1), 6)]
+        [((0,), 4)]
 
 
 def test_stream_q8_counts():
     acts = faithful_actions(quaternion())
-    assert len(acts) == 16
     # every nontrivial subgroup contains the centre, so faithful actions
-    # all need a regular orbit
-    assert all(classes[0] == 0 for classes, _ in acts)
+    # all need a regular orbit, and the trivial class lies below every
+    # other: the regular action is the only antichain
+    assert [classes for classes, _ in acts] == [(0,)]
 
 
 def test_sweep_over_order_bound_is_inconclusive():
@@ -315,7 +368,7 @@ def test_sweep_settles_every_action_by_closure():
     assert run.status == YES
     spent = run.budget_spent
     assert (spent["actions_enumerated"], spent["resumed_subsets"],
-            spent["closure_runs"]) == (6, 1, 5)
+            spent["closure_runs"]) == (3, 1, 2)
     assert {"classes": [0], "degree": 10, "result": "closed"} in run.tested
     assert all(e["result"] in ("closed", "resumed") for e in run.tested)
 
@@ -433,10 +486,10 @@ def test_totality_trivial_group():
 
 @pytest.mark.parametrize("G, count", [
     (cyclic(5), 1),
-    (cyclic(6), 5),
-    (cyclic(8), 4),
-    (cyclic(27), 4),
-    (quaternion(), 16),
+    (cyclic(6), 2),
+    (cyclic(8), 1),
+    (cyclic(27), 1),
+    (quaternion(), 1),
 ])
 def test_totality_yes_enumerates_tested(G, count):
     v = is_totally_two_closed(G)
@@ -626,6 +679,29 @@ NILPOTENT = [
 def test_nilpotent_classification(G, want):
     v = is_totally_two_closed(G, TotalityBudget(max_actions=2000))
     assert v.status == want
+
+
+@pytest.mark.parametrize("G, budget, want, runs", [
+    (generalized_quaternion(16), TotalityBudget(), YES, 1),
+    (direct_product(generalized_quaternion(4), cyclic(3)), TotalityBudget(),
+     YES, 24),
+    (direct_product(quaternion(), cyclic(9)), TotalityBudget(), YES, 46),
+    (direct_product(generalized_quaternion(8), cyclic(3)), TotalityBudget(),
+     YES, 47),
+    (direct_product(direct_product(quaternion(), cyclic(3)), cyclic(3)),
+     TotalityBudget(), NO, 44),
+    (elementary_abelian(2, 4), TotalityBudget(max_actions=4000), NO, 3065),
+], ids=["Q64", "Q16xC3", "Q8xC9", "Q32xC3", "Q8xC3xC3", "C2^4"])
+def test_nilpotent_classification_past_order_32(G, budget, want, runs):
+    # the antichain sweep decides these within their budgets; every
+    # nontrivial subgroup of a generalized quaternion group holds its
+    # centre, so Q64's only faithful antichain is its regular action
+    v = is_totally_two_closed(G, budget)
+    assert (v.status, v.budget_spent["closure_runs"]) == (want, runs)
+    if want == NO:
+        res = two_closure(v.witness.group)
+        assert res.closure.order() > v.witness.group.order()
+        assert res.closure.order() == v.witness.closure_order
 
 
 def faithful_multisets(G, table, degree_cap):

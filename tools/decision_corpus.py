@@ -21,7 +21,9 @@ A change that must not alter any verdict keeps the digest.
 the default node budget and order bound, with ``max_actions`` 3 and 512.
 ``--against FILE`` compares with a run saved from this tool's output:
 instead of the decision lines it prints, per top-level key and per
-``budget_spent`` key, how many decisions differ, then every status move.
+``budget_spent`` key, how many decisions differ, then every status move,
+then how many decisions are "No" on both sides with a different witness,
+and each of them.
 """
 
 import argparse
@@ -127,7 +129,8 @@ def differences(saved, lines):
 
     saved may hold other lines, such as the digest line, which are
     skipped.  Returns the number of differing decisions per top-level key
-    and per ``budget_spent.<key>``, and one line per status move; an
+    and per ``budget_spent.<key>``, one line per status move, and one
+    line per decision that is "No" on both sides with another witness; an
     error counts as the status "error".
     """
     before = [json.loads(line) for line in saved if line.startswith("{")]
@@ -137,6 +140,7 @@ def differences(saved, lines):
                          f"this one {len(after)}")
     counts = Counter()
     moves = []
+    witness_moves = []
     for old, new in zip(before, after):
         inputs = {key: new[key] for key in INPUT_KEYS}
         if any(old.get(key) != value for key, value in inputs.items()):
@@ -151,11 +155,14 @@ def differences(saved, lines):
             elif old.get(key) != new.get(key):
                 counts[key] += 1
         was, now = old.get("status", "error"), new.get("status", "error")
+        where = " ".join(f"{key}={value}" for key, value in inputs.items())
         if was != now:
-            moves.append(" ".join(f"{key}={value}"
-                                  for key, value in inputs.items())
-                         + f": {was} -> {now}")
-    return dict(sorted(counts.items())), moves
+            moves.append(f"{where}: {was} -> {now}")
+        elif was == "No" and old.get("witness") != new.get("witness"):
+            witness_moves.append(f"{where}: classes "
+                                 f"{old['witness']['classes']} -> "
+                                 f"{new['witness']['classes']}")
+    return dict(sorted(counts.items())), moves, witness_moves
 
 
 def main():
@@ -172,11 +179,16 @@ def main():
         lines.append(line)
     if args.against is not None:
         with open(args.against) as saved:
-            counts, moves = differences(saved.read().splitlines(), lines)
+            counts, moves, witness_moves = differences(
+                saved.read().splitlines(), lines)
         for key, count in counts.items():
             print(f"{key}: {count} of {len(lines)} decisions differ")
         for move in moves:
             print(f"status {move}")
+        print(f"witness moved under a kept No: {len(witness_moves)} "
+              "decisions")
+        for move in witness_moves:
+            print(f"witness {move}")
     print(f"sha256 {digest(lines)} over {len(lines)} decisions")
 
 
